@@ -45,6 +45,7 @@ from .measurement import (
     coherence_density,
     decoherence_factor,
     equivalent_phase_noise,
+    grid_profiles,
     infer_excess_noise,
     integer_half_integer_ratio,
     measure,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import measurement
-from .errors import GridTooNarrow, InvalidParam
+from .errors import InvalidParam
 from .fock import (
     CoherentParams,
     PureState,
@@ -37,15 +37,6 @@ def quantization(n_m):
     return float(value[0]) if np.ndim(n_m) == 0 else value
 
 
-def _grid_profiles(state: PureState, config: MeasurementConfig):
-    grid = config.grid()
-    density, coherence = measurement._profiles(state, grid, config.delta_n)
-    mass = float(trapezoid(density, config.grid_step))
-    if mass < 1.0 - config.quad_tol:
-        raise GridTooNarrow(f"grid captures probability mass {mass:.12g} < 1 - quad_tol")
-    return grid, density, coherence
-
-
 def average_quantization(state: PureState, config: MeasurementConfig) -> float:
     """Outcome-averaged quantization, by quadrature of Q(n_m) P(n_m).
 
@@ -53,7 +44,7 @@ def average_quantization(state: PureState, config: MeasurementConfig) -> float:
     average equals exp(-2 pi^2 delta_n^2) for every normalized state; the
     quadrature value is returned unassisted by that closed form.
     """
-    grid, density, _ = _grid_profiles(state, config)
+    grid, density, _ = measurement.grid_profiles(state, config)
     return float(trapezoid(quantization(grid) * density, config.grid_step))
 
 
@@ -96,7 +87,7 @@ def quantization_coherence_correlation(
     if n_max is None:
         n_max = max(choose_truncation(params, 1e-12), 16)
     state = coherent_state(params, n_max)
-    grid, density, coherence = _grid_profiles(state, config)
+    grid, density, coherence = measurement.grid_profiles(state, config)
     q_values = quantization(grid)
 
     q_bar = float(trapezoid(q_values * density, config.grid_step))

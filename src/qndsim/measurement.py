@@ -12,6 +12,19 @@ conditional post-measurement state.  Density and coherence profiles over an
 outcome grid, quadrature averages over outcomes, and the equivalent phase
 noise of the back-action are all derived from that single kernel.
 
+Products of the window factor exactly into the normalized Gaussian
+g(x) = (2 pi delta_n^2)**-0.5 exp(-x^2 / (2 delta_n^2)):
+
+    w(n)^2      = g(n_m - n)
+    w(n) w(n+1) = exp(-1/(8 delta_n^2)) g(n_m - n - 1/2),
+
+so every profile is a real Gaussian band sum over the number levels.  In
+float64, g is exactly 0.0 beyond 38.6 widths, so the kernel visits only the
+levels within ``_BAND_WIDTHS`` = 38.7 widths of each outcome, and takes the
+outcomes in chunks of about ``_CHUNK_CELLS`` = 65 536 (outcome, level) cells:
+work grows with grid size times band width, not grid size times basis size,
+and temporary memory stays at a few MB.
+
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
 """
@@ -24,6 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, InvalidParam, ToleranceWarning, ZeroProbability
 from .fock import PureState, expectation_a
@@ -36,7 +50,13 @@ DENSITY_FLOOR = 1e-300
 # inconsistent input rather than round-off.
 _EXCESS_NOISE_TOL = 1e-9
 
-_CHUNK = 4096
+# g(x) underflows to 0.0 once x^2 / (2 delta_n^2) > 745.14, i.e. beyond 38.61
+# widths; the band radius keeps a margin over that.
+_BAND_WIDTHS = 38.7
+
+# Kernel cells (outcome, level) evaluated at once.  Bounds each chunk's
+# temporaries to a few MB whatever the grid size, band width or basis size.
+_CHUNK_CELLS = 65536
 
 
 def _check_delta_n(delta_n: float, allow_inf: bool = False) -> float:
@@ -82,25 +102,47 @@ def _profiles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density P(n_m) and coherence-weighted density <a>_f(n_m) P(n_m) on a grid.
 
-    Both are evaluated from first principles: window the amplitudes at each
-    grid point, then contract.  Chunked to bound temporary memory.
+    By the window factorization these are the band sums
+
+        P(n_m)            = sum_n p_n g(n_m - n)
+        <a>_f(n_m) P(n_m) = exp(-1/(8 dn^2)) sum_n b_n g(n_m - n - 1/2)
+
+    with p_n = |c_n|^2 and b_n = conj(c_n) c_{n+1} sqrt(n + 1).
+
+    Both Gaussians come from one exponential per cell, e(x) = exp(-x^2/(4 dn^2)):
+    g(x) = N e(x)^2 and exp(-1/(8 dn^2)) g(x - 1/2) = N e(x) e(x - 1), with
+    N = (2 pi dn^2)**-0.5 and x = n_m - n.  Each outcome visits the levels with
+    |n - n_m| <= _BAND_WIDTHS * dn + 1/2, which holds every nonzero term of
+    both sums; the band start is clipped to [0, n_max + 1 - width], so a band
+    wider than the basis covers every level.  The grid need not be sorted.
+    Outcomes are taken in chunks of about ``_CHUNK_CELLS`` cells.
     """
     c = state.amplitudes
-    n = np.arange(c.size)
-    root = np.sqrt(n[1:])
+    levels = c.size
+    p = np.abs(c) ** 2
+    b = np.zeros(levels, dtype=np.complex128)
+    b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, levels))
+    reach = _BAND_WIDTHS * delta_n + 0.5
+    width = int(min(levels, 2.0 * reach + 1.0))
+    p_bands = sliding_window_view(p, width)
+    b_bands = sliding_window_view(b, width)
+    offsets = np.arange(width)
+    inv_4var = 1.0 / (4.0 * delta_n**2)
     density = np.empty(n_m.size)
     coherence = np.empty(n_m.size, dtype=np.complex128)
-    for start in range(0, n_m.size, _CHUNK):
-        block = n_m[start : start + _CHUNK]
-        w = (2.0 * math.pi * delta_n**2) ** -0.25 * np.exp(
-            -((n[None, :] - block[:, None]) ** 2) / (4.0 * delta_n**2)
-        )
-        filtered = c[None, :] * w
-        density[start : start + _CHUNK] = np.sum(np.abs(filtered) ** 2, axis=1)
-        coherence[start : start + _CHUNK] = np.sum(
-            np.conj(filtered[:, :-1]) * filtered[:, 1:] * root[None, :], axis=1
-        )
-    return density, coherence
+    rows = max(1, _CHUNK_CELLS // width)
+    for start in range(0, n_m.size, rows):
+        block = n_m[start : start + rows]
+        # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
+        first = np.fmin(np.fmax(np.ceil(block - reach), 0.0), levels - width)
+        first = first.astype(np.intp)
+        x = (block - first)[:, None] - offsets
+        e = np.exp(-inv_4var * x * x)
+        density[start : start + rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
+        pair = e[:, :-1] * e[:, 1:]
+        coherence[start : start + rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
+    norm = (2.0 * math.pi * delta_n**2) ** -0.5
+    return norm * density, norm * coherence
 
 
 def outcome_density(state: PureState, n_m, delta_n: float):
@@ -247,11 +289,10 @@ def trapezoid(values: np.ndarray, step: float):
     return step * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
-def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
-    """Outcome-averaged coherence: quadrature of <a>_f(n_m) P(n_m) over the grid.
-
-    For any state this equals exp(-1/(8 delta_n^2)) times the initial field
-    expectation, up to quadrature error.
+def grid_profiles(
+    state: PureState, config: MeasurementConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The config's outcome grid with the density and coherence profiles on it.
 
     Raises
     ------
@@ -266,6 +307,22 @@ def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
         raise GridTooNarrow(
             f"grid captures probability mass {mass:.12g} < 1 - quad_tol"
         )
+    return grid, density, coherence
+
+
+def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
+    """Outcome-averaged coherence: quadrature of <a>_f(n_m) P(n_m) over the grid.
+
+    For any state this equals exp(-1/(8 delta_n^2)) times the initial field
+    expectation, up to quadrature error.
+
+    Raises
+    ------
+    GridTooNarrow
+        If the probability mass captured by the grid falls short of
+        ``1 - quad_tol``.
+    """
+    _, _, coherence = grid_profiles(state, config)
     return complex(trapezoid(coherence, config.grid_step))
 
 

@@ -179,15 +179,8 @@ def phase_diffusion_equivalence(
     probs = state.probabilities()
     levels = gen.choice(probs.size, size=samples, p=probs / probs.sum())
     pointer = gen.normal(levels, delta_n)
-    projections = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        block = pointer[start : start + _CHUNK]
-        w = np.exp(-((n[None, :] - block[:, None]) ** 2) / (4.0 * delta_n**2))
-        filtered = c[None, :] * w
-        num = np.sum(np.conj(filtered[:, :-1]) * filtered[:, 1:] * root[None, :], axis=1)
-        den = np.sum(np.abs(filtered) ** 2, axis=1)
-        projections[start : start + _CHUNK] = np.real((num / den) * np.conj(direction))
-    projections /= abs(a_initial)
+    conditional = measurement.coherence_after(state, pointer, delta_n)
+    projections = np.real(conditional * np.conj(direction)) / abs(a_initial)
     mc_ratio = float(projections.mean())
     mc_stderr = float(projections.std(ddof=1) / math.sqrt(samples))
 

@@ -117,6 +117,12 @@ class TestCorrelationReport:
             assert report.consistent
             assert max(report.analytic_deltas.values()) < 1e-8
 
+    def test_bright_field_consistent(self):
+        # alpha=100 on its 11 440-level basis: a 305 000-point adequate grid.
+        config = MeasurementConfig.adequate(0.3, 11_440)
+        report = quantization_coherence_correlation(CoherentParams(100.0, 0.7), config, 11_440)
+        assert report.consistent
+
     def test_limits_vanish(self):
         assert abs(correlation_at(ALPHA3, 3.0)) < 1e-8
         assert abs(correlation_at(ALPHA3, 0.05)) < 1e-8

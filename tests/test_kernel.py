@@ -1,0 +1,161 @@
+"""The banded readout kernel against the literal windowed contraction.
+
+``dense_profiles`` is the reference: it windows the amplitudes at every
+(outcome, level) cell and contracts, with no banding, no factorization and
+no chunking.  The kernel must match it to 1e-12 relative wherever the
+density is above ``DENSITY_FLOOR``.  The coherence is a sum of terms of
+either sign, so its error is measured against the sum of the terms'
+magnitudes (plus ``DENSITY_FLOOR``, for the few subnormal terms).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
+
+from qndsim import (
+    CoherentParams,
+    PureState,
+    ZeroProbability,
+    coherence_after,
+    coherent_state,
+    outcome_density,
+    random_state,
+)
+from qndsim.measurement import DENSITY_FLOOR, _profiles
+
+RTOL = 1e-12
+
+
+def dense_profiles(state, grid, delta_n):
+    """Density, coherence and coherence term-magnitude sum, cell by cell."""
+    c = state.amplitudes
+    n = np.arange(c.size)
+    w = (2.0 * math.pi * delta_n**2) ** -0.25 * np.exp(
+        -((n[None, :] - grid[:, None]) ** 2) / (4.0 * delta_n**2)
+    )
+    filtered = c[None, :] * w
+    density = np.sum(np.abs(filtered) ** 2, axis=1)
+    terms = np.conj(filtered[:, :-1]) * filtered[:, 1:] * np.sqrt(n[1:])[None, :]
+    return density, terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+def assert_matches_dense(state, grid, delta_n):
+    density, coherence = _profiles(state, grid, delta_n)
+    ref_density, ref_coherence, scale = dense_profiles(state, grid, delta_n)
+    live = ref_density > DENSITY_FLOOR
+    assert np.all(np.abs(density - ref_density)[live] <= RTOL * ref_density[live])
+    assert np.all(density[~live] <= 2.0 * DENSITY_FLOOR)
+    error = np.abs(coherence - ref_coherence)[live]
+    assert np.all(error <= RTOL * (scale[live] + DENSITY_FLOOR))
+
+
+def make_state(kind, n_max, rng):
+    if kind == "random":
+        return random_state(n_max, rng)
+    if kind == "upper":
+        return random_state(n_max, rng, min_level=int(rng.integers(0, n_max + 1)))
+    # A coherent state cut at n_max: a Poisson envelope with a linear phase.
+    n = np.arange(n_max + 1)
+    mean = n_max * rng.uniform(0.01, 0.8) + 0.5
+    log_weight = n * math.log(mean) - mean - gammaln(n + 1)
+    phase = rng.uniform(-math.pi, math.pi)
+    return PureState.from_unnormalized(np.exp(0.5 * log_weight - 1j * phase * n))
+
+
+def make_grid(n_max, delta_n, points, rng):
+    """Unsorted outcomes over the support, its Gaussian tails and far outside it."""
+    pad = 40.0 * delta_n + 2.0
+    near = rng.uniform(-pad, n_max + pad, size=points)
+    far = np.array([-1e6, -3.0 * pad, n_max + 3.0 * pad, n_max + 1e6])
+    grid = np.concatenate([near, rng.integers(0, n_max + 1, size=3) + 0.5, far])
+    return rng.permutation(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(0, 400),
+    delta_n=st.floats(0.05, 5.0),
+    kind=st.sampled_from(["random", "upper", "poisson"]),
+    points=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_dense_contraction(n_max, delta_n, kind, points, seed):
+    rng = np.random.default_rng(seed)
+    state = make_state(kind, n_max, rng)
+    assert_matches_dense(state, make_grid(n_max, delta_n, points, rng), delta_n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_max=st.integers(0, 30),
+    delta_n=st.floats(1.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_wider_than_basis(n_max, delta_n, seed):
+    rng = np.random.default_rng(seed)
+    assert_matches_dense(random_state(n_max, rng), make_grid(n_max, delta_n, 20, rng), delta_n)
+
+
+def test_many_chunks():
+    rng = np.random.default_rng(7)
+    state = random_state(60, rng)
+    grid = rng.permutation(np.linspace(-2.0, 62.0, 40_000))
+    assert_matches_dense(state, grid, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(0, 120),
+    delta_n=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_outcomes(n_max, delta_n, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(n_max, rng)
+    n_m = float(rng.uniform(-1.0, n_max + 1.0))
+    ref_density, ref_coherence, scale = dense_profiles(state, np.array([n_m]), delta_n)
+    density = outcome_density(state, n_m, delta_n)
+    assert isinstance(density, float)
+    assert density == pytest.approx(ref_density[0], rel=RTOL)
+    if ref_density[0] > DENSITY_FLOOR:
+        field = coherence_after(state, n_m, delta_n)
+        assert isinstance(field, complex)
+        tol = RTOL * (scale[0] + DENSITY_FLOOR) / ref_density[0]
+        assert abs(field - ref_coherence[0] / ref_density[0]) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_max=st.integers(0, 400),
+    delta_n=st.floats(0.05, 5.0),
+    far=st.floats(300.0, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_far_outcomes_raise_zero_probability(n_max, delta_n, far, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(n_max, rng)
+    outside = -far * delta_n if rng.integers(2) else n_max + far * delta_n
+    assert outcome_density(state, outside, delta_n) == 0.0
+    with pytest.raises(ZeroProbability):
+        coherence_after(state, outside, delta_n)
+    with pytest.raises(ZeroProbability):
+        coherence_after(state, np.array([0.5 * n_max, outside]), delta_n)
+
+
+def test_temporaries_follow_the_band_not_the_basis():
+    # alpha=100: a dense (grid, n_max) temporary would be hundreds of MB.
+    state = coherent_state(CoherentParams(100.0, 0.3), 11_440)
+    grid = np.linspace(9_700.0, 10_300.0, 5_000)
+    tracemalloc.start()
+    try:
+        density, _ = _profiles(state, grid, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert density.max() > 0.0
