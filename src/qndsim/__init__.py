@@ -25,6 +25,7 @@ from .fock import (
     PureState,
     choose_truncation,
     coherent_state,
+    default_cutoff,
     expectation_a,
     expectation_n,
     expectation_parity,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import measurement
 from .errors import InvalidParam, RegimeWarning
-from .fock import CoherentParams, choose_truncation, coherent_state
+from .fock import CoherentParams, coherent_state, default_cutoff
 
 # Default bound on the dropped tail of the quantization-comb harmonic series.
 SERIES_TOL = 1e-14
@@ -230,7 +230,7 @@ def error_report(
     if params.magnitude == 0.0:
         raise InvalidParam("error report requires a bright field")
     if n_max is None:
-        n_max = max(choose_truncation(params, 1e-12), 16)
+        n_max = default_cutoff(params)
     state = coherent_state(params, n_max)
 
     base = math.floor(params.mean_photon_number)

@@ -101,8 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(fig)
     fig.add_argument("--dn", type=float, default=None,
                      help="override the table's readout resolution (tables 1-4)")
-    fig.add_argument("--grid-min", type=float, default=0.0)
-    fig.add_argument("--grid-max", type=float, default=20.0)
+    fig.add_argument("--grid-min", type=float, default=None,
+                     help="profile grid start (default 0, or 10 below the mean "
+                          "photon number for bright fields)")
+    fig.add_argument("--grid-max", type=float, default=None,
+                     help="profile grid end (default grid start + 20)")
     fig.add_argument("--grid-step", type=float, default=0.02)
     fig.add_argument("--dn-min", type=float, default=0.1, help="table 5 sweep start")
     fig.add_argument("--dn-max", type=float, default=1.0, help="table 5 sweep end")

@@ -22,8 +22,8 @@ from .errors import InvalidParam
 from .fock import (
     CoherentParams,
     PureState,
-    choose_truncation,
     coherent_state,
+    default_cutoff,
     expectation_a,
     expectation_parity_squared,
 )
@@ -85,7 +85,7 @@ def quantization_coherence_correlation(
     enter only as cross-checks recorded in ``analytic_deltas``.
     """
     if n_max is None:
-        n_max = max(choose_truncation(params, 1e-12), 16)
+        n_max = default_cutoff(params)
     state = coherent_state(params, n_max)
     grid, density, coherence = measurement.grid_profiles(state, config)
     q_values = quantization(grid)
@@ -119,7 +119,7 @@ def quantization_coherence_correlation(
 def correlation_at(params: CoherentParams, delta_n: float, n_max: int | None = None) -> complex:
     """Convenience wrapper: the covariance at one resolution on an adequate grid."""
     if n_max is None:
-        n_max = max(choose_truncation(params, 1e-12), 16)
+        n_max = default_cutoff(params)
     config = MeasurementConfig.adequate(delta_n, n_max)
     return quantization_coherence_correlation(params, config, n_max).correlation
 
@@ -139,7 +139,7 @@ def argmax_correlation_resolution(
         raise InvalidParam("need 0 < dn_min < dn_max")
     if tol <= 0:
         raise InvalidParam("tol must be positive")
-    n_max = max(choose_truncation(params, 1e-12), 16)
+    n_max = default_cutoff(params)
 
     def objective(dn: float) -> float:
         return -abs(correlation_at(params, dn, n_max))

@@ -15,10 +15,15 @@ import numpy as np
 
 from . import approx, correlations, measurement, trajectories
 from .errors import InvalidParam, RegimeWarning
-from .fock import CoherentParams, choose_truncation, coherent_state
+from .fock import CoherentParams, coherent_state, default_cutoff
 
 # Readout resolutions of the four fringe-profile tables.
 PROFILE_RESOLUTIONS = {1: 0.7, 2: 0.4, 3: 0.3, 4: 0.2}
+
+# Outcome span of a profile table by default: from 0 for dim fields, from
+# half a span below the mean photon number for bright ones, where the fringes
+# sit far from 0.
+_PROFILE_SPAN = 20.0
 
 # Profiles 2 and 3 carry fringe columns normalized by the classical values
 # at the integer nearest the mean intensity.
@@ -42,8 +47,8 @@ def figure_table(
     figure_id: int,
     params: CoherentParams | None = None,
     delta_n: float | None = None,
-    grid_min: float = 0.0,
-    grid_max: float = 20.0,
+    grid_min: float | None = None,
+    grid_max: float | None = None,
     grid_step: float = 0.02,
     dn_min: float = 0.1,
     dn_max: float = 1.0,
@@ -59,6 +64,10 @@ def figure_table(
     fringe formula for coherence has broken down there).  Table 5 sweeps the
     resolution and tabulates the quantization average, the normalized
     covariance magnitude, and the dephasing factor.
+
+    The outcome grid spans ``_PROFILE_SPAN`` = 20 from ``grid_min``, which
+    defaults to max(0, floor(|alpha|^2) - 10): 0 to 20 for the standard
+    alpha = 3.
     """
     if figure_id not in (1, 2, 3, 4, 5):
         raise InvalidParam("figure id must be 1..5")
@@ -68,10 +77,14 @@ def figure_table(
 
     dn = delta_n if delta_n is not None else PROFILE_RESOLUTIONS[figure_id]
     dn = measurement._check_delta_n(dn)
+    if grid_min is None:
+        grid_min = max(0.0, math.floor(params.mean_photon_number) - _PROFILE_SPAN / 2)
+    if grid_max is None:
+        grid_max = grid_min + _PROFILE_SPAN
     if grid_step <= 0 or grid_min >= grid_max:
         raise InvalidParam("grid bounds must satisfy min < max with positive step")
 
-    n_max = max(choose_truncation(params, 1e-12), 16)
+    n_max = default_cutoff(params)
     state = coherent_state(params, n_max)
     count = int(round((grid_max - grid_min) / grid_step))
     grid = grid_min + grid_step * np.arange(count + 1)
@@ -122,7 +135,7 @@ def _sweep_correlation_table(
 ) -> Table:
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
-    n_max = max(choose_truncation(params, 1e-12), 16)
+    n_max = default_cutoff(params)
     rows = []
     count = int(round((dn_max - dn_min) / dn_step))
     for k in range(count + 1):
@@ -166,7 +179,7 @@ def sweep_table(
     params = params or _default_params()
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
-    n_max = max(choose_truncation(params, 1e-12), 16)
+    n_max = default_cutoff(params)
     rows = []
     count = int(round((dn_max - dn_min) / dn_step))
     for k in range(count + 1):
@@ -214,7 +227,7 @@ def sample_table(
     params = params or _default_params()
     if count < 1:
         raise InvalidParam("count must be at least 1")
-    n_max = max(choose_truncation(params, 1e-12), 16)
+    n_max = default_cutoff(params)
     state = coherent_state(params, n_max)
     trajectory = trajectories.repeated_measurement(state, delta_n, count, int(seed))
     rows = [

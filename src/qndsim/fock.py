@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .errors import InvalidParam, TruncationTooSmall
 
@@ -21,8 +21,9 @@ NORM_TOL = 1e-6
 # Default bound on Poisson probability mass allowed beyond the basis cutoff.
 DEFAULT_TAIL_TOL = 1e-12
 
-# Tail masses below double-precision resolution of (1 - sum) cannot be
-# certified by summation.
+# A tail below double-precision resolution of the state's unit norm changes
+# nothing the renormalized state can represent, so tolerances below this are
+# refused.
 _MIN_CERTIFIABLE_TAIL = 1e-15
 
 
@@ -164,12 +165,13 @@ def coherent_state(
         log_w = -lam + n * math.log(lam) - gammaln(n + 1.0)
         weights = np.exp(log_w)
 
-    tail = max(1.0 - float(weights.sum()), 0.0)
+    tail = float(pdtrc(n_max, lam))
     if tail >= tail_tol:
         raise TruncationTooSmall(
             f"mass {tail:.3e} beyond n_max={n_max} exceeds tail_tol={tail_tol:.3e}"
         )
-    top_band = float(weights[max(0, n_max - 4):].sum()) + tail
+    # Mass on the top five levels and beyond.
+    top_band = float(pdtrc(n_max - 5, lam)) if n_max >= 5 else 1.0
     adequate = top_band < tail_tol
 
     amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
@@ -180,7 +182,11 @@ def coherent_state(
 def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
     """Smallest cutoff leaving Poisson mass below ``tail_tol`` past it.
 
-    The tail is certified by direct cumulative summation, not by a bound.
+    The tail beyond a cutoff k is the regularized incomplete gamma function
+    ``pdtrc(k, |alpha|^2)``, accurate in relative terms however small, and the
+    same tail :func:`coherent_state` checks.  It falls as k grows, so the
+    cutoff is found by bisection in about log2(|alpha|^2 + 20 |alpha| + 200)
+    evaluations.
     """
     if not (0.0 < tail_tol < 1.0):
         raise InvalidParam("tail_tol must lie in (0, 1)")
@@ -193,16 +199,27 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
         return 0
 
     hard_cap = int(lam + 20.0 * math.sqrt(lam) + 200.0)
-    weight = math.exp(-lam)
-    cumulative = weight
-    n = 0
-    while 1.0 - cumulative >= tail_tol:
-        n += 1
-        if n > hard_cap:
-            raise InvalidParam("tail tolerance not reachable; check parameters")
-        weight *= lam / n
-        cumulative += weight
-    return n
+    if not pdtrc(hard_cap, lam) < tail_tol:
+        raise InvalidParam("tail tolerance not reachable; check parameters")
+    # Invariant: the tail beyond ``low`` is at least tail_tol (every tail
+    # beyond -1 is 1), the tail beyond ``high`` is below it.
+    low, high = -1, hard_cap
+    while high - low > 1:
+        mid = (low + high) // 2
+        if pdtrc(mid, lam) < tail_tol:
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def default_cutoff(params: CoherentParams) -> int:
+    """The basis cutoff used wherever a caller gives none.
+
+    Leaves Poisson mass below ``DEFAULT_TAIL_TOL`` beyond it, and is at
+    least 16.
+    """
+    return max(choose_truncation(params, DEFAULT_TAIL_TOL), 16)
 
 
 def expectation_a(state: PureState) -> complex:

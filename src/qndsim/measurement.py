@@ -23,7 +23,10 @@ float64, g is exactly 0.0 beyond 38.6 widths, so the kernel visits only the
 levels within ``_BAND_WIDTHS`` = 38.7 widths of each outcome, and takes the
 outcomes in chunks of about ``_CHUNK_CELLS`` = 65 536 (outcome, level) cells:
 work grows with grid size times band width, not grid size times basis size,
-and temporary memory stays at a few MB.
+and temporary memory stays at a few MB.  Sequential readouts compose the
+same way: windows at outcomes x_1..x_j multiply into one window of width
+delta_n / sqrt(j) at their mean, which gives every pass of a trajectory its
+posterior without building the states in between.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -143,6 +146,73 @@ def _profiles(
         coherence[start : start + rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
     norm = (2.0 * math.pi * delta_n**2) ** -0.5
     return norm * density, norm * coherence
+
+
+def _sequential_posteriors(
+    state: PureState, outcomes: np.ndarray, delta_n: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, PureState]:
+    """Posterior moments after each of a sequence of readouts, all at once.
+
+    Windows of width dn at outcomes x_1..x_j multiply into one window of
+    width w_j = dn / sqrt(j) at their running mean m_j, so the state after
+    pass j has amplitudes proportional to c_n exp(-(n - m_j)^2 / (4 w_j^2)).
+    These are evaluated in the log domain, shifted so the largest is 1 on
+    each pass, which leaves no pass to underflow however sharp it is.
+
+    Pass j needs only the levels with |n - m_j| <= _BAND_WIDTHS * w_j + 1/2,
+    clipped to the basis as in :func:`_profiles`.  Passes are taken in chunks
+    of about ``_CHUNK_CELLS`` cells; every pass in a chunk visits the band
+    width of the chunk's first, widest pass, centered on its own m_j.
+
+    Returns the mean photon number, its variance and |<a>| after each pass,
+    and the conditional state after the last pass.
+
+    Raises
+    ------
+    ZeroProbability
+        If a pass's band holds no amplitude, i.e. an outcome lies far
+        outside the state's support.
+    """
+    c = state.amplitudes
+    levels = c.size
+    magnitude = np.abs(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = np.log(magnitude)
+        unit = np.where(magnitude > 0.0, c / magnitude, 0.0)
+    # Phase of conj(c_n) c_{n+1}, weighted by sqrt(n + 1): times a_n a_{n+1}
+    # it gives the field-expectation terms of the windowed state.
+    field = np.zeros(levels, dtype=np.complex128)
+    field[:-1] = np.conj(unit[:-1]) * unit[1:] * np.sqrt(np.arange(1, levels))
+    passes = np.arange(1, outcomes.size + 1)
+    running_mean = np.cumsum(outcomes) / passes
+    inv_4var = passes / (4.0 * delta_n**2)
+    mean = np.empty(outcomes.size)
+    var = np.empty(outcomes.size)
+    coherence = np.empty(outcomes.size)
+    start = 0
+    while start < outcomes.size:
+        reach = _BAND_WIDTHS * delta_n / math.sqrt(start + 1) + 0.5
+        width = int(min(levels, 2.0 * reach + 1.0))
+        stop = start + max(1, _CHUNK_CELLS // width)
+        m = running_mean[start:stop]
+        first = np.fmin(np.fmax(np.ceil(m - reach), 0.0), levels - width).astype(np.intp)
+        n = first[:, None] + np.arange(width)
+        log_amp = log_mag[n] - inv_4var[start:stop, None] * (n - m[:, None]) ** 2
+        peak = log_amp.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(peak)):
+            raise ZeroProbability("an outcome lies far outside the state's support")
+        amp = np.exp(log_amp - peak)
+        weight = amp * amp
+        total = weight.sum(axis=1)
+        mean[start:stop] = np.einsum("ij,ij->i", weight, n) / total
+        centered = n - mean[start:stop, None]
+        var[start:stop] = np.einsum("ij,ij,ij->i", weight, centered, centered) / total
+        pair = amp[:, :-1] * amp[:, 1:]
+        coherence[start:stop] = np.abs(np.einsum("ij,ij->i", field[n[:, :-1]], pair)) / total
+        start = stop
+    final = np.zeros(levels, dtype=np.complex128)
+    final[first[-1] : first[-1] + width] = unit[n[-1]] * amp[-1] / math.sqrt(total[-1])
+    return mean, var, coherence, PureState(final)
 
 
 def outcome_density(state: PureState, n_m, delta_n: float):

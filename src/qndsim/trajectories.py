@@ -3,9 +3,13 @@
 Outcomes are drawn exactly: the outcome density is a number-distribution
 mixture of Gaussians, so picking a level with probability |c_n|^2 and then a
 normal deviate centered on it reproduces the density with no discretization
-bias.  Feeding each conditional state into the next readout narrows the
-posterior; many passes at fixed resolution converge to a projective
-number measurement, and the ensemble-averaged coherence decays exactly as if
+bias.  A readout never changes the photon number, so k sequential readouts
+share that hidden level: their joint density is
+sum_n |c_n|^2 prod_i N(x_i; n, delta_n^2), and a trajectory is one level
+draw followed by k independent normal deviates around it.  The posterior
+after j passes is one Gaussian window of width delta_n / sqrt(j) at the
+running mean of the outcomes; many passes converge to a projective number
+measurement, and the ensemble-averaged coherence decays exactly as if
 Gaussian phase noise of variance 1/(4 delta_n^2) had been applied per pass.
 """
 
@@ -19,18 +23,8 @@ import numpy as np
 
 from . import measurement
 from .errors import InvalidParam
-from .fock import (
-    CoherentParams,
-    PureState,
-    choose_truncation,
-    coherent_state,
-    expectation_a,
-    expectation_n,
-    variance_n,
-)
+from .fock import CoherentParams, PureState, coherent_state, default_cutoff, expectation_a
 from .measurement import OutcomeRecord
-
-_CHUNK = 2048
 
 
 def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
@@ -41,6 +35,12 @@ def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
     return np.random.default_rng(seed), seed
 
 
+def _draw_level(state: PureState, gen: np.random.Generator) -> int:
+    """Draw a photon number with probability |c_n|^2."""
+    probs = state.probabilities()
+    return int(gen.choice(probs.size, p=probs / probs.sum()))
+
+
 def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
     """Draw one outcome from the exact density and condition the state on it.
 
@@ -49,10 +49,7 @@ def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
     """
     delta_n = measurement._check_delta_n(delta_n)
     gen, _ = _as_generator(rng)
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    level = int(gen.choice(probs.size, p=probs))
-    n_m = float(gen.normal(level, delta_n))
+    n_m = float(gen.normal(_draw_level(state, gen), delta_n))
     return measurement.measure(state, n_m, delta_n)
 
 
@@ -87,31 +84,28 @@ class Trajectory:
 def repeated_measurement(
     state: PureState, delta_n: float, count: int, rng
 ) -> Trajectory:
-    """Apply ``count`` sequential readouts, feeding each conditional state forward.
+    """Apply ``count`` sequential readouts at resolution ``delta_n``.
 
-    The final posterior equals that of a single readout at resolution
-    ``delta_n / sqrt(count)`` located at the mean of the recorded outcomes
-    (Gaussian windows multiply), which :func:`effective_post_state` builds
-    directly.
+    Draws the hidden photon number once, with probability |c_n|^2, then all
+    ``count`` outcomes as independent normal deviates of width ``delta_n``
+    around it; with ``count=1`` this is the draw :func:`sample_outcome`
+    makes.  The conditional state after pass j is one readout of width
+    ``delta_n / sqrt(j)`` at the running mean of the first j outcomes (Gaussian
+    windows multiply), so every step's moments come from that window, as
+    :func:`effective_post_state` builds it for the last pass.
     """
     if count < 1:
         raise InvalidParam("count must be at least 1")
     delta_n = measurement._check_delta_n(delta_n)
     gen, seed = _as_generator(rng)
-    current = state
-    steps: list[TrajectoryStep] = []
-    for _ in range(count):
-        record = sample_outcome(current, delta_n, gen)
-        current = record.post_state
-        steps.append(
-            TrajectoryStep(
-                n_m=record.n_m,
-                mean_n=expectation_n(current),
-                var_n=variance_n(current),
-                coherence_mag=abs(record.coherence),
-            )
-        )
-    return Trajectory(delta_n=delta_n, seed=seed, steps=steps, final_state=current)
+    outcomes = gen.normal(_draw_level(state, gen), delta_n, size=count)
+    mean_n, var_n, coherence_mag, final = measurement._sequential_posteriors(
+        state, outcomes, delta_n
+    )
+    steps = list(
+        map(TrajectoryStep, outcomes.tolist(), mean_n.tolist(), var_n.tolist(), coherence_mag.tolist())
+    )
+    return Trajectory(delta_n=delta_n, seed=seed, steps=steps, final_state=final)
 
 
 def effective_post_state(
@@ -167,11 +161,7 @@ def phase_diffusion_equivalence(
         raise InvalidParam("phase-noise comparison requires a nonzero field")
     gen, _ = _as_generator(rng)
 
-    n_max = max(choose_truncation(params, 1e-12), 16)
-    state = coherent_state(params, n_max)
-    c = state.amplitudes
-    n = np.arange(c.size)
-    root = np.sqrt(n[1:])
+    state = coherent_state(params, default_cutoff(params))
     a_initial = expectation_a(state)
     direction = a_initial / abs(a_initial)
 
@@ -185,15 +175,11 @@ def phase_diffusion_equivalence(
     mc_stderr = float(projections.std(ddof=1) / math.sqrt(samples))
 
     # Route two: random phase rotations with the equivalent noise variance.
+    # Rotating the state by exp(-i theta n) rotates its field expectation to
+    # exp(-i theta) <a>, so no rotated state is needed.
     sigma = math.sqrt(measurement.equivalent_phase_noise(delta_n))
     thetas = gen.normal(0.0, sigma, size=samples)
-    rotations = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        block = thetas[start : start + _CHUNK]
-        rotated = c[None, :] * np.exp(-1j * np.outer(block, n))
-        a_rot = np.sum(np.conj(rotated[:, :-1]) * rotated[:, 1:] * root[None, :], axis=1)
-        rotations[start : start + _CHUNK] = np.real(a_rot * np.conj(direction))
-    rotations /= abs(a_initial)
+    rotations = np.real(a_initial * np.exp(-1j * thetas) * np.conj(direction)) / abs(a_initial)
     deph_ratio = float(rotations.mean())
     deph_stderr = float(rotations.std(ddof=1) / math.sqrt(samples))
 

@@ -145,6 +145,33 @@ class TestCliFiles:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestBrightFields:
+    def test_sample(self, tmp_path):
+        out = tmp_path / "sample.csv"
+        argv = ["sample", "--dn", "0.3", "--count", "50", "--seed", "4", "--alpha", "25"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        assert rows.shape == (50, 5)
+        # the posterior has collapsed onto one level within the field's spread
+        assert rows[-1, columns.index("post_var_n")] < 1e-6
+        assert abs(rows[-1, columns.index("post_mean_n")] - 625.0) < 8 * 25.0
+
+    @pytest.mark.parametrize("alpha", [28.0, 60.0, 100.0])
+    def test_figure3(self, tmp_path, alpha):
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["figure", "3", "--alpha", repr(alpha), "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out)
+        # the default grid follows the field: 20 units from 10 below <n>
+        assert rows[0, 0] == alpha**2 - 10 and rows[-1, 0] == alpha**2 + 10
+        # near <n> the single-harmonic fringe formulas hold to a few percent
+        assert np.allclose(
+            rows[:, columns.index("p_approx")], rows[:, columns.index("p_exact")], rtol=0.02
+        )
+        assert np.allclose(
+            rows[:, columns.index("a_f_dashed")], rows[:, columns.index("a_f_exact")], rtol=0.02
+        )
+
+
 class TestExitCodes:
     def test_invalid_figure_id(self, capsys):
         assert cli.main(["figure", "9"]) == 2

@@ -10,6 +10,7 @@ from qndsim import (
     TruncationTooSmall,
     choose_truncation,
     coherent_state,
+    default_cutoff,
     expectation_a,
     expectation_n,
     expectation_parity,
@@ -139,6 +140,21 @@ class TestChooseTruncation:
         for mag in (0.5, 1.0, 2.0, 4.0, 6.0):
             n_max = choose_truncation(CoherentParams(mag), 1e-12)
             assert n_max <= mag**2 + 10 * mag + 20
+
+    def test_bright_fields(self):
+        # exp(-|alpha|^2) underflows past alpha 27.3; the tail does not
+        for mag in (28.0, 60.0, 100.0):
+            lam = mag * mag
+            n_max = choose_truncation(CoherentParams(mag), 1e-12)
+            assert lam + 5 * mag < n_max < lam + 10 * mag
+
+    def test_default_cutoff_accepted_by_coherent_state(self):
+        # coherent_state checks the same tail, so it never rejects the cutoff
+        assert default_cutoff(CoherentParams(3.0)) == 37
+        assert default_cutoff(CoherentParams(0.0)) == 16
+        for mag in [*np.arange(0.0, 30.0, 0.05), 60.0, 100.0]:
+            params = CoherentParams(mag)
+            coherent_state(params, default_cutoff(params))
 
     def test_rejects_bad_tolerance(self):
         for tol in (0.0, 1.0, -0.1, 1e-16):

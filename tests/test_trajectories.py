@@ -2,25 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import chisquare
 
 from qndsim import (
     CoherentParams,
     InvalidParam,
+    ZeroProbability,
     decoherence_factor,
     coherent_state,
+    default_cutoff,
     effective_post_state,
+    equivalent_phase_noise,
     expectation_a,
+    expectation_n,
     fidelity,
+    measure,
     number_state,
     outcome_density,
     phase_diffusion_equivalence,
+    random_state,
     repeated_measurement,
     sample_outcome,
     variance_n,
 )
-from qndsim.measurement import trapezoid
+from qndsim.measurement import _sequential_posteriors, trapezoid
 
 ALPHA3 = CoherentParams(3.0, 0.0)
 
@@ -122,9 +130,18 @@ class TestRepeatedMeasurement:
         trajectory = repeated_measurement(alpha3_state, 0.3, 25, 13)
         variances = [step.var_n for step in trajectory.steps]
         assert variances[-1] < variances[0]
-        # narrowing is monotone for this seed (rare reweighting events can
-        # raise the variance transiently on other runs)
-        assert all(b <= a + 1e-12 for a, b in zip(variances, variances[1:]))
+        # One run's variance can rise on a pass, when an outcome reweights
+        # the posterior; by the law of total variance its mean over runs
+        # cannot.
+        rng = np.random.default_rng(13)
+        runs = 2000
+        table = np.array([
+            [step.var_n for step in repeated_measurement(alpha3_state, 0.3, 25, rng).steps]
+            for _ in range(runs)
+        ])
+        rise = np.diff(table, axis=1)
+        stderr = rise.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(rise.mean(axis=0) <= 3 * stderr)
 
     def test_projective_limit(self, alpha3_state):
         trajectory = repeated_measurement(alpha3_state, 0.3, 25, 13)
@@ -162,6 +179,49 @@ class TestRepeatedMeasurement:
         with pytest.raises(InvalidParam):
             repeated_measurement(alpha3_state, 0.5, 0, 1)
 
+    def test_passes_share_the_hidden_level(self, alpha3_state):
+        # x_i = n + e_i with independent e_i: Cov(x_1, x_2) = Var(n), where
+        # independent draws from the outcome density would give 0.
+        rng = np.random.default_rng(29)
+        runs = 2000
+        outcomes = np.array(
+            [repeated_measurement(alpha3_state, 1.0, 2, rng).outcomes for _ in range(runs)]
+        )
+        centered = outcomes - outcomes.mean(axis=0)
+        products = centered[:, 0] * centered[:, 1]
+        stderr = products.std(ddof=1) / math.sqrt(runs)
+        assert abs(products.mean() - variance_n(alpha3_state)) < 5 * stderr
+
+
+def test_posteriors_refuse_an_outcome_off_the_support():
+    with pytest.raises(ZeroProbability):
+        _sequential_posteriors(number_state(0, 200), np.array([150.0]), 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(0, 120),
+    low_share=st.floats(0.0, 1.0),
+    delta_n=st.floats(0.05, 5.0),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trajectory_matches_sequential_conditioning(n_max, low_share, delta_n, count, seed):
+    """Every step equals conditioning the state pass by pass on the outcomes."""
+    rng = np.random.default_rng(seed)
+    state = random_state(n_max, rng, min_level=int(low_share * n_max))
+    trajectory = repeated_measurement(state, delta_n, count, seed)
+    current = state
+    for step in trajectory.steps:
+        record = measure(current, step.n_m, delta_n)
+        current = record.post_state
+        assert step.mean_n == pytest.approx(expectation_n(current), rel=1e-10, abs=1e-10)
+        assert step.var_n == pytest.approx(variance_n(current), rel=1e-10, abs=1e-10)
+        assert step.coherence_mag == pytest.approx(abs(record.coherence), rel=1e-10, abs=1e-10)
+    assert fidelity(trajectory.final_state, current) >= 1 - 1e-12
+    if count == 1:
+        assert trajectory.outcomes[0] == sample_outcome(state, delta_n, seed).n_m
+
 
 class TestEffectivePostState:
     def test_matches_direct_product(self, alpha3_state):
@@ -180,7 +240,40 @@ class TestEffectivePostState:
             effective_post_state(alpha3_state, [], 0.5)
 
 
+def rotation_loop_ratio(params, delta_n, samples, seed):
+    """Route two as it was first written: rotate the state, take <a>, project."""
+    gen = np.random.default_rng(seed)
+    state = coherent_state(params, default_cutoff(params))
+    c = state.amplitudes
+    n = np.arange(c.size)
+    root = np.sqrt(n[1:])
+    a_initial = expectation_a(state)
+    direction = a_initial / abs(a_initial)
+    # Replay route one's draws, so the rotation angles are the same.
+    probs = state.probabilities()
+    levels = gen.choice(probs.size, size=samples, p=probs / probs.sum())
+    gen.normal(levels, delta_n)
+    thetas = gen.normal(0.0, math.sqrt(equivalent_phase_noise(delta_n)), size=samples)
+    rotations = np.empty(samples)
+    for start in range(0, samples, 2048):
+        block = thetas[start : start + 2048]
+        rotated = c[None, :] * np.exp(-1j * np.outer(block, n))
+        a_rot = np.sum(np.conj(rotated[:, :-1]) * rotated[:, 1:] * root[None, :], axis=1)
+        rotations[start : start + 2048] = np.real(a_rot * np.conj(direction))
+    rotations /= abs(a_initial)
+    return rotations.mean(), rotations.std(ddof=1) / math.sqrt(samples)
+
+
 class TestPhaseDiffusionEquivalence:
+    @pytest.mark.parametrize(
+        "delta_n, samples, seed", [(0.3, 100_000, 91), (0.5, 100_000, 91), (50.0, 2000, 5)]
+    )
+    def test_dephasing_matches_rotation_loop(self, delta_n, samples, seed):
+        result = phase_diffusion_equivalence(ALPHA3, delta_n, samples, seed)
+        ratio, stderr = rotation_loop_ratio(ALPHA3, delta_n, samples, seed)
+        assert result.dephasing_ratio == pytest.approx(ratio, rel=0, abs=1e-12)
+        assert result.dephasing_stderr == pytest.approx(stderr, rel=0, abs=1e-12)
+
     def test_agreement_at_reference_resolutions(self):
         for dn, factor in ((0.3, 0.2494), (0.5, math.exp(-0.5))):
             result = phase_diffusion_equivalence(ALPHA3, dn, 100_000, 91)
