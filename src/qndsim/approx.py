@@ -58,8 +58,7 @@ class FourierTruncation:
         cls, delta_n: float, series_tol: float = SERIES_TOL
     ) -> "FourierTruncation":
         """Fewest harmonics whose dropped tail stays below ``series_tol``."""
-        if delta_n <= 0 or not math.isfinite(delta_n):
-            raise InvalidParam("delta_n must be positive and finite")
+        delta_n = measurement._check_delta_n(delta_n)
         if not (0.0 < series_tol < 1.0):
             raise InvalidParam("series_tol must lie in (0, 1)")
         limit = math.log(1.0 / series_tol) / (2.0 * math.pi**2 * delta_n**2)
@@ -95,17 +94,16 @@ def quantization_sum(
     """
     if offset not in (0.0, 0.5):
         raise InvalidParam("offset must be 0 or 1/2")
-    if delta_n <= 0 or not math.isfinite(delta_n):
-        raise InvalidParam("delta_n must be positive and finite")
+    delta_n = measurement._check_delta_n(delta_n)
     if trunc is None:
         trunc = FourierTruncation.for_resolution(delta_n)
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
+    grid = measurement._grid(n_m)
     value = np.ones_like(grid)
     for k in range(1, trunc.k_max + 1):
         value += (
             2.0 * fringe_amplitude(delta_n, k) * np.cos(2.0 * math.pi * k * (grid + offset))
         )
-    return float(value[0]) if np.ndim(n_m) == 0 else value
+    return measurement._scalar_or_array(n_m, value)
 
 
 def gaussian_comb(n_m, delta_n: float, offset: float = 0.0):
@@ -116,9 +114,8 @@ def gaussian_comb(n_m, delta_n: float, offset: float = 0.0):
     are below 1e-21.  This is the oracle the harmonic series is checked
     against.
     """
-    if delta_n <= 0 or not math.isfinite(delta_n):
-        raise InvalidParam("delta_n must be positive and finite")
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
+    delta_n = measurement._check_delta_n(delta_n)
+    grid = measurement._grid(n_m)
     lo = int(math.floor(grid.min() + offset - 10.0 * delta_n)) - 1
     hi = int(math.ceil(grid.max() + offset + 10.0 * delta_n)) + 1
     centers = np.arange(lo, hi + 1, dtype=float)
@@ -127,18 +124,18 @@ def gaussian_comb(n_m, delta_n: float, offset: float = 0.0):
         axis=1,
     )
     value = (2.0 * math.pi * delta_n**2) ** -0.5 * total
-    return float(value[0]) if np.ndim(n_m) == 0 else value
+    return measurement._scalar_or_array(n_m, value)
 
 
 def classical_probability(mean_intensity: float, n_m):
     """Smooth Gaussian outcome density of a classical field of given intensity."""
     if not (mean_intensity > 0.0) or not math.isfinite(mean_intensity):
         raise InvalidParam("mean_intensity must be positive and finite")
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
+    grid = measurement._grid(n_m)
     value = (2.0 * math.pi * mean_intensity) ** -0.5 * np.exp(
         -((grid - mean_intensity) ** 2) / (2.0 * mean_intensity)
     )
-    return float(value[0]) if np.ndim(n_m) == 0 else value
+    return measurement._scalar_or_array(n_m, value)
 
 
 def classical_coherence(params: CoherentParams, delta_n: float, n_m):
@@ -147,13 +144,13 @@ def classical_coherence(params: CoherentParams, delta_n: float, n_m):
     The magnitude follows the square root of the observed intensity; the
     initial field enters only through its phase.
     """
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
+    grid = measurement._grid(n_m)
     if np.any(grid < -0.5):
         raise InvalidParam("n_m must be at least -1/2")
     factor = measurement.decoherence_factor(delta_n)
     phase = complex(math.cos(params.phase), -math.sin(params.phase))
     value = phase * np.sqrt(grid + 0.5) * factor
-    return complex(value[0]) if np.ndim(n_m) == 0 else value
+    return measurement._scalar_or_array(n_m, value)
 
 
 class LowestOrder(NamedTuple):
@@ -178,15 +175,16 @@ def lowest_order(params: CoherentParams, delta_n: float, n_m) -> LowestOrder:
             RegimeWarning,
             stacklevel=2,
         )
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
+    grid = measurement._grid(n_m)
     modulation = 2.0 * fringe_amplitude(delta_n) * np.cos(2.0 * math.pi * grid)
     probability = classical_probability(params.mean_photon_number, grid) * (1.0 + modulation)
     coherence = (
         classical_coherence(params, delta_n, grid) * (1.0 - modulation) / (1.0 + modulation)
     )
-    if np.ndim(n_m) == 0:
-        return LowestOrder(float(probability[0]), complex(coherence[0]))
-    return LowestOrder(probability, coherence)
+    return LowestOrder(
+        measurement._scalar_or_array(n_m, probability),
+        measurement._scalar_or_array(n_m, coherence),
+    )
 
 
 @dataclass(frozen=True)

@@ -153,35 +153,29 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
+        if args.command == "verify":
+            return _run_verify(args.only, args.tol_scale)
+        params = CoherentParams(args.alpha, args.phase)
         if args.command == "figure":
-            params = CoherentParams(args.alpha, args.phase)
             table = figures.figure_table(
                 args.id, params, delta_n=args.dn,
                 grid_min=args.grid_min, grid_max=args.grid_max,
                 grid_step=args.grid_step,
                 dn_min=args.dn_min, dn_max=args.dn_max, dn_step=args.dn_step,
             )
-            _emit(table, f"figure {args.id}", args.out, args.format)
-            return 0
-        if args.command == "sweep":
-            params = CoherentParams(args.alpha, args.phase)
+        elif args.command == "sweep":
             table = figures.sweep_table(params, args.dn_min, args.dn_max, args.dn_step)
-            _emit(table, "sweep", args.out, args.format)
-            return 0
-        if args.command == "sample":
-            params = CoherentParams(args.alpha, args.phase)
+        else:
             table = figures.sample_table(params, args.dn, args.count, args.seed)
-            _emit(table, "sample", args.out, args.format)
-            return 0
-        if args.command == "verify":
-            return _run_verify(args.only, args.tol_scale)
+        title = f"figure {args.id}" if args.command == "figure" else args.command
+        _emit(table, title, args.out, args.format)
+        return 0
     except QndError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 def entry_point() -> None:

@@ -32,9 +32,7 @@ from .measurement import MeasurementConfig, trapezoid
 
 def quantization(n_m):
     """How close an outcome is to an integer: cos(2 pi n_m) in [-1, 1]."""
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
-    value = np.cos(2.0 * math.pi * grid)
-    return float(value[0]) if np.ndim(n_m) == 0 else value
+    return measurement._scalar_or_array(n_m, np.cos(2.0 * math.pi * measurement._grid(n_m)))
 
 
 def average_quantization(state: PureState, config: MeasurementConfig) -> float:

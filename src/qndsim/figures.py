@@ -1,8 +1,10 @@
 """Plot-ready tables: fringe profiles, resolution sweeps, and sampled shots.
 
-Each builder returns a :class:`Table` of named float columns plus a config
-echo, ready for the CSV/JSON writers in :mod:`qndsim.cli`.  Coherence columns
-hold magnitudes; the input phase only rotates them globally.
+Each builder names its float columns and hands them to one table helper,
+which turns them into rows and echoes the inputs (always with ``alpha`` and
+``phase``) for the CSV/JSON writers in :mod:`qndsim.cli`; the tables differ
+only in their columns.  Coherence columns hold magnitudes; the input phase
+only rotates them globally.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from .fock import CoherentParams, coherent_state, default_cutoff
 
 # Readout resolutions of the four fringe-profile tables.
 PROFILE_RESOLUTIONS = {1: 0.7, 2: 0.4, 3: 0.3, 4: 0.2}
+
+# Whether the dashed (density, coherence) curves of profile tables 1-4 are the
+# single-harmonic fringe formulas rather than the classical limit.
+_FRINGE_DASHED = {1: (False, False), 2: (True, True), 3: (True, True), 4: (True, False)}
 
 # Outcome span of a profile table by default: from 0 for dim fields, from
 # half a span below the mean photon number for bright ones, where the fringes
@@ -41,6 +47,43 @@ class Table:
 
 def _default_params() -> CoherentParams:
     return CoherentParams(3.0, 0.0)
+
+
+def _table(params: CoherentParams, columns: dict, **config) -> Table:
+    """Rows of floats from equal-length named columns; echoes the field too."""
+    return Table(
+        columns=list(columns),
+        rows=[list(map(float, row)) for row in zip(*columns.values())],
+        config={**config, "alpha": params.magnitude, "phase": params.phase},
+    )
+
+
+def _resolution_sweep(
+    params: CoherentParams, dn_min: float, dn_max: float, dn_step: float
+) -> tuple[dict, int]:
+    """Correlation columns at dn_min, dn_min + dn_step, ... up to dn_max.
+
+    Returns the columns ``delta_n``, ``q_bar``, ``avg_coherence_factor`` and
+    ``c_over_alpha``, one quadrature per resolution, and the cutoff used.
+    """
+    if not (0 < dn_min < dn_max) or dn_step <= 0:
+        raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
+    n_max = default_cutoff(params)
+    count = int(round((dn_max - dn_min) / dn_step))
+    resolutions = [dn_min + k * dn_step for k in range(count + 1)]
+    reports = [
+        correlations.quantization_coherence_correlation(
+            params, measurement.MeasurementConfig.adequate(dn, n_max), n_max
+        )
+        for dn in resolutions
+    ]
+    columns = {
+        "delta_n": resolutions,
+        "q_bar": [r.q_bar for r in reports],
+        "avg_coherence_factor": [abs(r.avg_coherence) / params.magnitude for r in reports],
+        "c_over_alpha": [abs(r.correlation) / params.magnitude for r in reports],
+    }
+    return columns, n_max
 
 
 def figure_table(
@@ -68,12 +111,21 @@ def figure_table(
     The outcome grid spans ``_PROFILE_SPAN`` = 20 from ``grid_min``, which
     defaults to max(0, floor(|alpha|^2) - 10): 0 to 20 for the standard
     alpha = 3.
+
+    Raises
+    ------
+    InvalidParam
+        Also if the outcome grid reaches where the state's outcome density
+        underflows, far from the mean photon number.
     """
     if figure_id not in (1, 2, 3, 4, 5):
         raise InvalidParam("figure id must be 1..5")
     params = params or _default_params()
     if figure_id == 5:
-        return _sweep_correlation_table(params, dn_min, dn_max, dn_step)
+        sweep, _ = _resolution_sweep(params, dn_min, dn_max, dn_step)
+        columns = {key: sweep[key] for key in ("delta_n", "c_over_alpha", "q_bar")}
+        columns["decoherence_factor"] = map(measurement.decoherence_factor, sweep["delta_n"])
+        return _table(params, columns, figure=5, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)
 
     dn = delta_n if delta_n is not None else PROFILE_RESOLUTIONS[figure_id]
     dn = measurement._check_delta_n(dn)
@@ -90,77 +142,34 @@ def figure_table(
     grid = grid_min + grid_step * np.arange(count + 1)
 
     p_exact = measurement.outcome_density(state, grid, dn)
+    if np.any(p_exact < measurement.DENSITY_FLOOR):
+        raise InvalidParam(
+            f"outcome grid [{grid_min:g}, {grid_max:g}] reaches outside the state's "
+            f"support around <n> = {params.mean_photon_number:g}"
+        )
     a_exact = np.abs(measurement.coherence_after(state, grid, dn))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         approximate = approx.lowest_order(params, dn, grid)
     class_p = approx.classical_probability(params.mean_photon_number, grid)
     class_a = np.abs(approx.classical_coherence(params, dn, grid))
-
-    if figure_id == 1:
-        p_dashed, a_dashed = class_p, class_a
-    elif figure_id == 4:
-        p_dashed, a_dashed = np.asarray(approximate.probability), class_a
-    else:
-        p_dashed = np.asarray(approximate.probability)
-        a_dashed = np.abs(approximate.coherence)
-
-    columns = ["n_m", "p_exact", "p_approx", "a_f_exact", "a_f_dashed"]
-    data = [grid, p_exact, p_dashed, a_exact, a_dashed]
+    fringe_p, fringe_a = _FRINGE_DASHED[figure_id]
+    columns = {
+        "n_m": grid,
+        "p_exact": p_exact,
+        "p_approx": approximate.probability if fringe_p else class_p,
+        "a_f_exact": a_exact,
+        "a_f_dashed": np.abs(approximate.coherence) if fringe_a else class_a,
+    }
     if figure_id in _NORMALIZED_IDS:
         anchor = float(math.floor(params.mean_photon_number))
         p_ref = approx.classical_probability(params.mean_photon_number, anchor)
         a_ref = abs(approx.classical_coherence(params, dn, anchor))
-        columns += ["p_mod_norm", "a_f_mod_norm"]
-        data += [p_exact / p_ref, a_exact / a_ref]
-
-    rows = [list(map(float, row)) for row in zip(*data)]
-    return Table(
-        columns=columns,
-        rows=rows,
-        config={
-            "figure": figure_id,
-            "alpha": params.magnitude,
-            "phase": params.phase,
-            "delta_n": dn,
-            "grid_min": grid_min,
-            "grid_max": grid_max,
-            "grid_step": grid_step,
-        },
-    )
-
-
-def _sweep_correlation_table(
-    params: CoherentParams, dn_min: float, dn_max: float, dn_step: float
-) -> Table:
-    if not (0 < dn_min < dn_max) or dn_step <= 0:
-        raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
-    n_max = default_cutoff(params)
-    rows = []
-    count = int(round((dn_max - dn_min) / dn_step))
-    for k in range(count + 1):
-        dn = dn_min + k * dn_step
-        config = measurement.MeasurementConfig.adequate(dn, n_max)
-        report = correlations.quantization_coherence_correlation(params, config, n_max)
-        rows.append(
-            [
-                float(dn),
-                abs(report.correlation) / params.magnitude,
-                report.q_bar,
-                measurement.decoherence_factor(dn),
-            ]
-        )
-    return Table(
-        columns=["delta_n", "c_over_alpha", "q_bar", "decoherence_factor"],
-        rows=rows,
-        config={
-            "figure": 5,
-            "alpha": params.magnitude,
-            "phase": params.phase,
-            "dn_min": dn_min,
-            "dn_max": dn_max,
-            "dn_step": dn_step,
-        },
+        columns["p_mod_norm"] = p_exact / p_ref
+        columns["a_f_mod_norm"] = a_exact / a_ref
+    return _table(
+        params, columns, figure=figure_id, delta_n=dn,
+        grid_min=grid_min, grid_max=grid_max, grid_step=grid_step,
     )
 
 
@@ -177,44 +186,11 @@ def sweep_table(
     measures of the fringe formulas at the brightest probes.
     """
     params = params or _default_params()
-    if not (0 < dn_min < dn_max) or dn_step <= 0:
-        raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
-    n_max = default_cutoff(params)
-    rows = []
-    count = int(round((dn_max - dn_min) / dn_step))
-    for k in range(count + 1):
-        dn = dn_min + k * dn_step
-        config = measurement.MeasurementConfig.adequate(dn, n_max)
-        report = correlations.quantization_coherence_correlation(params, config, n_max)
-        err = approx.error_report(params, dn, n_max)
-        rows.append(
-            [
-                float(dn),
-                report.q_bar,
-                abs(report.avg_coherence) / params.magnitude,
-                abs(report.correlation) / params.magnitude,
-                err.max_coherence_error,
-                err.max_fringe_truncation_error,
-            ]
-        )
-    return Table(
-        columns=[
-            "delta_n",
-            "q_bar",
-            "avg_coherence_factor",
-            "c_over_alpha",
-            "coh_err_vs_exact",
-            "coh_err_truncation",
-        ],
-        rows=rows,
-        config={
-            "alpha": params.magnitude,
-            "phase": params.phase,
-            "dn_min": dn_min,
-            "dn_max": dn_max,
-            "dn_step": dn_step,
-        },
-    )
+    columns, n_max = _resolution_sweep(params, dn_min, dn_max, dn_step)
+    errors = [approx.error_report(params, dn, n_max) for dn in columns["delta_n"]]
+    columns["coh_err_vs_exact"] = [err.max_coherence_error for err in errors]
+    columns["coh_err_truncation"] = [err.max_fringe_truncation_error for err in errors]
+    return _table(params, columns, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)
 
 
 def sample_table(
@@ -229,19 +205,12 @@ def sample_table(
         raise InvalidParam("count must be at least 1")
     n_max = default_cutoff(params)
     state = coherent_state(params, n_max)
-    trajectory = trajectories.repeated_measurement(state, delta_n, count, int(seed))
-    rows = [
-        [float(i), step.n_m, step.mean_n, step.var_n, step.coherence_mag]
-        for i, step in enumerate(trajectory.steps)
-    ]
-    return Table(
-        columns=["step", "n_m", "post_mean_n", "post_var_n", "a_f_abs"],
-        rows=rows,
-        config={
-            "alpha": params.magnitude,
-            "phase": params.phase,
-            "delta_n": delta_n,
-            "count": count,
-            "seed": int(seed),
-        },
-    )
+    steps = trajectories.repeated_measurement(state, delta_n, count, int(seed)).steps
+    columns = {
+        "step": range(len(steps)),
+        "n_m": [step.n_m for step in steps],
+        "post_mean_n": [step.mean_n for step in steps],
+        "post_var_n": [step.var_n for step in steps],
+        "a_f_abs": [step.coherence_mag for step in steps],
+    }
+    return _table(params, columns, delta_n=delta_n, count=count, seed=int(seed))

@@ -71,6 +71,16 @@ def _check_delta_n(delta_n: float, allow_inf: bool = False) -> float:
     return delta_n
 
 
+def _grid(n_m) -> np.ndarray:
+    """Outcome or outcomes ``n_m`` as a 1-D float grid."""
+    return np.atleast_1d(np.asarray(n_m, dtype=float))
+
+
+def _scalar_or_array(n_m, values: np.ndarray):
+    """``values`` on the grid of ``n_m``: a Python scalar when ``n_m`` is one."""
+    return values[0].item() if np.ndim(n_m) == 0 else values
+
+
 def window_amplitudes(n: np.ndarray, n_m: float, delta_n: float) -> np.ndarray:
     """Gaussian window w(n) applied to each number level by the readout."""
     return (2.0 * math.pi * delta_n**2) ** -0.25 * np.exp(
@@ -222,17 +232,15 @@ def outcome_density(state: PureState, n_m, delta_n: float):
     the squared norm of the filtered vector.
     """
     delta_n = _check_delta_n(delta_n)
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
-    density, _ = _profiles(state, grid, delta_n)
-    return float(density[0]) if np.isscalar(n_m) or np.ndim(n_m) == 0 else density
+    density, _ = _profiles(state, _grid(n_m), delta_n)
+    return _scalar_or_array(n_m, density)
 
 
 def coherence_density(state: PureState, n_m, delta_n: float):
     """Field expectation of the filtered, unnormalized state: <a>_f(n_m) P(n_m)."""
     delta_n = _check_delta_n(delta_n)
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
-    _, coherence = _profiles(state, grid, delta_n)
-    return complex(coherence[0]) if np.isscalar(n_m) or np.ndim(n_m) == 0 else coherence
+    _, coherence = _profiles(state, _grid(n_m), delta_n)
+    return _scalar_or_array(n_m, coherence)
 
 
 @dataclass(frozen=True)
@@ -279,12 +287,11 @@ def coherence_after(state: PureState, n_m, delta_n: float):
         Where the outcome density underflows.
     """
     delta_n = _check_delta_n(delta_n)
-    grid = np.atleast_1d(np.asarray(n_m, dtype=float))
-    density, coherence = _profiles(state, grid, delta_n)
+    density, coherence = _profiles(state, _grid(n_m), delta_n)
     if np.any(density < DENSITY_FLOOR):
         raise ZeroProbability("an outcome lies far outside the state's support")
     ratio = coherence / density
-    return complex(ratio[0]) if np.isscalar(n_m) or np.ndim(n_m) == 0 else ratio
+    return _scalar_or_array(n_m, ratio)
 
 
 def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:

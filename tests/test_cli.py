@@ -93,6 +93,14 @@ class TestSweepTable:
         assert abs(best[0] - 1 / (2 * math.sqrt(math.pi))) < 5e-4
 
 
+    def test_shares_figure5_loop(self):
+        figure = figures.figure_table(5, dn_min=0.25, dn_max=0.35, dn_step=0.05)
+        sweep = figures.sweep_table(None, 0.25, 0.35, 0.05)
+        for name in ("delta_n", "q_bar", "c_over_alpha"):
+            column = [row[figure.columns.index(name)] for row in figure.rows]
+            assert column == [row[sweep.columns.index(name)] for row in sweep.rows]
+
+
 class TestSampleTable:
     def test_deterministic(self):
         a = figures.sample_table(None, 0.3, 5, 123)
@@ -170,6 +178,30 @@ class TestBrightFields:
         assert np.allclose(
             rows[:, columns.index("a_f_dashed")], rows[:, columns.index("a_f_exact")], rtol=0.02
         )
+
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "5"]])
+    @pytest.mark.parametrize("alpha", [30.0, 60.0, 100.0])
+    def test_resolution_sweep(self, capsys, command, alpha):
+        argv = command + ["--alpha", repr(alpha), "--dn-min", "0.25", "--dn-max", "0.35",
+                          "--dn-step", "0.05", "--format", "json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["rows"]) == 3
+        for row in payload["rows"]:
+            cells = dict(zip(payload["columns"], row))
+            dn = cells["delta_n"]
+            q_bar = math.exp(-2.0 * math.pi**2 * dn * dn)
+            assert abs(cells["q_bar"] - q_bar) < 1e-12
+            assert abs(cells["c_over_alpha"] - 2.0 * q_bar * math.exp(-1.0 / (8 * dn * dn))) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [28.0, 100.0])
+    def test_grid_outside_support(self, capsys, alpha):
+        argv = ["figure", "3", "--alpha", repr(alpha), "--grid-min", "0", "--grid-max", "20"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid [0, 20]" in captured.err
+        assert f"<n> = {alpha**2:g}" in captured.err
 
 
 class TestExitCodes:

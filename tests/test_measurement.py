@@ -6,6 +6,12 @@ import pytest
 
 from qndsim import (
     CoherentParams,
+    classical_coherence,
+    classical_probability,
+    gaussian_comb,
+    lowest_order,
+    quantization,
+    quantization_sum,
     GridTooNarrow,
     InvalidParam,
     MeasurementConfig,
@@ -364,3 +370,32 @@ class TestIntegerHalfIntegerRatio:
             assert integer_half_integer_ratio(alpha3_state, dn) == pytest.approx(
                 top / bottom, rel=1e-9
             )
+
+
+# Every function that accepts a scalar or an array outcome, with the type a
+# scalar outcome must give back.
+_SCALAR_OR_ARRAY = {
+    "outcome_density": (lambda n, s: outcome_density(s, n, 0.3), (float,)),
+    "coherence_density": (lambda n, s: coherence_density(s, n, 0.3), (complex,)),
+    "coherence_after": (lambda n, s: coherence_after(s, n, 0.3), (complex,)),
+    "quantization": (lambda n, s: quantization(n), (float,)),
+    "quantization_sum": (lambda n, s: quantization_sum(n, 0.3, 0.5), (float,)),
+    "gaussian_comb": (lambda n, s: gaussian_comb(n, 0.3), (float,)),
+    "classical_probability": (lambda n, s: classical_probability(9.0, n), (float,)),
+    "classical_coherence": (lambda n, s: classical_coherence(ALPHA3, 0.3, n), (complex,)),
+    "lowest_order": (lambda n, s: lowest_order(ALPHA3, 0.3, n), (float, complex)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_OR_ARRAY))
+@pytest.mark.parametrize("outcome", [9.3, np.float64(9.3), np.asarray(9.3)])
+def test_scalar_outcome_gives_python_scalar(name, outcome, alpha3_state):
+    fn, types = _SCALAR_OR_ARRAY[name]
+    scalar = fn(outcome, alpha3_state)
+    array = fn(np.array([9.3]), alpha3_state)
+    if len(types) == 1:
+        scalar, array = (scalar,), (array,)
+    for value, values, kind in zip(scalar, array, types):
+        assert type(value) is kind
+        assert isinstance(values, np.ndarray) and values.shape == (1,)
+        assert value == values[0]
