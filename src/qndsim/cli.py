@@ -5,7 +5,7 @@ Subcommands::
     qnd figure <1-5> [--alpha M] [--phase R] [--out PATH] [--format csv|json]
     qnd sweep --dn-min A --dn-max B --dn-step S [...]
     qnd sample --dn X --count N --seed K [...]
-    qnd verify [--only GROUP] [--tol-scale X]
+    qnd verify [--only GROUP]
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 I/O error.  Output files are byte-identical for identical arguments:
@@ -129,13 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("verify", help="run the acceptance checks")
     check.add_argument("--only", default=None,
                        help="restrict to one check group (see docs)")
-    check.add_argument("--tol-scale", type=float, default=1.0,
-                       help="multiply every tolerance (debugging aid)")
     return parser
 
 
-def _run_verify(only: str | None, tol_scale: float) -> int:
-    rows = verify.run_acceptance(only=only, tol_scale=tol_scale)
+def _run_verify(only: str | None) -> int:
+    rows = verify.run_acceptance(only=only)
     criteria: dict[str, bool] = {}
     for row in rows:
         print(verify.format_row(row))
@@ -154,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "verify":
-            return _run_verify(args.only, args.tol_scale)
+            return _run_verify(args.only)
         params = CoherentParams(args.alpha, args.phase)
         if args.command == "figure":
             table = figures.figure_table(

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import measurement
+from . import approx, measurement
 from .errors import InvalidParam
 from .fock import (
     CoherentParams,
@@ -94,7 +94,7 @@ def quantization_coherence_correlation(
     correlation = q_product - q_bar * avg_coherence
 
     dn = config.delta_n
-    q_bar_cf = math.exp(-2.0 * math.pi**2 * dn**2)
+    q_bar_cf = approx.fringe_amplitude(dn)
     avg_cf = params.alpha * measurement.decoherence_factor(dn)
     corr_cf = -2.0 * q_bar_cf * avg_cf
     deltas = {

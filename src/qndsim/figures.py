@@ -58,6 +58,11 @@ def _table(params: CoherentParams, columns: dict, **config) -> Table:
     )
 
 
+def _steps(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop; 1e-9 of a step absorbs rounding in the span."""
+    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+
+
 def _resolution_sweep(
     params: CoherentParams, dn_min: float, dn_max: float, dn_step: float
 ) -> tuple[dict, int]:
@@ -69,8 +74,7 @@ def _resolution_sweep(
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
     n_max = default_cutoff(params)
-    count = int(round((dn_max - dn_min) / dn_step))
-    resolutions = [dn_min + k * dn_step for k in range(count + 1)]
+    resolutions = _steps(dn_min, dn_max, dn_step).tolist()
     reports = [
         correlations.quantization_coherence_correlation(
             params, measurement.MeasurementConfig.adequate(dn, n_max), n_max
@@ -138,16 +142,15 @@ def figure_table(
 
     n_max = default_cutoff(params)
     state = coherent_state(params, n_max)
-    count = int(round((grid_max - grid_min) / grid_step))
-    grid = grid_min + grid_step * np.arange(count + 1)
+    grid = _steps(grid_min, grid_max, grid_step)
 
-    p_exact = measurement.outcome_density(state, grid, dn)
+    p_exact, coherence = measurement._profiles(state, grid, dn)
     if np.any(p_exact < measurement.DENSITY_FLOOR):
         raise InvalidParam(
             f"outcome grid [{grid_min:g}, {grid_max:g}] reaches outside the state's "
             f"support around <n> = {params.mean_photon_number:g}"
         )
-    a_exact = np.abs(measurement.coherence_after(state, grid, dn))
+    a_exact = np.abs(coherence / p_exact)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         approximate = approx.lowest_order(params, dn, grid)

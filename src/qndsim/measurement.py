@@ -53,6 +53,11 @@ DENSITY_FLOOR = 1e-300
 # inconsistent input rather than round-off.
 _EXCESS_NOISE_TOL = 1e-9
 
+# Outcome grids and likelihood sums reach this many resolution widths beyond
+# the basis [0, n_max]: there each level's Gaussian g has fallen to
+# exp(-8^2 / 2) = exp(-32), about 1e-14 of its peak.
+_PAD_WIDTHS = 8.0
+
 # g(x) underflows to 0.0 once x^2 / (2 delta_n^2) > 745.14, i.e. beyond 38.61
 # widths; the band radius keeps a margin over that.
 _BAND_WIDTHS = 38.7
@@ -303,7 +308,7 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     quantization contrast and is the same for every state.
     """
     delta_n = _check_delta_n(delta_n)
-    pad = int(math.ceil(8.0 * delta_n)) + 1
+    pad = int(math.ceil(_PAD_WIDTHS * delta_n)) + 1
     integers = np.arange(-pad, state.n_max + pad + 1, dtype=float)
     p_int, _ = _profiles(state, integers, delta_n)
     p_half, _ = _profiles(state, integers + 0.5, delta_n)
@@ -315,8 +320,8 @@ class MeasurementConfig:
     """Resolution plus a uniform outcome grid for quadrature over outcomes.
 
     For full-line averages the grid must cover the state's support with
-    roughly eight resolution widths of padding; ``adequate`` builds such a
-    grid with a step that also resolves the unit-period fringes.
+    ``_PAD_WIDTHS`` = 8 resolution widths of padding; ``adequate`` builds such
+    a grid with a step that also resolves the unit-period fringes.
     """
 
     delta_n: float
@@ -337,28 +342,18 @@ class MeasurementConfig:
             raise InvalidParam("quad_tol must be positive")
 
     @classmethod
-    def adequate(
-        cls, delta_n: float, n_max: int, quad_tol: float = 1e-8, pad: float = 8.0
-    ) -> "MeasurementConfig":
+    def adequate(cls, delta_n: float, n_max: int) -> "MeasurementConfig":
         delta_n = _check_delta_n(delta_n)
-        step = min(delta_n / 8.0, 0.25)
         return cls(
             delta_n=delta_n,
-            grid_min=-pad * delta_n,
-            grid_max=n_max + pad * delta_n,
-            grid_step=step,
-            quad_tol=quad_tol,
+            grid_min=-_PAD_WIDTHS * delta_n,
+            grid_max=n_max + _PAD_WIDTHS * delta_n,
+            grid_step=min(delta_n / 8.0, 0.25),
         )
 
     def grid(self) -> np.ndarray:
         count = int(math.ceil((self.grid_max - self.grid_min) / self.grid_step - 1e-9))
         return self.grid_min + self.grid_step * np.arange(count + 1)
-
-    def covers(self, n_max: int, pad: float = 8.0) -> bool:
-        return (
-            self.grid_min <= -pad * self.delta_n
-            and self.grid_max >= n_max + pad * self.delta_n
-        )
 
 
 def trapezoid(values: np.ndarray, step: float):

@@ -35,10 +35,12 @@ def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
     return np.random.default_rng(seed), seed
 
 
-def _draw_level(state: PureState, gen: np.random.Generator) -> int:
-    """Draw a photon number with probability |c_n|^2."""
+def _draw_level(
+    state: PureState, gen: np.random.Generator, size: int | None = None
+) -> np.integer | np.ndarray:
+    """Draw a photon number (or ``size`` of them) with probability |c_n|^2."""
     probs = state.probabilities()
-    return int(gen.choice(probs.size, p=probs / probs.sum()))
+    return gen.choice(probs.size, size=size, p=probs / probs.sum())
 
 
 def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
@@ -166,9 +168,7 @@ def phase_diffusion_equivalence(
     direction = a_initial / abs(a_initial)
 
     # Route one: outcome-sampled conditional coherence.
-    probs = state.probabilities()
-    levels = gen.choice(probs.size, size=samples, p=probs / probs.sum())
-    pointer = gen.normal(levels, delta_n)
+    pointer = gen.normal(_draw_level(state, gen, samples), delta_n)
     conditional = measurement.coherence_after(state, pointer, delta_n)
     projections = np.real(conditional * np.conj(direction)) / abs(a_initial)
     mc_ratio = float(projections.mean())

@@ -153,6 +153,24 @@ class TestCliFiles:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestRangeEnds:
+    """Tables stop at the last step that does not pass the requested end."""
+
+    def test_sweep_stops_before_dn_max(self, capsys):
+        argv = ["sweep", "--dn-min", "0.1", "--dn-max", "0.37", "--dn-step", "0.1",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row[0] for row in payload["rows"]] == pytest.approx([0.1, 0.2, 0.3])
+
+    def test_profile_grid_stops_before_grid_max(self, capsys):
+        argv = ["figure", "1", "--grid-min", "0", "--grid-max", "1.07", "--grid-step", "0.1",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        grid = [row[0] for row in json.loads(capsys.readouterr().out)["rows"]]
+        assert grid == pytest.approx([0.1 * k for k in range(11)])
+
+
 class TestBrightFields:
     def test_sample(self, tmp_path):
         out = tmp_path / "sample.csv"

@@ -304,7 +304,7 @@ class TestMeasurementConfig:
 
     def test_adequate_covers(self):
         config = MeasurementConfig.adequate(0.4, 60)
-        assert config.covers(60)
+        assert config.grid_min <= -8 * 0.4 and config.grid_max >= 60 + 8 * 0.4
         assert config.grid_step <= 0.4 / 8
         grid = config.grid()
         assert grid[0] == pytest.approx(config.grid_min)
