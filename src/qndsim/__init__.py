@@ -37,10 +37,8 @@ from .fock import (
     variance_n,
 )
 from .measurement import (
-    FilteredState,
     MeasurementConfig,
     OutcomeRecord,
-    apply_measurement_operator,
     average_coherence,
     coherence_after,
     coherence_density,

@@ -60,6 +60,8 @@ def _table(params: CoherentParams, columns: dict, **config) -> Table:
 
 def _steps(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop; 1e-9 of a step absorbs rounding in the span."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InvalidParam("range bounds and step must be finite")
     return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
 
 

@@ -117,8 +117,19 @@ class PureState:
         """Photon-number distribution |c_n|^2."""
         return np.abs(self.amplitudes) ** 2
 
+    def level_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Level vectors p_n = |c_n|^2 and b_n = conj(c_n) c_{n+1} sqrt(n + 1); b_{n_max} = 0."""
+        return self.probabilities(), _ladder_terms(self.amplitudes)
+
     def __repr__(self) -> str:
         return f"PureState(n_max={self.n_max}, <n>={expectation_n(self):.4g})"
+
+
+def _ladder_terms(c: np.ndarray) -> np.ndarray:
+    """conj(c_n) c_{n+1} sqrt(n + 1) for n = 0..n_max, the last one 0."""
+    terms = np.zeros(c.size, dtype=np.complex128)
+    terms[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
+    return terms
 
 
 def number_state(n: int, n_max: int | None = None) -> PureState:
@@ -224,11 +235,8 @@ def default_cutoff(params: CoherentParams) -> int:
 
 def expectation_a(state: PureState) -> complex:
     """Field-amplitude expectation sum_n c_n^* c_{n+1} sqrt(n+1)."""
-    c = state.amplitudes
-    if c.size < 2:
-        return 0j
-    n = np.arange(1, c.size)
-    return complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n)))
+    _, b = state.level_moments()
+    return complex(b[:-1].sum())
 
 
 def expectation_n(state: PureState) -> float:

@@ -6,11 +6,11 @@ window centered at the outcome,
 
     w(n) = (2 pi delta_n^2)**-0.25 * exp(-(n - n_m)^2 / (4 delta_n^2)).
 
-The squared norm of the filtered vector is the outcome probability density
-(per unit ``n_m``), and renormalizing the filtered vector gives the
-conditional post-measurement state.  Density and coherence profiles over an
-outcome grid, quadrature averages over outcomes, and the equivalent phase
-noise of the back-action are all derived from that single kernel.
+The squared norm of the windowed amplitudes is the outcome probability
+density (per unit ``n_m``), and renormalizing them gives the conditional
+post-measurement state.  Density and coherence profiles over an outcome
+grid, quadrature averages over outcomes, conditional states, trajectories
+and the equivalent phase noise of the back-action all come from that window.
 
 Products of the window factor exactly into the normalized Gaussian
 g(x) = (2 pi delta_n^2)**-0.5 exp(-x^2 / (2 delta_n^2)):
@@ -18,15 +18,16 @@ g(x) = (2 pi delta_n^2)**-0.5 exp(-x^2 / (2 delta_n^2)):
     w(n)^2      = g(n_m - n)
     w(n) w(n+1) = exp(-1/(8 delta_n^2)) g(n_m - n - 1/2),
 
-so every profile is a real Gaussian band sum over the number levels.  In
-float64, g is exactly 0.0 beyond 38.6 widths, so the kernel visits only the
-levels within ``_BAND_WIDTHS`` = 38.7 widths of each outcome, and takes the
-outcomes in chunks of about ``_CHUNK_CELLS`` = 65 536 (outcome, level) cells:
-work grows with grid size times band width, not grid size times basis size,
-and temporary memory stays at a few MB.  Sequential readouts compose the
-same way: windows at outcomes x_1..x_j multiply into one window of width
-delta_n / sqrt(j) at their mean, which gives every pass of a trajectory its
-posterior without building the states in between.
+so every profile is a real Gaussian band sum over the level moments
+(p_n, b_n) of :meth:`PureState.level_moments`.  In float64, g is exactly 0.0
+beyond 38.6 widths, so the kernel visits only the levels within
+``_BAND_WIDTHS`` = 38.7 widths of each outcome, in chunks of about
+``_CHUNK_CELLS`` = 65 536 (outcome, level) cells: work grows with grid size
+times band width, not basis size, and temporary memory stays at a few MB.
+Conditional states take the same band in the log domain: windows at outcomes
+x_1..x_j multiply into one window of width delta_n / sqrt(j) at their mean,
+so one pass over the band gives every step of a trajectory its posterior,
+and :func:`measure` is the one-outcome case.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -37,16 +38,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, InvalidParam, ToleranceWarning, ZeroProbability
-from .fock import PureState, expectation_a
+from .fock import PureState, _ladder_terms
 
 # Densities below this are treated as a vanished outcome: renormalizing the
-# filtered vector there would divide rounding noise by rounding noise.
+# windowed amplitudes there would divide rounding noise by rounding noise.
 DENSITY_FLOOR = 1e-300
 
 # Inferred excess phase noise more negative than this is physically
@@ -86,35 +86,6 @@ def _scalar_or_array(n_m, values: np.ndarray):
     return values[0].item() if np.ndim(n_m) == 0 else values
 
 
-def window_amplitudes(n: np.ndarray, n_m: float, delta_n: float) -> np.ndarray:
-    """Gaussian window w(n) applied to each number level by the readout."""
-    return (2.0 * math.pi * delta_n**2) ** -0.25 * np.exp(
-        -((n - n_m) ** 2) / (4.0 * delta_n**2)
-    )
-
-
-class FilteredState(NamedTuple):
-    """Amplitudes after the measurement window, before renormalization.
-
-    ``norm_squared`` is the squared norm of ``amplitudes`` and equals the
-    outcome probability density.
-    """
-
-    amplitudes: np.ndarray
-    norm_squared: float
-
-
-def apply_measurement_operator(
-    state: PureState, n_m: float, delta_n: float
-) -> FilteredState:
-    """Apply the Gaussian readout window for outcome ``n_m`` without renormalizing."""
-    delta_n = _check_delta_n(delta_n)
-    n = np.arange(state.amplitudes.size)
-    filtered = state.amplitudes * window_amplitudes(n, float(n_m), delta_n)
-    norm_sq = float(np.sum(np.abs(filtered) ** 2))
-    return FilteredState(filtered, norm_sq)
-
-
 def _profiles(
     state: PureState, n_m: np.ndarray, delta_n: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +96,7 @@ def _profiles(
         P(n_m)            = sum_n p_n g(n_m - n)
         <a>_f(n_m) P(n_m) = exp(-1/(8 dn^2)) sum_n b_n g(n_m - n - 1/2)
 
-    with p_n = |c_n|^2 and b_n = conj(c_n) c_{n+1} sqrt(n + 1).
+    with the level moments (p_n, b_n) of :meth:`PureState.level_moments`.
 
     Both Gaussians come from one exponential per cell, e(x) = exp(-x^2/(4 dn^2)):
     g(x) = N e(x)^2 and exp(-1/(8 dn^2)) g(x - 1/2) = N e(x) e(x - 1), with
@@ -135,11 +106,8 @@ def _profiles(
     wider than the basis covers every level.  The grid need not be sorted.
     Outcomes are taken in chunks of about ``_CHUNK_CELLS`` cells.
     """
-    c = state.amplitudes
-    levels = c.size
-    p = np.abs(c) ** 2
-    b = np.zeros(levels, dtype=np.complex128)
-    b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, levels))
+    p, b = state.level_moments()
+    levels = p.size
     reach = _BAND_WIDTHS * delta_n + 0.5
     width = int(min(levels, 2.0 * reach + 1.0))
     p_bands = sliding_window_view(p, width)
@@ -179,7 +147,7 @@ def _sequential_posteriors(
     of about ``_CHUNK_CELLS`` cells; every pass in a chunk visits the band
     width of the chunk's first, widest pass, centered on its own m_j.
 
-    Returns the mean photon number, its variance and |<a>| after each pass,
+    Returns the mean photon number, its variance and <a> after each pass,
     and the conditional state after the last pass.
 
     Raises
@@ -191,19 +159,20 @@ def _sequential_posteriors(
     c = state.amplitudes
     levels = c.size
     magnitude = np.abs(c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = np.log(magnitude)
-        unit = np.where(magnitude > 0.0, c / magnitude, 0.0)
-    # Phase of conj(c_n) c_{n+1}, weighted by sqrt(n + 1): times a_n a_{n+1}
-    # it gives the field-expectation terms of the windowed state.
-    field = np.zeros(levels, dtype=np.complex128)
-    field[:-1] = np.conj(unit[:-1]) * unit[1:] * np.sqrt(np.arange(1, levels))
+    live = magnitude > 0.0
+    log_mag = np.log(magnitude, out=np.full(levels, -np.inf), where=live)
+    # Parts apart: a complex division by a subnormal |c_n| gives inf + nan j.
+    unit = np.zeros(levels, dtype=np.complex128)
+    np.divide(c.real, magnitude, out=unit.real, where=live)
+    np.divide(c.imag, magnitude, out=unit.imag, where=live)
+    # The phases' ladder terms: times a_n a_{n+1} they are the windowed <a> terms.
+    field = _ladder_terms(unit)
     passes = np.arange(1, outcomes.size + 1)
     running_mean = np.cumsum(outcomes) / passes
     inv_4var = passes / (4.0 * delta_n**2)
     mean = np.empty(outcomes.size)
     var = np.empty(outcomes.size)
-    coherence = np.empty(outcomes.size)
+    coherence = np.empty(outcomes.size, dtype=np.complex128)
     start = 0
     while start < outcomes.size:
         reach = _BAND_WIDTHS * delta_n / math.sqrt(start + 1) + 0.5
@@ -223,7 +192,7 @@ def _sequential_posteriors(
         centered = n - mean[start:stop, None]
         var[start:stop] = np.einsum("ij,ij,ij->i", weight, centered, centered) / total
         pair = amp[:, :-1] * amp[:, 1:]
-        coherence[start:stop] = np.abs(np.einsum("ij,ij->i", field[n[:, :-1]], pair)) / total
+        coherence[start:stop] = np.einsum("ij,ij->i", field[n[:, :-1]], pair) / total
         start = stop
     final = np.zeros(levels, dtype=np.complex128)
     final[first[-1] : first[-1] + width] = unit[n[-1]] * amp[-1] / math.sqrt(total[-1])
@@ -234,7 +203,7 @@ def outcome_density(state: PureState, n_m, delta_n: float):
     """Probability density of reading ``n_m``; accepts a scalar or an array.
 
     Equals (2 pi delta_n^2)**-0.5 sum_n |c_n|^2 exp(-(n - n_m)^2 / (2 delta_n^2)),
-    the squared norm of the filtered vector.
+    the squared norm of the windowed amplitudes.
     """
     delta_n = _check_delta_n(delta_n)
     density, _ = _profiles(state, _grid(n_m), delta_n)
@@ -242,7 +211,7 @@ def outcome_density(state: PureState, n_m, delta_n: float):
 
 
 def coherence_density(state: PureState, n_m, delta_n: float):
-    """Field expectation of the filtered, unnormalized state: <a>_f(n_m) P(n_m)."""
+    """Field expectation of the windowed, unnormalized state: <a>_f(n_m) P(n_m)."""
     delta_n = _check_delta_n(delta_n)
     _, coherence = _profiles(state, _grid(n_m), delta_n)
     return _scalar_or_array(n_m, coherence)
@@ -259,7 +228,7 @@ class OutcomeRecord:
 
 
 def measure(state: PureState, n_m: float, delta_n: float) -> OutcomeRecord:
-    """Condition ``state`` on the outcome ``n_m``.
+    """Condition ``state`` on the outcome ``n_m``: a one-pass sequential posterior.
 
     Raises
     ------
@@ -267,18 +236,14 @@ def measure(state: PureState, n_m: float, delta_n: float) -> OutcomeRecord:
         If the outcome density underflows, i.e. ``n_m`` lies far outside the
         state's support.
     """
-    filtered = apply_measurement_operator(state, n_m, delta_n)
-    if filtered.norm_squared < DENSITY_FLOOR:
+    delta_n = _check_delta_n(delta_n)
+    density = outcome_density(state, n_m, delta_n)
+    if density < DENSITY_FLOOR:
         raise ZeroProbability(
             f"outcome {n_m} has vanishing density for this state at delta_n={delta_n}"
         )
-    post = PureState.from_unnormalized(filtered.amplitudes)
-    return OutcomeRecord(
-        n_m=float(n_m),
-        density=filtered.norm_squared,
-        post_state=post,
-        coherence=expectation_a(post),
-    )
+    _, _, coherence, post = _sequential_posteriors(state, _grid(n_m), delta_n)
+    return OutcomeRecord(float(n_m), density, post, complex(coherence[0]))
 
 
 def coherence_after(state: PureState, n_m, delta_n: float):

@@ -8,9 +8,11 @@ share that hidden level: their joint density is
 sum_n |c_n|^2 prod_i N(x_i; n, delta_n^2), and a trajectory is one level
 draw followed by k independent normal deviates around it.  The posterior
 after j passes is one Gaussian window of width delta_n / sqrt(j) at the
-running mean of the outcomes; many passes converge to a projective number
-measurement, and the ensemble-averaged coherence decays exactly as if
-Gaussian phase noise of variance 1/(4 delta_n^2) had been applied per pass.
+running mean of the outcomes, the one log-domain window through which
+single readouts and trajectories alike are conditioned.  Many passes
+converge to a projective number measurement, and the ensemble-averaged
+coherence decays exactly as if Gaussian phase noise of variance
+1/(4 delta_n^2) had been applied per pass.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
     if isinstance(rng, np.random.Generator):
         return rng, None
     seed = int(rng)
+    if seed < 0:
+        raise InvalidParam("seed must be non-negative")
     return np.random.default_rng(seed), seed
 
 
@@ -101,12 +105,9 @@ def repeated_measurement(
     delta_n = measurement._check_delta_n(delta_n)
     gen, seed = _as_generator(rng)
     outcomes = gen.normal(_draw_level(state, gen), delta_n, size=count)
-    mean_n, var_n, coherence_mag, final = measurement._sequential_posteriors(
-        state, outcomes, delta_n
-    )
-    steps = list(
-        map(TrajectoryStep, outcomes.tolist(), mean_n.tolist(), var_n.tolist(), coherence_mag.tolist())
-    )
+    mean_n, var_n, coherence, final = measurement._sequential_posteriors(state, outcomes, delta_n)
+    columns = (outcomes.tolist(), mean_n.tolist(), var_n.tolist(), np.abs(coherence).tolist())
+    steps = list(map(TrajectoryStep, *columns))
     return Trajectory(delta_n=delta_n, seed=seed, steps=steps, final_state=final)
 
 
@@ -117,7 +118,7 @@ def effective_post_state(
 
     A product of Gaussian windows of width ``delta_n`` at the recorded
     outcomes equals, up to normalization, a single window of width
-    ``delta_n / sqrt(k)`` at their mean.
+    ``delta_n / sqrt(k)`` at their mean, applied by :func:`measurement.measure`.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.size == 0:

@@ -232,6 +232,30 @@ class TestExitCodes:
         assert cli.main(["sample", "--dn", "-0.5", "--count", "3", "--seed", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "1", "--grid-step", "nan"],
+            ["figure", "1", "--grid-max", "inf"],
+            ["figure", "1", "--grid-min", "nan"],
+            ["figure", "1", "--grid-min=-inf", "--grid-max", "20"],
+            ["sweep", "--dn-min", "0.1", "--dn-max", "0.2", "--dn-step", "nan"],
+            ["sweep", "--dn-min", "0.1", "--dn-max", "inf", "--dn-step", "0.1"],
+            ["figure", "5", "--dn-max", "inf"],
+        ],
+    )
+    def test_non_finite_range(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_negative_seed(self, capsys):
+        assert cli.main(["sample", "--dn", "0.3", "--count", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be non-negative" in captured.err
+
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert cli.main(["figure", "1", "--out", str(missing)]) == 3

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qndsim import (
     CoherentParams,
@@ -13,7 +15,10 @@ from qndsim import (
     coherent_state,
     correlation_at,
     decoherence_factor,
+    default_cutoff,
     expectation_a,
+    fringe_amplitude,
+    grid_profiles,
     number_state,
     ordering_ambiguity_demo,
     parity_ordered_correlation,
@@ -30,6 +35,27 @@ PEAK_RESOLUTION = 1 / (2 * math.sqrt(math.pi))
 
 def closed_q_bar(dn):
     return math.exp(-2 * math.pi**2 * dn * dn)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    alpha=st.floats(0.0, 100.0),
+    phase=st.floats(-math.pi, math.pi),
+    delta_n=st.floats(0.05, 5.0),
+)
+@example(alpha=100.0, phase=0.3, delta_n=0.05)
+@example(alpha=100.0, phase=0.3, delta_n=5.0)
+def test_quadratures_match_closed_forms(alpha, phase, delta_n):
+    """POVM completeness, q_bar and the dephasing factor on the adequate grid."""
+    params = CoherentParams(alpha, phase)
+    n_max = default_cutoff(params)
+    config = MeasurementConfig.adequate(delta_n, n_max)
+    grid, density, coherence = grid_profiles(coherent_state(params, n_max), config)
+    assert abs(trapezoid(density, config.grid_step) - 1.0) <= 1e-8
+    q_bar = trapezoid(quantization(grid) * density, config.grid_step)
+    assert abs(q_bar - fringe_amplitude(delta_n)) <= config.quad_tol
+    average = trapezoid(coherence, config.grid_step)
+    assert abs(average - decoherence_factor(delta_n) * params.alpha) <= config.quad_tol
 
 
 class TestQuantization:

@@ -6,10 +6,16 @@ no chunking.  The kernel must match it to 1e-12 relative wherever the
 density is above ``DENSITY_FLOOR``.  The coherence is a sum of terms of
 either sign, so its error is measured against the sum of the terms'
 magnitudes (plus ``DENSITY_FLOOR``, for the few subnormal terms).
+
+``dense_condition`` is the reference for one outcome's conditional state:
+the windowed amplitudes c * w, normalized, in the linear domain.  ``measure``
+must match both references to the same tolerances, and its state
+``dense_condition``'s to a fidelity of 1 - 1e-12.
 """
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,6 +29,8 @@ from qndsim import (
     ZeroProbability,
     coherence_after,
     coherent_state,
+    fidelity,
+    measure,
     outcome_density,
     random_state,
 )
@@ -42,6 +50,37 @@ def dense_profiles(state, grid, delta_n):
     density = np.sum(np.abs(filtered) ** 2, axis=1)
     terms = np.conj(filtered[:, :-1]) * filtered[:, 1:] * np.sqrt(n[1:])[None, :]
     return density, terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+class DenseRecord(NamedTuple):
+    """Conditional state, its <a> and the <a> terms' magnitude sum."""
+
+    post_state: PureState
+    coherence: complex
+    scale: float
+
+
+def dense_condition(state, n_m, delta_n):
+    """Condition ``state`` on ``n_m``: window the amplitudes, normalize, take <a>."""
+    c = state.amplitudes
+    n = np.arange(c.size)
+    w = (2.0 * math.pi * delta_n**2) ** -0.25 * np.exp(-((n - n_m) ** 2) / (4.0 * delta_n**2))
+    post = PureState.from_unnormalized(c * w)
+    u = post.amplitudes
+    terms = np.conj(u[:-1]) * u[1:] * np.sqrt(n[1:])
+    return DenseRecord(post, complex(terms.sum()), float(np.abs(terms).sum()))
+
+
+def assert_measure_matches_dense(state, n_m, delta_n):
+    """``measure`` at one outcome against both references; returns its record."""
+    record = measure(state, n_m, delta_n)
+    ref_density = dense_profiles(state, np.array([n_m]), delta_n)[0][0]
+    ref = dense_condition(state, n_m, delta_n)
+    assert record.n_m == n_m
+    assert abs(record.density - ref_density) <= RTOL * ref_density
+    assert abs(record.coherence - ref.coherence) <= RTOL * (ref.scale + DENSITY_FLOOR)
+    assert fidelity(record.post_state, ref.post_state) >= 1.0 - RTOL
+    return record
 
 
 def assert_matches_dense(state, grid, delta_n):
@@ -127,6 +166,27 @@ def test_scalar_outcomes(n_max, delta_n, seed):
         assert isinstance(field, complex)
         tol = RTOL * (scale[0] + DENSITY_FLOOR) / ref_density[0]
         assert abs(field - ref_coherence[0] / ref_density[0]) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(0, 400),
+    delta_n=st.floats(0.05, 5.0),
+    kind=st.sampled_from(["random", "upper", "poisson"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measure_matches_dense_conditioning(n_max, delta_n, kind, seed):
+    rng = np.random.default_rng(seed)
+    state = make_state(kind, n_max, rng)
+    n_m = float(rng.uniform(-2.0, n_max + 2.0))
+    ref_density = dense_profiles(state, np.array([n_m]), delta_n)[0][0]
+    if ref_density < 0.5 * DENSITY_FLOOR:
+        with pytest.raises(ZeroProbability):
+            measure(state, n_m, delta_n)
+        return
+    if ref_density <= 2.0 * DENSITY_FLOOR:
+        return
+    assert_measure_matches_dense(state, n_m, delta_n)
 
 
 @settings(max_examples=25, deadline=None)

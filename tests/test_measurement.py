@@ -17,7 +17,6 @@ from qndsim import (
     MeasurementConfig,
     ToleranceWarning,
     ZeroProbability,
-    apply_measurement_operator,
     average_coherence,
     coherence_after,
     coherence_density,
@@ -32,7 +31,9 @@ from qndsim import (
     outcome_density,
     random_state,
 )
-from qndsim.measurement import trapezoid
+from qndsim.measurement import DENSITY_FLOOR, trapezoid
+
+from test_kernel import assert_measure_matches_dense, dense_profiles
 
 
 ALPHA3 = CoherentParams(3.0, 0.0)
@@ -71,32 +72,41 @@ def coherence_oracle(alpha, n_m, dn, n_max=60):
 
 
 class TestApplyOperator:
+    """The readout window as ``measure`` applies it, against the dense reference."""
+
     def test_vacuum_scaling(self):
+        # the window at its center is (2 pi dn^2)**-0.25
         for dn in (0.2, 1.0, 3.0):
-            filtered = apply_measurement_operator(number_state(0), 0.0, dn)
             scale = (2 * math.pi * dn * dn) ** -0.25
-            assert filtered.amplitudes[0] == pytest.approx(scale, rel=1e-15)
-            assert filtered.norm_squared == pytest.approx(scale**2, rel=1e-14)
+            record = assert_measure_matches_dense(number_state(0), 0.0, dn)
+            assert record.density == pytest.approx(scale**2, rel=1e-14)
+            assert record.post_state.amplitudes[0] == 1.0
 
     def test_eigenstate_density_is_gaussian_readout(self):
         for n in (0, 3, 12):
             for n_m in (-0.5, float(n), n + 0.7, n + 2.0):
                 for dn in (0.15, 0.6, 2.0):
-                    filtered = apply_measurement_operator(number_state(n, 15), n_m, dn)
+                    state = number_state(n, 15)
                     expected = math.exp(-((n - n_m) ** 2) / (2 * dn * dn)) / math.sqrt(
                         2 * math.pi * dn * dn
                     )
-                    assert filtered.norm_squared == pytest.approx(expected, rel=1e-12)
+                    density = outcome_density(state, n_m, dn)
+                    assert density == pytest.approx(expected, rel=1e-12)
+                    if expected < DENSITY_FLOOR:
+                        with pytest.raises(ZeroProbability):
+                            measure(state, n_m, dn)
+                    else:
+                        assert assert_measure_matches_dense(state, n_m, dn).density == density
 
     def test_point_ratio_about_two(self, alpha3_state):
         # integer outcomes are about twice as likely as half-integer ones at dn=0.3
-        p9 = apply_measurement_operator(alpha3_state, 9.0, 0.3).norm_squared
-        p95 = apply_measurement_operator(alpha3_state, 9.5, 0.3).norm_squared
+        p9 = assert_measure_matches_dense(alpha3_state, 9.0, 0.3).density
+        p95 = assert_measure_matches_dense(alpha3_state, 9.5, 0.3).density
         assert 1.9 < p9 / p95 < 2.4
 
     def test_rejects_bad_delta_n(self):
         with pytest.raises(InvalidParam):
-            apply_measurement_operator(number_state(0), 0.0, 0.0)
+            measure(number_state(0), 0.0, 0.0)
         with pytest.raises(InvalidParam):
             outcome_density(number_state(0), 0.0, -1.0)
 
@@ -108,13 +118,15 @@ class TestOutcomeDensity:
         )
 
     def test_matches_apply_norm(self, alpha3_state):
+        # the density is the squared norm of the windowed amplitudes
         rng = np.random.default_rng(0)
         for _ in range(20):
             n_m = rng.uniform(-1, 15)
             dn = rng.uniform(0.1, 2.0)
             direct = outcome_density(alpha3_state, n_m, dn)
-            squared = apply_measurement_operator(alpha3_state, n_m, dn).norm_squared
-            assert direct == pytest.approx(squared, rel=1e-13)
+            squared, _, _ = dense_profiles(alpha3_state, np.array([n_m]), dn)
+            assert direct == pytest.approx(squared[0], rel=1e-13)
+            assert measure(alpha3_state, n_m, dn).density == direct
 
     def test_against_mixture_oracle(self, alpha3_state):
         grid = np.arange(4.0, 14.0001, 0.25)

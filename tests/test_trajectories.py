@@ -10,6 +10,7 @@ from scipy.stats import chisquare
 from qndsim import (
     CoherentParams,
     InvalidParam,
+    PureState,
     ZeroProbability,
     decoherence_factor,
     coherent_state,
@@ -29,6 +30,8 @@ from qndsim import (
     variance_n,
 )
 from qndsim.measurement import _sequential_posteriors, trapezoid
+
+from test_kernel import dense_condition
 
 ALPHA3 = CoherentParams(3.0, 0.0)
 
@@ -198,6 +201,26 @@ def test_posteriors_refuse_an_outcome_off_the_support():
         _sequential_posteriors(number_state(0, 200), np.array([150.0]), 0.3)
 
 
+@pytest.mark.parametrize(
+    "tiny", [7.7e-315, 7.7e-315j, 5e-315 - 6e-315j], ids=["real", "imaginary", "complex"]
+)
+def test_posteriors_take_subnormal_amplitudes(tiny):
+    # Chained readouts leave such amplitudes on the levels far from the outcomes.
+    amps = np.array([tiny, 1.0, 0.5])
+    state = PureState(amps / np.linalg.norm(amps))
+    trajectory = repeated_measurement(state, 1.0, 3, 3)
+    current = state
+    for step in trajectory.steps:
+        record = dense_condition(current, step.n_m, 1.0)
+        current = record.post_state
+        assert step.mean_n == pytest.approx(expectation_n(current), rel=1e-12)
+        assert step.coherence_mag == pytest.approx(abs(record.coherence), rel=1e-12)
+    assert fidelity(trajectory.final_state, current) >= 1 - 1e-12
+    post = measure(state, 0.0, 1.0).post_state.amplitudes
+    assert post[0] != 0.0
+    assert np.angle(post[0]) == pytest.approx(np.angle(tiny), abs=1e-6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_max=st.integers(0, 120),
@@ -213,7 +236,7 @@ def test_trajectory_matches_sequential_conditioning(n_max, low_share, delta_n, c
     trajectory = repeated_measurement(state, delta_n, count, seed)
     current = state
     for step in trajectory.steps:
-        record = measure(current, step.n_m, delta_n)
+        record = dense_condition(current, step.n_m, delta_n)
         current = record.post_state
         assert step.mean_n == pytest.approx(expectation_n(current), rel=1e-10, abs=1e-10)
         assert step.var_n == pytest.approx(variance_n(current), rel=1e-10, abs=1e-10)
