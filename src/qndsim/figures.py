@@ -31,6 +31,9 @@ _FRINGE_DASHED = {1: (False, False), 2: (True, True), 3: (True, True), 4: (True,
 # sit far from 0.
 _PROFILE_SPAN = 20.0
 
+# Rows a range may hold: far above a default table's 1 001, far below 10^9.
+_MAX_ROWS = 10**6
+
 # Profiles 2 and 3 carry fringe columns normalized by the classical values
 # at the integer nearest the mean intensity.
 _NORMALIZED_IDS = (2, 3)
@@ -62,7 +65,10 @@ def _steps(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop; 1e-9 of a step absorbs rounding in the span."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise InvalidParam("range bounds and step must be finite")
-    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_ROWS:
+        raise InvalidParam(f"range would hold more than {_MAX_ROWS} rows")
+    return start + step * np.arange(math.floor(span) + 1)
 
 
 def _resolution_sweep(

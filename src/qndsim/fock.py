@@ -119,17 +119,13 @@ class PureState:
 
     def level_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Level vectors p_n = |c_n|^2 and b_n = conj(c_n) c_{n+1} sqrt(n + 1); b_{n_max} = 0."""
-        return self.probabilities(), _ladder_terms(self.amplitudes)
+        c = self.amplitudes
+        b = np.zeros(c.size, dtype=np.complex128)
+        b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
+        return self.probabilities(), b
 
     def __repr__(self) -> str:
         return f"PureState(n_max={self.n_max}, <n>={expectation_n(self):.4g})"
-
-
-def _ladder_terms(c: np.ndarray) -> np.ndarray:
-    """conj(c_n) c_{n+1} sqrt(n + 1) for n = 0..n_max, the last one 0."""
-    terms = np.zeros(c.size, dtype=np.complex128)
-    terms[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
-    return terms
 
 
 def number_state(n: int, n_max: int | None = None) -> PureState:
@@ -159,8 +155,6 @@ def coherent_state(
     TruncationTooSmall
         If the Poisson mass beyond ``n_max`` is ``tail_tol`` or more.
     """
-    if not isinstance(params, CoherentParams):
-        params = CoherentParams(*params) if isinstance(params, tuple) else CoherentParams(params)
     n_max = int(n_max)
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")

@@ -24,10 +24,10 @@ beyond 38.6 widths, so the kernel visits only the levels within
 ``_BAND_WIDTHS`` = 38.7 widths of each outcome, in chunks of about
 ``_CHUNK_CELLS`` = 65 536 (outcome, level) cells: work grows with grid size
 times band width, not basis size, and temporary memory stays at a few MB.
-Conditional states take the same band in the log domain: windows at outcomes
-x_1..x_j multiply into one window of width delta_n / sqrt(j) at their mean,
-so one pass over the band gives every step of a trajectory its posterior,
-and :func:`measure` is the one-outcome case.
+Conditional states are the same band sum over the same bands: windows at
+outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
+mean, so one pass gives every step of a trajectory its posterior, and
+:func:`measure` is the one-outcome case.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -43,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, InvalidParam, ToleranceWarning, ZeroProbability
-from .fock import PureState, _ladder_terms
+from .fock import PureState
 
 # Densities below this are treated as a vanished outcome: renormalizing the
 # windowed amplitudes there would divide rounding noise by rounding noise.
@@ -86,6 +86,28 @@ def _scalar_or_array(n_m, values: np.ndarray):
     return values[0].item() if np.ndim(n_m) == 0 else values
 
 
+def _bands(centers: np.ndarray, widths, levels: int):
+    """Bands of levels the windows reach, in chunks of about ``_CHUNK_CELLS`` cells.
+
+    The window of width w at outcome m reaches the levels with
+    |n - m| <= _BAND_WIDTHS * w + 1/2, clipped to the basis: a band wider than
+    the basis covers every level.  Every outcome in a chunk takes the width of
+    the chunk's first band, so ``widths`` (one per outcome) must not grow.
+    Yields the chunk's slice of outcomes, each one's first level, and the
+    offsets x = m - n from the band's levels to its outcome.
+    """
+    start = 0
+    while start < centers.size:
+        reach = _BAND_WIDTHS * widths[start] + 0.5
+        width = int(min(levels, 2.0 * reach + 1.0))
+        rows = slice(start, start + max(1, _CHUNK_CELLS // width))
+        block = centers[rows]
+        # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
+        first = np.fmin(np.fmax(np.ceil(block - reach), 0.0), levels - width).astype(np.intp)
+        yield rows, first, (block - first)[:, None] - np.arange(width)
+        start = rows.stop
+
+
 def _profiles(
     state: PureState, n_m: np.ndarray, delta_n: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,103 +122,83 @@ def _profiles(
 
     Both Gaussians come from one exponential per cell, e(x) = exp(-x^2/(4 dn^2)):
     g(x) = N e(x)^2 and exp(-1/(8 dn^2)) g(x - 1/2) = N e(x) e(x - 1), with
-    N = (2 pi dn^2)**-0.5 and x = n_m - n.  Each outcome visits the levels with
-    |n - n_m| <= _BAND_WIDTHS * dn + 1/2, which holds every nonzero term of
-    both sums; the band start is clipped to [0, n_max + 1 - width], so a band
-    wider than the basis covers every level.  The grid need not be sorted.
-    Outcomes are taken in chunks of about ``_CHUNK_CELLS`` cells.
+    N = (2 pi dn^2)**-0.5 and x = n_m - n, over the bands of :func:`_bands`.
+    The grid need not be sorted.
     """
     p, b = state.level_moments()
-    levels = p.size
-    reach = _BAND_WIDTHS * delta_n + 0.5
-    width = int(min(levels, 2.0 * reach + 1.0))
-    p_bands = sliding_window_view(p, width)
-    b_bands = sliding_window_view(b, width)
-    offsets = np.arange(width)
     inv_4var = 1.0 / (4.0 * delta_n**2)
     density = np.empty(n_m.size)
     coherence = np.empty(n_m.size, dtype=np.complex128)
-    rows = max(1, _CHUNK_CELLS // width)
-    for start in range(0, n_m.size, rows):
-        block = n_m[start : start + rows]
-        # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
-        first = np.fmin(np.fmax(np.ceil(block - reach), 0.0), levels - width)
-        first = first.astype(np.intp)
-        x = (block - first)[:, None] - offsets
+    p_bands = b_bands = None
+    for rows, first, x in _bands(n_m, np.full(n_m.size, delta_n), p.size):
+        if p_bands is None:  # one resolution: every chunk's bands have one width
+            p_bands, b_bands = (sliding_window_view(v, x.shape[1]) for v in (p, b))
         e = np.exp(-inv_4var * x * x)
-        density[start : start + rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
+        density[rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
         pair = e[:, :-1] * e[:, 1:]
-        coherence[start : start + rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
+        coherence[rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
     norm = (2.0 * math.pi * delta_n**2) ** -0.5
     return norm * density, norm * coherence
 
 
 def _sequential_posteriors(
     state: PureState, outcomes: np.ndarray, delta_n: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, PureState]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, PureState]:
     """Posterior moments after each of a sequence of readouts, all at once.
 
     Windows of width dn at outcomes x_1..x_j multiply into one window of
-    width w_j = dn / sqrt(j) at their running mean m_j, so the state after
-    pass j has amplitudes proportional to c_n exp(-(n - m_j)^2 / (4 w_j^2)).
-    These are evaluated in the log domain, shifted so the largest is 1 on
-    each pass, which leaves no pass to underflow however sharp it is.
+    width w_j = dn / sqrt(j) at their running mean m_j: after pass j the
+    amplitudes are c_n e_j(n), e_j(n) = exp(-(n - m_j)^2 / (4 w_j^2)), up to
+    normalization, and the density is (2 pi w_j^2)**-0.5 sum_n p_n e_j(n)^2,
+    summed as :func:`_profiles` sums it.  Each pass's weights p_n e_j(n)^2 are
+    divided by their largest before the moments are taken, so a state
+    collapsed onto one level has that level as its mean exactly and keeps a
+    variance far below the rounding of the unscaled weights.
 
-    Pass j needs only the levels with |n - m_j| <= _BAND_WIDTHS * w_j + 1/2,
-    clipped to the basis as in :func:`_profiles`.  Passes are taken in chunks
-    of about ``_CHUNK_CELLS`` cells; every pass in a chunk visits the band
-    width of the chunk's first, widest pass, centered on its own m_j.
-
-    Returns the mean photon number, its variance and <a> after each pass,
-    and the conditional state after the last pass.
+    Returns each pass's density, the mean photon number, its variance and
+    <a> after each pass, and the conditional state after the last pass.
 
     Raises
     ------
     ZeroProbability
-        If a pass's band holds no amplitude, i.e. an outcome lies far
-        outside the state's support.
+        If a pass's density falls below ``DENSITY_FLOOR``, i.e. an outcome
+        lies far outside the state's support.
     """
-    c = state.amplitudes
-    levels = c.size
-    magnitude = np.abs(c)
-    live = magnitude > 0.0
-    log_mag = np.log(magnitude, out=np.full(levels, -np.inf), where=live)
-    # Parts apart: a complex division by a subnormal |c_n| gives inf + nan j.
-    unit = np.zeros(levels, dtype=np.complex128)
-    np.divide(c.real, magnitude, out=unit.real, where=live)
-    np.divide(c.imag, magnitude, out=unit.imag, where=live)
-    # The phases' ladder terms: times a_n a_{n+1} they are the windowed <a> terms.
-    field = _ladder_terms(unit)
+    p, b = state.level_moments()
     passes = np.arange(1, outcomes.size + 1)
-    running_mean = np.cumsum(outcomes) / passes
-    inv_4var = passes / (4.0 * delta_n**2)
-    mean = np.empty(outcomes.size)
-    var = np.empty(outcomes.size)
+    root = np.sqrt(passes)
+    neg_inv_4var = -passes / (4.0 * delta_n**2)
+    # (2 pi w_j^2)**-0.5 = sqrt(j) (2 pi dn^2)**-0.5, and the exponent is (-inv x) x:
+    # pass 1 repeats _profiles's arithmetic, so measure's density is bit-equal to it.
+    norm = (2.0 * math.pi * delta_n**2) ** -0.5 * root
+    density, mean, var = np.empty((3, outcomes.size))
     coherence = np.empty(outcomes.size, dtype=np.complex128)
-    start = 0
-    while start < outcomes.size:
-        reach = _BAND_WIDTHS * delta_n / math.sqrt(start + 1) + 0.5
-        width = int(min(levels, 2.0 * reach + 1.0))
-        stop = start + max(1, _CHUNK_CELLS // width)
-        m = running_mean[start:stop]
-        first = np.fmin(np.fmax(np.ceil(m - reach), 0.0), levels - width).astype(np.intp)
-        n = first[:, None] + np.arange(width)
-        log_amp = log_mag[n] - inv_4var[start:stop, None] * (n - m[:, None]) ** 2
-        peak = log_amp.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(peak)):
+    centers = np.cumsum(outcomes) / passes
+    for rows, first, x in _bands(centers, delta_n / root, p.size):
+        offsets = np.arange(x.shape[1])
+        n = first[:, None] + offsets
+        p_band = p[n]
+        e = neg_inv_4var[rows, None] * x
+        e *= x
+        np.exp(e, out=e)
+        total = np.einsum("ij,ij,ij->i", p_band, e, e)
+        density[rows] = norm[rows] * total
+        if not density[rows].min() >= DENSITY_FLOOR:  # also catches NaN
             raise ZeroProbability("an outcome lies far outside the state's support")
-        amp = np.exp(log_amp - peak)
-        weight = amp * amp
-        total = weight.sum(axis=1)
-        mean[start:stop] = np.einsum("ij,ij->i", weight, n) / total
-        centered = n - mean[start:stop, None]
-        var[start:stop] = np.einsum("ij,ij,ij->i", weight, centered, centered) / total
-        pair = amp[:, :-1] * amp[:, 1:]
-        coherence[start:stop] = np.einsum("ij,ij->i", field[n[:, :-1]], pair) / total
-        start = stop
-    final = np.zeros(levels, dtype=np.complex128)
-    final[first[-1] : first[-1] + width] = unit[n[-1]] * amp[-1] / math.sqrt(total[-1])
-    return mean, var, coherence, PureState(final)
+        weight = p_band * e
+        weight *= e
+        weight /= weight.max(axis=1, keepdims=True)
+        scale = weight.sum(axis=1)
+        shift = weight @ offsets / scale
+        mean[rows] = first + shift
+        centered = offsets - shift[:, None]
+        var[rows] = np.einsum("ij,ij->i", weight * centered, centered) / scale
+        pair = e[:, :-1] * e[:, 1:]
+        coherence[rows] = np.einsum("ij,ij->i", b[n][:, :-1], pair) / total
+    final = np.zeros(p.size, dtype=np.complex128)
+    band = slice(first[-1], first[-1] + x.shape[1])
+    final[band] = state.amplitudes[band] * (e[-1] / math.sqrt(total[-1]))
+    return density, mean, var, coherence, PureState(final)
 
 
 def outcome_density(state: PureState, n_m, delta_n: float):
@@ -237,13 +239,8 @@ def measure(state: PureState, n_m: float, delta_n: float) -> OutcomeRecord:
         state's support.
     """
     delta_n = _check_delta_n(delta_n)
-    density = outcome_density(state, n_m, delta_n)
-    if density < DENSITY_FLOOR:
-        raise ZeroProbability(
-            f"outcome {n_m} has vanishing density for this state at delta_n={delta_n}"
-        )
-    _, _, coherence, post = _sequential_posteriors(state, _grid(n_m), delta_n)
-    return OutcomeRecord(float(n_m), density, post, complex(coherence[0]))
+    density, _, _, coherence, post = _sequential_posteriors(state, _grid(n_m), delta_n)
+    return OutcomeRecord(float(n_m), density.item(), post, complex(coherence[0]))
 
 
 def coherence_after(state: PureState, n_m, delta_n: float):

@@ -8,8 +8,8 @@ share that hidden level: their joint density is
 sum_n |c_n|^2 prod_i N(x_i; n, delta_n^2), and a trajectory is one level
 draw followed by k independent normal deviates around it.  The posterior
 after j passes is one Gaussian window of width delta_n / sqrt(j) at the
-running mean of the outcomes, the one log-domain window through which
-single readouts and trajectories alike are conditioned.  Many passes
+running mean of the outcomes, so single readouts and trajectories alike are
+conditioned by one banded pass over the level moments (p_n, b_n).  Many passes
 converge to a projective number measurement, and the ensemble-averaged
 coherence decays exactly as if Gaussian phase noise of variance
 1/(4 delta_n^2) had been applied per pass.
@@ -105,7 +105,9 @@ def repeated_measurement(
     delta_n = measurement._check_delta_n(delta_n)
     gen, seed = _as_generator(rng)
     outcomes = gen.normal(_draw_level(state, gen), delta_n, size=count)
-    mean_n, var_n, coherence, final = measurement._sequential_posteriors(state, outcomes, delta_n)
+    _, mean_n, var_n, coherence, final = measurement._sequential_posteriors(
+        state, outcomes, delta_n
+    )
     columns = (outcomes.tolist(), mean_n.tolist(), var_n.tolist(), np.abs(coherence).tolist())
     steps = list(map(TrajectoryStep, *columns))
     return Trajectory(delta_n=delta_n, seed=seed, steps=steps, final_state=final)

@@ -250,6 +250,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "1", "--grid-max", "1e300"],
+            ["figure", "1", "--grid-max", "2e7"],
+            ["sweep", "--dn-min", "0.1", "--dn-max", "1e300", "--dn-step", "0.1"],
+        ],
+    )
+    def test_huge_finite_range(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rows" in captured.err
+
     def test_negative_seed(self, capsys):
         assert cli.main(["sample", "--dn", "0.3", "--count", "3", "--seed", "-1"]) == 2
         captured = capsys.readouterr()

@@ -246,6 +246,72 @@ def test_trajectory_matches_sequential_conditioning(n_max, low_share, delta_n, c
         assert trajectory.outcomes[0] == sample_outcome(state, delta_n, seed).n_m
 
 
+@pytest.mark.parametrize(
+    "magnitude, n_max, delta_n, count, seed",
+    [(25.0, 1015, 0.05, 2000, 31), (100.0, 11440, 0.3, 200, 37)],
+    ids=["alpha25-2000-passes", "alpha100-200-passes"],
+)
+def test_bright_long_trajectories_match_sequential_conditioning(
+    magnitude, n_max, delta_n, count, seed
+):
+    """Bright fields and long records, conditioned pass by pass on the dense window."""
+    state = coherent_state(CoherentParams(magnitude, 0.3), n_max)
+    trajectory = repeated_measurement(state, delta_n, count, seed)
+    n = np.arange(n_max + 1)
+    current = state
+    for step in trajectory.steps:
+        record = dense_condition(current, step.n_m, delta_n)
+        current = record.post_state
+        weight = current.probabilities()
+        mean = weight @ n
+        assert step.mean_n == pytest.approx(mean, rel=1e-10, abs=1e-10)
+        # Centered: sum n^2 p_n - mean^2 would lose 1e-8 to rounding at n = 10^4.
+        assert step.var_n == pytest.approx(weight @ (n - mean) ** 2, rel=1e-10, abs=1e-10)
+        assert step.coherence_mag == pytest.approx(abs(record.coherence), rel=1e-10, abs=1e-10)
+    assert fidelity(trajectory.final_state, current) >= 1 - 1e-12
+
+
+def centered_posterior_moments(state, outcomes, delta_n):
+    """Variance and |<a>| after each pass, relative to the heaviest level.
+
+    The log number weights take each pass's window, log|c_n|^2 minus the sum
+    of (n - x_i)^2 / (2 delta_n^2), and the amplitudes are exponentiated
+    relative to the largest.  About the heaviest level, a collapsed state's variance and
+    coherence are sums of small positive terms, accurate to their last digits
+    however small they are.
+    """
+    c = state.amplitudes
+    n = np.arange(c.size)
+    log_weight = 2.0 * np.log(np.abs(c))
+    phase = np.exp(1j * np.angle(c))
+    var, coherence = [], []
+    for x in outcomes:
+        log_weight = log_weight - (n - x) ** 2 / (2.0 * delta_n**2)
+        top = int(np.argmax(log_weight))
+        amp = np.exp(0.5 * (log_weight - log_weight[top])) * phase
+        weight = np.abs(amp) ** 2
+        total = weight.sum()
+        offset = n - top - weight @ (n - top) / total
+        var.append(weight @ offset**2 / total)
+        coherence.append(abs(np.sum(np.conj(amp[:-1]) * amp[1:] * np.sqrt(n[1:]))) / total)
+    return np.array(var), np.array(coherence)
+
+
+def test_collapsed_moments_keep_their_precision():
+    # The trajectory of `qnd sample --dn 0.3 --seed 9`: the state collapses onto
+    # one level within a few passes, and its variance and coherence then fall
+    # by some 1e-5 and 1e-2.5 per pass, through values near 1e-250.
+    state = coherent_state(ALPHA3, default_cutoff(ALPHA3))
+    trajectory = repeated_measurement(state, 0.3, 500, 9)
+    ref_var, ref_coherence = centered_posterior_moments(state, trajectory.outcomes, 0.3)
+    var = np.array([step.var_n for step in trajectory.steps])
+    coherence = np.array([step.coherence_mag for step in trajectory.steps])
+    for value, ref in ((var, ref_var), (coherence, ref_coherence)):
+        kept = ref >= 1e-250
+        assert ref[kept].min() < 1e-240
+        assert np.all(np.abs(value - ref)[kept] <= 1e-9 * ref[kept])
+
+
 class TestEffectivePostState:
     def test_matches_direct_product(self, alpha3_state):
         outcomes = [8.6, 9.4, 9.1]
