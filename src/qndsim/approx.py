@@ -25,7 +25,7 @@ import numpy as np
 
 from . import measurement
 from .errors import InvalidParam, RegimeWarning
-from .fock import CoherentParams, coherent_state, default_cutoff
+from .fock import CoherentParams, PureState, coherent_state, default_cutoff
 
 # Default bound on the dropped tail of the quantization-comb harmonic series.
 SERIES_TOL = 1e-14
@@ -229,12 +229,16 @@ def error_report(
         raise InvalidParam("error report requires a bright field")
     if n_max is None:
         n_max = default_cutoff(params)
-    state = coherent_state(params, n_max)
+    return _error_report(params, coherent_state(params, n_max), delta_n)
 
+
+def _error_report(
+    params: CoherentParams, state: PureState, delta_n: float
+) -> ApproximationReport:
+    """:func:`error_report` on the already built ``state`` of a bright ``params``."""
     base = math.floor(params.mean_photon_number)
     probes = np.array([base, base + 0.5])
-    exact_p = measurement.outcome_density(state, probes, delta_n)
-    exact_a = measurement.coherence_after(state, probes, delta_n)
+    exact_p, exact_a = measurement._conditional_profiles(state, probes, delta_n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         approx = lowest_order(params, delta_n, probes)

@@ -84,7 +84,13 @@ def quantization_coherence_correlation(
     """
     if n_max is None:
         n_max = default_cutoff(params)
-    state = coherent_state(params, n_max)
+    return _correlation_report(params, coherent_state(params, n_max), config)
+
+
+def _correlation_report(
+    params: CoherentParams, state: PureState, config: MeasurementConfig
+) -> CorrelationReport:
+    """:func:`quantization_coherence_correlation` on the already built ``state`` of ``params``."""
     grid, density, coherence = measurement.grid_profiles(state, config)
     q_values = quantization(grid)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import approx, correlations, measurement, trajectories
 from .errors import InvalidParam, RegimeWarning
-from .fock import CoherentParams, coherent_state, default_cutoff
+from .fock import CoherentParams, PureState, coherent_state, default_cutoff
 
 # Readout resolutions of the four fringe-profile tables.
 PROFILE_RESOLUTIONS = {1: 0.7, 2: 0.4, 3: 0.3, 4: 0.2}
@@ -73,19 +73,22 @@ def _steps(start: float, stop: float, step: float) -> np.ndarray:
 
 def _resolution_sweep(
     params: CoherentParams, dn_min: float, dn_max: float, dn_step: float
-) -> tuple[dict, int]:
+) -> tuple[dict, PureState]:
     """Correlation columns at dn_min, dn_min + dn_step, ... up to dn_max.
 
     Returns the columns ``delta_n``, ``q_bar``, ``avg_coherence_factor`` and
-    ``c_over_alpha``, one quadrature per resolution, and the cutoff used.
+    ``c_over_alpha``, one quadrature per resolution, and the state they
+    average over.  Each quadrature grid spans the levels that hold all but
+    1e-16 of the state's mass from either end, not the whole basis.
     """
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
-    n_max = default_cutoff(params)
+    state = coherent_state(params, default_cutoff(params))
+    first, last = measurement._support(state)
     resolutions = _steps(dn_min, dn_max, dn_step).tolist()
     reports = [
-        correlations.quantization_coherence_correlation(
-            params, measurement.MeasurementConfig.adequate(dn, n_max), n_max
+        correlations._correlation_report(
+            params, state, measurement.MeasurementConfig.adequate(dn, last, first)
         )
         for dn in resolutions
     ]
@@ -95,7 +98,7 @@ def _resolution_sweep(
         "avg_coherence_factor": [abs(r.avg_coherence) / params.magnitude for r in reports],
         "c_over_alpha": [abs(r.correlation) / params.magnitude for r in reports],
     }
-    return columns, n_max
+    return columns, state
 
 
 def figure_table(
@@ -197,8 +200,8 @@ def sweep_table(
     measures of the fringe formulas at the brightest probes.
     """
     params = params or _default_params()
-    columns, n_max = _resolution_sweep(params, dn_min, dn_max, dn_step)
-    errors = [approx.error_report(params, dn, n_max) for dn in columns["delta_n"]]
+    columns, state = _resolution_sweep(params, dn_min, dn_max, dn_step)
+    errors = [approx._error_report(params, state, dn) for dn in columns["delta_n"]]
     columns["coh_err_vs_exact"] = [err.max_coherence_error for err in errors]
     columns["coh_err_truncation"] = [err.max_fringe_truncation_error for err in errors]
     return _table(params, columns, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)

@@ -240,11 +240,15 @@ def expectation_n(state: PureState) -> float:
 
 
 def variance_n(state: PureState) -> float:
-    """Photon-number variance."""
+    """Photon-number variance sum_n (n - <n>)^2 |c_n|^2, summed centered.
+
+    The centered sum keeps the digits that sum_n n^2 |c_n|^2 - <n>^2 would
+    lose to cancellation when <n> is large.
+    """
     p = state.probabilities()
     n = np.arange(p.size)
     mean = float(np.sum(n * p))
-    return max(float(np.sum(n * n * p)) - mean**2, 0.0)
+    return float(np.sum((n - mean) ** 2 * p))
 
 
 def expectation_parity(state: PureState) -> float:

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qndsim import CoherentParams, classical_coherence
-from qndsim import cli, figures
+from qndsim import CoherentParams, classical_coherence, coherent_state
+from qndsim import approx, cli, correlations, figures
 from qndsim.errors import InvalidParam
 
 
@@ -99,6 +99,18 @@ class TestSweepTable:
         for name in ("delta_n", "q_bar", "c_over_alpha"):
             column = [row[figure.columns.index(name)] for row in figure.rows]
             assert column == [row[sweep.columns.index(name)] for row in sweep.rows]
+
+    def test_builds_the_state_once(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return coherent_state(*args, **kwargs)
+
+        for module in (figures, correlations, approx):
+            monkeypatch.setattr(module, "coherent_state", counting)
+        assert len(figures.sweep_table(None, 0.25, 0.35, 0.05).rows) == 3
+        assert len(built) == 1
 
 
 class TestSampleTable:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qndsim import (
     CoherentParams,
     GridTooNarrow,
+    InvalidParam,
     MeasurementConfig,
     PureState,
     argmax_correlation_resolution,
@@ -27,7 +28,8 @@ from qndsim import (
     random_state,
 )
 from qndsim.correlations import _apply_annihilation, _apply_parity
-from qndsim.measurement import _profiles, trapezoid
+from qndsim.measurement import _profiles, _support, trapezoid
+from test_kernel import make_state
 
 ALPHA3 = CoherentParams(3.0, 0.0)
 PEAK_RESOLUTION = 1 / (2 * math.sqrt(math.pi))
@@ -56,6 +58,50 @@ def test_quadratures_match_closed_forms(alpha, phase, delta_n):
     assert abs(q_bar - fringe_amplitude(delta_n)) <= config.quad_tol
     average = trapezoid(coherence, config.grid_step)
     assert abs(average - decoherence_factor(delta_n) * params.alpha) <= config.quad_tol
+
+
+def grid_statistics(state, config):
+    """q_bar, average coherence and their covariance by quadrature on ``config``'s grid."""
+    grid, density, coherence = grid_profiles(state, config)
+    q_values = quantization(grid)
+    q_bar = trapezoid(q_values * density, config.grid_step)
+    average = trapezoid(coherence, config.grid_step)
+    return q_bar, average, trapezoid(q_values * coherence, config.grid_step) - q_bar * average
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_max=st.integers(0, 400),
+    delta_n=st.floats(0.05, 5.0),
+    kind=st.sampled_from(["random", "upper", "poisson"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aliasing_bounded_grid_matches_fine_grid(n_max, delta_n, kind, seed):
+    """The adequate grid, over the basis or the state's support, against a dn/8 step."""
+    state = make_state(kind, n_max, np.random.default_rng(seed))
+    fine = MeasurementConfig(
+        delta_n, -8 * delta_n, n_max + 8 * delta_n, min(delta_n / 8, 0.25)
+    )
+    want = grid_statistics(state, fine)
+    tol = 1e-11 * max(1.0, abs(expectation_a(state)))
+    n_min, n_top = _support(state)
+    for config in (
+        MeasurementConfig.adequate(delta_n, n_max),
+        MeasurementConfig.adequate(delta_n, n_top, n_min),
+    ):
+        got = grid_statistics(state, config)
+        assert all(abs(g - w) <= tol for g, w in zip(got, want))
+
+
+def test_support_leaves_at_most_1e_16_beyond_each_end():
+    state = coherent_state(CoherentParams(30.0), 1119)
+    p = state.probabilities()
+    n_min, n_max = _support(state)
+    assert p[:n_min].sum() <= 1e-16 < p[: n_min + 1].sum()
+    assert n_max == 1119  # the cutoff's 1e-12 tail lies inside the support
+    assert _support(number_state(7, 20)) == (7, 7)
+    with pytest.raises(InvalidParam):
+        MeasurementConfig.adequate(0.3, 6, 7)
 
 
 class TestQuantization:
@@ -144,7 +190,7 @@ class TestCorrelationReport:
             assert max(report.analytic_deltas.values()) < 1e-8
 
     def test_bright_field_consistent(self):
-        # alpha=100 on its 11 440-level basis: a 305 000-point adequate grid.
+        # alpha=100 on its 11 440-level basis: a 64 092-point adequate grid.
         config = MeasurementConfig.adequate(0.3, 11_440)
         report = quantization_coherence_correlation(CoherentParams(100.0, 0.7), config, 11_440)
         assert report.consistent

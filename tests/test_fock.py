@@ -15,6 +15,7 @@ from qndsim import (
     expectation_n,
     expectation_parity,
     expectation_parity_squared,
+    measure,
     number_state,
     random_state,
     variance_n,
@@ -191,6 +192,13 @@ class TestExpectations:
     def test_variance(self):
         assert variance_n(number_state(4)) == pytest.approx(0.0, abs=1e-12)
         assert variance_n(coherent_state(CoherentParams(3.0), 60)) == pytest.approx(9.0, abs=1e-7)
+
+    def test_variance_keeps_its_digits_at_large_n(self):
+        # alpha=100 after one dn=0.3 readout: sum n^2 p_n - <n>^2 would give
+        # 0.0181208253, cancellation at n = 10^4 having cost it 2e-8.
+        state = coherent_state(CoherentParams(100.0, 0.3), 11_440)
+        post = measure(state, 10053.862487415574, 0.3).post_state
+        assert variance_n(post) == pytest.approx(0.0181208469, abs=1e-10)
 
     def test_parity_values(self):
         assert expectation_parity(number_state(0)) == 1.0

@@ -34,7 +34,7 @@ from qndsim import (
     outcome_density,
     random_state,
 )
-from qndsim.measurement import DENSITY_FLOOR, _profiles
+from qndsim.measurement import _BAND_WIDTHS, _CHUNK_CELLS, DENSITY_FLOOR, _bands, _profiles
 
 RTOL = 1e-12
 
@@ -147,6 +147,35 @@ def test_many_chunks():
     assert_matches_dense(state, grid, 0.1)
 
 
+def band_width(w, levels):
+    return np.minimum(levels, 2.0 * (_BAND_WIDTHS * w + 0.5) + 1.0)
+
+
+@pytest.mark.parametrize("passes, delta_n", [(200, 2.0), (2000, 0.3), (7, 5.0)])
+def test_chunks_end_where_the_band_halves(passes, delta_n):
+    # Sequential posteriors narrow as dn / sqrt(j); 1 016 levels, as at alpha 25.
+    widths = delta_n / np.sqrt(np.arange(1, passes + 1))
+    chunks = list(_bands(np.full(passes, 600.0), widths, 1016))
+    assert chunks[0][0].start == 0 and chunks[-1][0].stop == passes
+    for (rows, _, x), (after, _, _) in zip(chunks, chunks[1:] + [(None, None, None)]):
+        width = x.shape[1]
+        assert np.all(band_width(widths[rows], 1016) >= width / 2)
+        assert width * (rows.stop - rows.start) <= max(width, _CHUNK_CELLS)
+        if after is not None:
+            assert after.start == rows.stop
+            full = (rows.stop - rows.start) == _CHUNK_CELLS // width
+            assert full or band_width(widths[after.start], 1016) < width / 2
+
+
+def test_constant_width_chunks_fill_the_cell_budget():
+    grid = np.linspace(0.0, 1000.0, 20_000)
+    chunks = list(_bands(grid, np.full(grid.size, 0.3), 1016))
+    width = chunks[0][2].shape[1]
+    assert [rows.stop - rows.start for rows, _, _ in chunks[:-1]] == [_CHUNK_CELLS // width] * (
+        len(chunks) - 1
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_max=st.integers(0, 120),
@@ -187,6 +216,15 @@ def test_measure_matches_dense_conditioning(n_max, delta_n, kind, seed):
     if ref_density <= 2.0 * DENSITY_FLOOR:
         return
     assert_measure_matches_dense(state, n_m, delta_n)
+
+
+def test_measure_keeps_coherence_far_in_the_window_tail():
+    # The outcome lies 3 levels below the lowest occupied one at dn 0.078:
+    # e_n e_{n+1} is about 1e-413 there, yet the conditional <a> is 7e-120.
+    rng = np.random.default_rng(94)
+    state = make_state("upper", 94, rng)
+    record = assert_measure_matches_dense(state, float(rng.uniform(-2.0, 96.0)), 0.078125)
+    assert record.density < 1e-294 and abs(record.coherence) > 1e-120
 
 
 @settings(max_examples=25, deadline=None)

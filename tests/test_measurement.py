@@ -317,7 +317,9 @@ class TestMeasurementConfig:
     def test_adequate_covers(self):
         config = MeasurementConfig.adequate(0.4, 60)
         assert config.grid_min <= -8 * 0.4 and config.grid_max >= 60 + 8 * 0.4
-        assert config.grid_step <= 0.4 / 8
+        for dn in (0.05, 0.1, 0.4, 1.0, 3.0, 5.0, 50.0):
+            h = MeasurementConfig.adequate(dn, 60).grid_step
+            assert 2 * math.exp(-2 * math.pi**2 * dn**2 * (1 / h - 1) ** 2) <= 1e-16
         grid = config.grid()
         assert grid[0] == pytest.approx(config.grid_min)
         assert grid[-1] >= config.grid_max - config.grid_step
