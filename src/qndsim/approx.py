@@ -25,7 +25,7 @@ import numpy as np
 
 from . import measurement
 from .errors import InvalidParam, RegimeWarning
-from .fock import CoherentParams, PureState, coherent_state, default_cutoff
+from .fock import CoherentParams, PureState, coherent_state
 
 # Default bound on the dropped tail of the quantization-comb harmonic series.
 SERIES_TOL = 1e-14
@@ -80,26 +80,21 @@ class FourierTruncation:
         return 2.0 * total
 
 
-def quantization_sum(
-    n_m,
-    delta_n: float,
-    offset: float = 0.0,
-    trunc: FourierTruncation | None = None,
-):
+def quantization_sum(n_m, delta_n: float, offset: float = 0.0):
     """Periodic quantization factor via its harmonic series.
 
     ``offset`` selects the comb of Gaussian centers: 0 for integers, 1/2 for
-    half-integers.  Agrees with :func:`gaussian_comb` to the combined series
-    and comb truncation tolerance.  Accepts scalar or array ``n_m``.
+    half-integers.  The series keeps the harmonics of
+    :meth:`FourierTruncation.for_resolution`, and agrees with
+    :func:`gaussian_comb` to the combined series and comb truncation
+    tolerance.  Accepts scalar or array ``n_m``.
     """
     if offset not in (0.0, 0.5):
         raise InvalidParam("offset must be 0 or 1/2")
     delta_n = measurement._check_delta_n(delta_n)
-    if trunc is None:
-        trunc = FourierTruncation.for_resolution(delta_n)
     grid = measurement._grid(n_m)
     value = np.ones_like(grid)
-    for k in range(1, trunc.k_max + 1):
+    for k in range(1, FourierTruncation.for_resolution(delta_n).k_max + 1):
         value += (
             2.0 * fringe_amplitude(delta_n, k) * np.cos(2.0 * math.pi * k * (grid + offset))
         )
@@ -227,8 +222,6 @@ def error_report(
     delta_n = measurement._check_delta_n(delta_n)
     if params.magnitude == 0.0:
         raise InvalidParam("error report requires a bright field")
-    if n_max is None:
-        n_max = default_cutoff(params)
     return _error_report(params, coherent_state(params, n_max), delta_n)
 
 

@@ -23,7 +23,6 @@ from .fock import (
     CoherentParams,
     PureState,
     coherent_state,
-    default_cutoff,
     expectation_a,
     expectation_parity_squared,
 )
@@ -82,8 +81,6 @@ def quantization_coherence_correlation(
     dephasing factor, and correlation = -2 q_bar times the dephased alpha)
     enter only as cross-checks recorded in ``analytic_deltas``.
     """
-    if n_max is None:
-        n_max = default_cutoff(params)
     return _correlation_report(params, coherent_state(params, n_max), config)
 
 
@@ -116,16 +113,15 @@ def _correlation_report(
         q_coherence_product=q_product,
         correlation=correlation,
         analytic_deltas=deltas,
-        tolerance=config.quad_tol,
+        tolerance=measurement.QUAD_TOL,
     )
 
 
-def correlation_at(params: CoherentParams, delta_n: float, n_max: int | None = None) -> complex:
+def correlation_at(params: CoherentParams, delta_n: float) -> complex:
     """Convenience wrapper: the covariance at one resolution on an adequate grid."""
-    if n_max is None:
-        n_max = default_cutoff(params)
-    config = MeasurementConfig.adequate(delta_n, n_max)
-    return quantization_coherence_correlation(params, config, n_max).correlation
+    state = coherent_state(params)
+    config = MeasurementConfig.adequate(delta_n, state.n_max)
+    return _correlation_report(params, state, config).correlation
 
 
 def argmax_correlation_resolution(
@@ -137,16 +133,17 @@ def argmax_correlation_resolution(
     """Resolution maximizing |covariance|, located by golden-section search.
 
     The quadrature-evaluated covariance magnitude is unimodal on the default
-    bracket; the search narrows it to ``tol``.
+    bracket; the search narrows it to ``tol``.  The state is built once.
     """
     if not (0 < dn_min < dn_max):
         raise InvalidParam("need 0 < dn_min < dn_max")
     if tol <= 0:
         raise InvalidParam("tol must be positive")
-    n_max = default_cutoff(params)
+    state = coherent_state(params)
 
     def objective(dn: float) -> float:
-        return -abs(correlation_at(params, dn, n_max))
+        config = MeasurementConfig.adequate(dn, state.n_max)
+        return -abs(_correlation_report(params, state, config).correlation)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = dn_min, dn_max

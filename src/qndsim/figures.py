@@ -17,7 +17,7 @@ import numpy as np
 
 from . import approx, correlations, measurement, trajectories
 from .errors import InvalidParam, RegimeWarning
-from .fock import CoherentParams, PureState, coherent_state, default_cutoff
+from .fock import CoherentParams, PureState, coherent_state
 
 # Readout resolutions of the four fringe-profile tables.
 PROFILE_RESOLUTIONS = {1: 0.7, 2: 0.4, 3: 0.3, 4: 0.2}
@@ -78,17 +78,18 @@ def _resolution_sweep(
 
     Returns the columns ``delta_n``, ``q_bar``, ``avg_coherence_factor`` and
     ``c_over_alpha``, one quadrature per resolution, and the state they
-    average over.  Each quadrature grid spans the levels that hold all but
-    1e-16 of the state's mass from either end, not the whole basis.
+    average over.  The columns are normalized by |alpha|, so the field
+    must be bright.
     """
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
-    state = coherent_state(params, default_cutoff(params))
-    first, last = measurement._support(state)
+    if params.magnitude == 0.0:
+        raise InvalidParam("resolution sweep requires a bright field")
+    state = coherent_state(params)
     resolutions = _steps(dn_min, dn_max, dn_step).tolist()
     reports = [
         correlations._correlation_report(
-            params, state, measurement.MeasurementConfig.adequate(dn, last, first)
+            params, state, measurement.MeasurementConfig.adequate(dn, state.n_max)
         )
         for dn in resolutions
     ]
@@ -151,8 +152,7 @@ def figure_table(
     if grid_step <= 0 or grid_min >= grid_max:
         raise InvalidParam("grid bounds must satisfy min < max with positive step")
 
-    n_max = default_cutoff(params)
-    state = coherent_state(params, n_max)
+    state = coherent_state(params)
     grid = _steps(grid_min, grid_max, grid_step)
 
     p_exact, coherence = measurement._profiles(state, grid, dn)
@@ -217,8 +217,7 @@ def sample_table(
     params = params or _default_params()
     if count < 1:
         raise InvalidParam("count must be at least 1")
-    n_max = default_cutoff(params)
-    state = coherent_state(params, n_max)
+    state = coherent_state(params)
     steps = trajectories.repeated_measurement(state, delta_n, count, int(seed)).steps
     columns = {
         "step": range(len(steps)),

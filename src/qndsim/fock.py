@@ -18,7 +18,8 @@ from .errors import InvalidParam, TruncationTooSmall
 # the vector to exactly unit norm.
 NORM_TOL = 1e-6
 
-# Default bound on Poisson probability mass allowed beyond the basis cutoff.
+# Bound on the Poisson probability mass a coherent state's basis may leave
+# beyond its cutoff.
 DEFAULT_TAIL_TOL = 1e-12
 
 # A tail below double-precision resolution of the state's unit norm changes
@@ -142,24 +143,21 @@ def number_state(n: int, n_max: int | None = None) -> PureState:
     return PureState(amps, truncation_adequate=True)
 
 
-def coherent_state(
-    params: CoherentParams, n_max: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> PureState:
+def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureState:
     """Coherent state with Poissonian number statistics, truncated at ``n_max``.
 
-    Amplitudes are evaluated in the log domain, so large cutoffs do not
-    overflow the factorials.  After truncation the state is renormalized.
+    ``n_max`` defaults to :func:`default_cutoff`.  Amplitudes are evaluated
+    in the log domain, so large cutoffs do not overflow the factorials.
+    After truncation the state is renormalized.
 
     Raises
     ------
     TruncationTooSmall
-        If the Poisson mass beyond ``n_max`` is ``tail_tol`` or more.
+        If the Poisson mass beyond ``n_max`` is ``DEFAULT_TAIL_TOL`` or more.
     """
-    n_max = int(n_max)
+    n_max = default_cutoff(params) if n_max is None else int(n_max)
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")
-    if not (0.0 < tail_tol < 1.0):
-        raise InvalidParam("tail_tol must lie in (0, 1)")
 
     lam = params.mean_photon_number
     n = np.arange(n_max + 1)
@@ -171,13 +169,13 @@ def coherent_state(
         weights = np.exp(log_w)
 
     tail = float(pdtrc(n_max, lam))
-    if tail >= tail_tol:
+    if tail >= DEFAULT_TAIL_TOL:
         raise TruncationTooSmall(
-            f"mass {tail:.3e} beyond n_max={n_max} exceeds tail_tol={tail_tol:.3e}"
+            f"mass {tail:.3e} beyond n_max={n_max} exceeds {DEFAULT_TAIL_TOL:.3e}"
         )
     # Mass on the top five levels and beyond.
     top_band = float(pdtrc(n_max - 5, lam)) if n_max >= 5 else 1.0
-    adequate = top_band < tail_tol
+    adequate = top_band < DEFAULT_TAIL_TOL
 
     amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
     amps /= np.linalg.norm(amps)
@@ -219,7 +217,7 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
 
 
 def default_cutoff(params: CoherentParams) -> int:
-    """The basis cutoff used wherever a caller gives none.
+    """The basis cutoff :func:`coherent_state` uses when given none.
 
     Leaves Poisson mass below ``DEFAULT_TAIL_TOL`` beyond it, and is at
     least 16.

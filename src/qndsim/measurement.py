@@ -29,7 +29,8 @@ outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
 mean, so one pass gives every step of a trajectory its posterior, and
 :func:`measure` is the one-outcome case.  Quadratures over outcomes use the
 trapezoid rule on grids whose step bounds its aliasing of the unit-period
-fringes by 1e-16 (:meth:`MeasurementConfig.adequate`).
+fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), evaluated only where
+the state has weight (:func:`grid_profiles`).
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -65,9 +66,13 @@ _PAD_WIDTHS = 8.0
 # MeasurementConfig.adequate).
 _ALIAS_C = 1.38
 
-# Levels left off a quadrature grid's span may hold this much probability
-# beyond each end of the state's support.
+# Levels a quadrature leaves off may hold this much probability beyond each
+# end of the state's support.
 _SUPPORT_TAIL = 1e-16
+
+# Probability mass a quadrature grid may miss before it is too narrow; also
+# the tolerance of quadratures against their closed forms.
+QUAD_TOL = 1e-8
 
 # g(x) underflows to 0.0 once x^2 / (2 delta_n^2) > 745.14, i.e. beyond 38.61
 # widths; the band radius keeps a margin over that.
@@ -342,7 +347,6 @@ class MeasurementConfig:
     grid_min: float
     grid_max: float
     grid_step: float
-    quad_tol: float = 1e-8
 
     def __post_init__(self):
         _check_delta_n(self.delta_n)
@@ -352,12 +356,10 @@ class MeasurementConfig:
             raise InvalidParam("grid_step must be positive")
         if self.grid_min >= self.grid_max:
             raise InvalidParam("grid_min must be below grid_max")
-        if self.quad_tol <= 0:
-            raise InvalidParam("quad_tol must be positive")
 
     @classmethod
-    def adequate(cls, delta_n: float, n_max: int, n_min: int = 0) -> "MeasurementConfig":
-        """Grid over levels n_min..n_max, padded by 8 widths, with aliasing below 1e-16.
+    def adequate(cls, delta_n: float, n_max: int) -> "MeasurementConfig":
+        """Grid over levels 0..n_max, padded by 8 widths, with aliasing below 1e-16.
 
         The trapezoid rule with step h adds to the integral the integrand's
         Fourier transform at the frequencies m/h, m != 0 (Poisson summation).
@@ -373,15 +375,13 @@ class MeasurementConfig:
         this bound: rounding of the grid's positions, an ulp of the outcome
         each, which moves q_bar by up to 5e-12 at n = 10^4 and dn = 0.05.
 
-        Levels outside [n_min, n_max] lose the part of their mass that falls
-        off the grid; :func:`grid_profiles` checks what is captured.
+        The grid spans the whole basis; :func:`grid_profiles` evaluates only
+        the part of it that covers the state's support.
         """
         delta_n = _check_delta_n(delta_n)
-        if n_min > n_max:
-            raise InvalidParam("n_min must not exceed n_max")
         return cls(
             delta_n=delta_n,
-            grid_min=n_min - _PAD_WIDTHS * delta_n,
+            grid_min=-_PAD_WIDTHS * delta_n,
             grid_max=n_max + _PAD_WIDTHS * delta_n,
             grid_step=delta_n / (delta_n + _ALIAS_C),
         )
@@ -399,20 +399,33 @@ def trapezoid(values: np.ndarray, step: float):
 def grid_profiles(
     state: PureState, config: MeasurementConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The config's outcome grid with the density and coherence profiles on it.
+    """Density and coherence profiles on the config's grid, trimmed to the state.
+
+    Only the run of grid points that covers the state's support
+    (:func:`_support`) padded by ``_PAD_WIDTHS`` = 8 widths is kept: from the
+    last point at or below its lower end to the first point at or above its
+    upper end.  Beyond either end of that run lies less than 1e-15 of the
+    outcome probability: Gaussian tails past 8 widths, and the 1e-16 the
+    support leaves out.  Returns that run; quadratures on it take the
+    config's step.
 
     Raises
     ------
     GridTooNarrow
-        If the probability mass captured by the grid falls short of
-        ``1 - quad_tol``.
+        If the probability mass captured by the returned grid falls short of
+        ``1 - QUAD_TOL``.
     """
     grid = config.grid()
+    first, last = _support(state)
+    pad = _PAD_WIDTHS * config.delta_n
+    start = max(int(np.searchsorted(grid, first - pad, side="right")) - 1, 0)
+    stop = int(np.searchsorted(grid, last + pad, side="left")) + 1
+    grid = grid[start:stop]
     density, coherence = _profiles(state, grid, config.delta_n)
     mass = float(trapezoid(density, config.grid_step))
-    if mass < 1.0 - config.quad_tol:
+    if mass < 1.0 - QUAD_TOL:
         raise GridTooNarrow(
-            f"grid captures probability mass {mass:.12g} < 1 - quad_tol"
+            f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g}"
         )
     return grid, density, coherence
 
@@ -426,8 +439,7 @@ def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
     Raises
     ------
     GridTooNarrow
-        If the probability mass captured by the grid falls short of
-        ``1 - quad_tol``.
+        As :func:`grid_profiles`.
     """
     _, _, coherence = grid_profiles(state, config)
     return complex(trapezoid(coherence, config.grid_step))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import measurement
 from .errors import InvalidParam
-from .fock import CoherentParams, PureState, coherent_state, default_cutoff, expectation_a
+from .fock import CoherentParams, PureState, coherent_state, expectation_a
 from .measurement import OutcomeRecord
 
 
@@ -166,7 +166,7 @@ def phase_diffusion_equivalence(
         raise InvalidParam("phase-noise comparison requires a nonzero field")
     gen, _ = _as_generator(rng)
 
-    state = coherent_state(params, default_cutoff(params))
+    state = coherent_state(params)
     a_initial = expectation_a(state)
     direction = a_initial / abs(a_initial)
 

@@ -2,8 +2,9 @@
 
 ``bench/workloads.py`` checks every op it times against an independent
 numpy oracle and the paper's closed forms.  Running its self-test and one
-whole ``trajectories`` cycle here keeps those checks in force on every
-change to the sampler, not only when the benchmark is run.
+whole cycle of each workload here keeps those checks, and every public
+signature and output the benchmark relies on, in force on every
+change to the program, not only when the benchmark is run.
 """
 
 import importlib
@@ -25,8 +26,19 @@ def test_oracle_self_test(workloads):
     assert workloads.self_test() == []
 
 
-def test_trajectories_cycle_passes_its_checks(workloads):
-    workload = workloads.Trajectories(seed=1)
+def run_cycle(workload):
     for index in range(len(workload.cycle)):
         label, run, check = workload.op(index)
         assert check(run()) == [], label
+
+
+def test_bright_kernel_cycle_passes_its_checks(workloads):
+    run_cycle(workloads.BrightKernel(seed=1))
+
+
+def test_dim_tables_cycle_passes_its_checks(workloads):
+    run_cycle(workloads.DimTables(seed=1))
+
+
+def test_trajectories_cycle_passes_its_checks(workloads):
+    run_cycle(workloads.Trajectories(seed=1))

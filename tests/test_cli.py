@@ -276,6 +276,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "rows" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "5", "--alpha", "0"],
+            ["sweep", "--dn-min", "0.1", "--dn-max", "0.2", "--dn-step", "0.05", "--alpha", "0"],
+        ],
+    )
+    def test_dark_field_resolution_sweep(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires a bright field" in captured.err
+
     def test_negative_seed(self, capsys):
         assert cli.main(["sample", "--dn", "0.3", "--count", "3", "--seed", "-1"]) == 2
         captured = capsys.readouterr()

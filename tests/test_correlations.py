@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qndsim import (
     CoherentParams,
     GridTooNarrow,
-    InvalidParam,
     MeasurementConfig,
     PureState,
     argmax_correlation_resolution,
@@ -16,7 +15,6 @@ from qndsim import (
     coherent_state,
     correlation_at,
     decoherence_factor,
-    default_cutoff,
     expectation_a,
     fringe_amplitude,
     grid_profiles,
@@ -27,8 +25,9 @@ from qndsim import (
     quantization_coherence_correlation,
     random_state,
 )
+from qndsim import correlations
 from qndsim.correlations import _apply_annihilation, _apply_parity
-from qndsim.measurement import _profiles, _support, trapezoid
+from qndsim.measurement import QUAD_TOL, _profiles, _support, trapezoid
 from test_kernel import make_state
 
 ALPHA3 = CoherentParams(3.0, 0.0)
@@ -50,23 +49,22 @@ def closed_q_bar(dn):
 def test_quadratures_match_closed_forms(alpha, phase, delta_n):
     """POVM completeness, q_bar and the dephasing factor on the adequate grid."""
     params = CoherentParams(alpha, phase)
-    n_max = default_cutoff(params)
-    config = MeasurementConfig.adequate(delta_n, n_max)
-    grid, density, coherence = grid_profiles(coherent_state(params, n_max), config)
+    state = coherent_state(params)
+    config = MeasurementConfig.adequate(delta_n, state.n_max)
+    grid, density, coherence = grid_profiles(state, config)
     assert abs(trapezoid(density, config.grid_step) - 1.0) <= 1e-8
     q_bar = trapezoid(quantization(grid) * density, config.grid_step)
-    assert abs(q_bar - fringe_amplitude(delta_n)) <= config.quad_tol
+    assert abs(q_bar - fringe_amplitude(delta_n)) <= QUAD_TOL
     average = trapezoid(coherence, config.grid_step)
-    assert abs(average - decoherence_factor(delta_n) * params.alpha) <= config.quad_tol
+    assert abs(average - decoherence_factor(delta_n) * params.alpha) <= QUAD_TOL
 
 
-def grid_statistics(state, config):
-    """q_bar, average coherence and their covariance by quadrature on ``config``'s grid."""
-    grid, density, coherence = grid_profiles(state, config)
+def grid_statistics(grid, density, coherence, step):
+    """q_bar, average coherence and their covariance by quadrature of the profiles."""
     q_values = quantization(grid)
-    q_bar = trapezoid(q_values * density, config.grid_step)
-    average = trapezoid(coherence, config.grid_step)
-    return q_bar, average, trapezoid(q_values * coherence, config.grid_step) - q_bar * average
+    q_bar = trapezoid(q_values * density, step)
+    average = trapezoid(coherence, step)
+    return q_bar, average, trapezoid(q_values * coherence, step) - q_bar * average
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,20 +75,17 @@ def grid_statistics(state, config):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_aliasing_bounded_grid_matches_fine_grid(n_max, delta_n, kind, seed):
-    """The adequate grid, over the basis or the state's support, against a dn/8 step."""
+    """The adequate grid, trimmed to the state's support, against a dn/8 step over the basis."""
     state = make_state(kind, n_max, np.random.default_rng(seed))
     fine = MeasurementConfig(
         delta_n, -8 * delta_n, n_max + 8 * delta_n, min(delta_n / 8, 0.25)
     )
-    want = grid_statistics(state, fine)
+    grid = fine.grid()
+    want = grid_statistics(grid, *_profiles(state, grid, delta_n), fine.grid_step)
+    config = MeasurementConfig.adequate(delta_n, n_max)
+    got = grid_statistics(*grid_profiles(state, config), config.grid_step)
     tol = 1e-11 * max(1.0, abs(expectation_a(state)))
-    n_min, n_top = _support(state)
-    for config in (
-        MeasurementConfig.adequate(delta_n, n_max),
-        MeasurementConfig.adequate(delta_n, n_top, n_min),
-    ):
-        got = grid_statistics(state, config)
-        assert all(abs(g - w) <= tol for g, w in zip(got, want))
+    assert all(abs(g - w) <= tol for g, w in zip(got, want))
 
 
 def test_support_leaves_at_most_1e_16_beyond_each_end():
@@ -100,8 +95,25 @@ def test_support_leaves_at_most_1e_16_beyond_each_end():
     assert p[:n_min].sum() <= 1e-16 < p[: n_min + 1].sum()
     assert n_max == 1119  # the cutoff's 1e-12 tail lies inside the support
     assert _support(number_state(7, 20)) == (7, 7)
-    with pytest.raises(InvalidParam):
-        MeasurementConfig.adequate(0.3, 6, 7)
+
+
+def test_grid_profiles_trims_the_grid_to_the_support():
+    # The benchmark's alpha=25 quadrature: 1 015 levels, support 431..841, so
+    # 2 325 of the 5 712 grid points.
+    state = coherent_state(CoherentParams(25.0, 0.4), 1015)
+    config = MeasurementConfig.adequate(0.3, state.n_max)
+    grid, density, coherence = grid_profiles(state, config)
+    first, last = _support(state)
+    low, high = first - 8 * 0.3, last + 8 * 0.3
+    assert low - config.grid_step < grid[0] <= low
+    assert high <= grid[-1] < high + config.grid_step
+    full = config.grid()
+    start = int(np.searchsorted(full, grid[0]))
+    assert np.array_equal(grid, full[start : start + grid.size])
+    assert grid.size < full.size
+    want_density, want_coherence = _profiles(state, grid, 0.3)
+    assert np.array_equal(density, want_density)
+    assert np.array_equal(coherence, want_coherence)
 
 
 class TestQuantization:
@@ -288,6 +300,17 @@ class TestOrderingDemo:
 
 
 class TestArgmax:
+    def test_builds_the_state_once(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return coherent_state(*args, **kwargs)
+
+        monkeypatch.setattr(correlations, "coherent_state", counting)
+        argmax_correlation_resolution(ALPHA3, 0.1, 1.0, tol=1e-3)
+        assert len(built) == 1
+
     def test_location(self):
         dn_star = argmax_correlation_resolution(ALPHA3, 0.1, 1.0, tol=1e-5)
         assert abs(dn_star - PEAK_RESOLUTION) < 1e-4

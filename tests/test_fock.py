@@ -157,6 +157,14 @@ class TestChooseTruncation:
             params = CoherentParams(mag)
             coherent_state(params, default_cutoff(params))
 
+    def test_coherent_state_defaults_to_the_default_cutoff(self):
+        for mag in (0.0, 3.0, 28.0, 100.0):
+            params = CoherentParams(mag, 0.4)
+            default = coherent_state(params)
+            explicit = coherent_state(params, default_cutoff(params))
+            assert default.amplitudes.tobytes() == explicit.amplitudes.tobytes()
+            assert default.truncation_adequate == explicit.truncation_adequate
+
     def test_rejects_bad_tolerance(self):
         for tol in (0.0, 1.0, -0.1, 1e-16):
             with pytest.raises(InvalidParam):

@@ -311,8 +311,6 @@ class TestMeasurementConfig:
             MeasurementConfig(delta_n=1.0, grid_min=1, grid_max=0, grid_step=0.1)
         with pytest.raises(InvalidParam):
             MeasurementConfig(delta_n=1.0, grid_min=0, grid_max=1, grid_step=0.0)
-        with pytest.raises(InvalidParam):
-            MeasurementConfig(delta_n=1.0, grid_min=0, grid_max=1, grid_step=0.1, quad_tol=0)
 
     def test_adequate_covers(self):
         config = MeasurementConfig.adequate(0.4, 60)

@@ -14,7 +14,6 @@ from qndsim import (
     ZeroProbability,
     decoherence_factor,
     coherent_state,
-    default_cutoff,
     effective_post_state,
     equivalent_phase_noise,
     expectation_a,
@@ -301,7 +300,7 @@ def test_collapsed_moments_keep_their_precision():
     # The trajectory of `qnd sample --dn 0.3 --seed 9`: the state collapses onto
     # one level within a few passes, and its variance and coherence then fall
     # by some 1e-5 and 1e-2.5 per pass, through values near 1e-250.
-    state = coherent_state(ALPHA3, default_cutoff(ALPHA3))
+    state = coherent_state(ALPHA3)
     trajectory = repeated_measurement(state, 0.3, 500, 9)
     ref_var, ref_coherence = centered_posterior_moments(state, trajectory.outcomes, 0.3)
     var = np.array([step.var_n for step in trajectory.steps])
@@ -332,7 +331,7 @@ class TestEffectivePostState:
 def rotation_loop_ratio(params, delta_n, samples, seed):
     """Route two as it was first written: rotate the state, take <a>, project."""
     gen = np.random.default_rng(seed)
-    state = coherent_state(params, default_cutoff(params))
+    state = coherent_state(params)
     c = state.amplitudes
     n = np.arange(c.size)
     root = np.sqrt(n[1:])
