@@ -57,7 +57,6 @@ from .approx import (
     classical_probability,
     error_report,
     fringe_amplitude,
-    gaussian_comb,
     lowest_order,
     quantization_sum,
 )

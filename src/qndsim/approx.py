@@ -85,9 +85,9 @@ def quantization_sum(n_m, delta_n: float, offset: float = 0.0):
 
     ``offset`` selects the comb of Gaussian centers: 0 for integers, 1/2 for
     half-integers.  The series keeps the harmonics of
-    :meth:`FourierTruncation.for_resolution`, and agrees with
-    :func:`gaussian_comb` to the combined series and comb truncation
-    tolerance.  Accepts scalar or array ``n_m``.
+    :meth:`FourierTruncation.for_resolution`, so it agrees with the directly
+    summed comb of Gaussians to the series truncation tolerance.  Accepts
+    scalar or array ``n_m``.
     """
     if offset not in (0.0, 0.5):
         raise InvalidParam("offset must be 0 or 1/2")
@@ -98,27 +98,6 @@ def quantization_sum(n_m, delta_n: float, offset: float = 0.0):
         value += (
             2.0 * fringe_amplitude(delta_n, k) * np.cos(2.0 * math.pi * k * (grid + offset))
         )
-    return measurement._scalar_or_array(n_m, value)
-
-
-def gaussian_comb(n_m, delta_n: float, offset: float = 0.0):
-    """Direct evaluation of the quantization comb.
-
-    (2 pi delta_n^2)**-0.5 sum_n exp(-(n - offset - n_m)^2 / (2 delta_n^2))
-    over all integers n within ten widths of the window; the dropped tails
-    are below 1e-21.  This is the oracle the harmonic series is checked
-    against.
-    """
-    delta_n = measurement._check_delta_n(delta_n)
-    grid = measurement._grid(n_m)
-    lo = int(math.floor(grid.min() + offset - 10.0 * delta_n)) - 1
-    hi = int(math.ceil(grid.max() + offset + 10.0 * delta_n)) + 1
-    centers = np.arange(lo, hi + 1, dtype=float)
-    total = np.sum(
-        np.exp(-((centers[None, :] - offset - grid[:, None]) ** 2) / (2.0 * delta_n**2)),
-        axis=1,
-    )
-    value = (2.0 * math.pi * delta_n**2) ** -0.5 * total
     return measurement._scalar_or_array(n_m, value)
 
 

@@ -41,8 +41,8 @@ def average_quantization(state: PureState, config: MeasurementConfig) -> float:
     average equals exp(-2 pi^2 delta_n^2) for every normalized state; the
     quadrature value is returned unassisted by that closed form.
     """
-    grid, density, _ = measurement.grid_profiles(state, config)
-    return float(trapezoid(quantization(grid) * density, config.grid_step))
+    _, density, _, q_values = measurement._lattice_profiles(state, config)
+    return float(trapezoid(q_values * density, config.grid_step))
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def _correlation_report(
     params: CoherentParams, state: PureState, config: MeasurementConfig
 ) -> CorrelationReport:
     """:func:`quantization_coherence_correlation` on the already built ``state`` of ``params``."""
-    grid, density, coherence = measurement.grid_profiles(state, config)
-    q_values = quantization(grid)
+    _, density, coherence, q_values = measurement._lattice_profiles(state, config)
 
     q_bar = float(trapezoid(q_values * density, config.grid_step))
     avg_coherence = complex(trapezoid(coherence, config.grid_step))

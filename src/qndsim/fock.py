@@ -2,7 +2,9 @@
 
 States are complex amplitude vectors indexed by photon number n = 0..n_max.
 All operations are pure functions; nothing here mutates its inputs, so
-everything is safe to call concurrently.
+everything is safe to call concurrently.  A state keeps what it derives from
+its read-only amplitudes (level moments, support) once computed; concurrent
+first calls compute the same values.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ NORM_TOL = 1e-6
 # Bound on the Poisson probability mass a coherent state's basis may leave
 # beyond its cutoff.
 DEFAULT_TAIL_TOL = 1e-12
+
+# Levels a quadrature leaves off may hold this much probability beyond each
+# end of a state's support (:meth:`PureState.support`).
+SUPPORT_TAIL = 1e-16
 
 # A tail below double-precision resolution of the state's unit norm changes
 # nothing the renormalized state can represent, so tolerances below this are
@@ -82,9 +88,12 @@ class PureState:
     ``truncation_adequate`` records whether the constructor certified that
     the top five basis levels carry negligible weight (so the cutoff is
     comfortable, not merely sufficient).
+
+    The level moments and the support are derived once, on first use, and
+    kept with the state: the amplitudes are read-only, so they never go stale.
     """
 
-    __slots__ = ("amplitudes", "truncation_adequate")
+    __slots__ = ("amplitudes", "truncation_adequate", "_moments", "_support")
 
     def __init__(self, amplitudes, truncation_adequate: bool = False):
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -101,6 +110,7 @@ class PureState:
         amps.setflags(write=False)
         self.amplitudes = amps
         self.truncation_adequate = bool(truncation_adequate)
+        self._moments = self._support = None
 
     @classmethod
     def from_unnormalized(cls, amplitudes) -> "PureState":
@@ -119,14 +129,38 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
     def level_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Level vectors p_n = |c_n|^2 and b_n = conj(c_n) c_{n+1} sqrt(n + 1); b_{n_max} = 0."""
-        c = self.amplitudes
-        b = np.zeros(c.size, dtype=np.complex128)
-        b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
-        return self.probabilities(), b
+        """Level vectors p_n = |c_n|^2 and b_n = conj(c_n) c_{n+1} sqrt(n + 1); b_{n_max} = 0.
+
+        Computed on the first call; every call returns the same read-only arrays.
+        """
+        if self._moments is None:
+            c = self.amplitudes
+            p = self.probabilities()
+            b = np.zeros(c.size, dtype=np.complex128)
+            b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
+            p.setflags(write=False)
+            b.setflags(write=False)
+            self._moments = (p, b)
+        return self._moments
+
+    def support(self) -> tuple[int, int]:
+        """First and last levels that leave at most ``SUPPORT_TAIL`` of the mass beyond each end.
+
+        Scanned on the first call and kept with the state.
+        """
+        if self._support is None:
+            self._support = _scan_support(self.level_moments()[0])
+        return self._support
 
     def __repr__(self) -> str:
         return f"PureState(n_max={self.n_max}, <n>={expectation_n(self):.4g})"
+
+
+def _scan_support(p: np.ndarray) -> tuple[int, int]:
+    """:meth:`PureState.support` of the number distribution ``p``."""
+    below = np.searchsorted(np.cumsum(p), SUPPORT_TAIL, side="right")
+    above = np.searchsorted(np.cumsum(p[::-1]), SUPPORT_TAIL, side="right")
+    return int(below), p.size - 1 - int(above)
 
 
 def number_state(n: int, n_max: int | None = None) -> PureState:

@@ -28,9 +28,13 @@ Conditional states are the same band sum over the same bands: windows at
 outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
 mean, so one pass gives every step of a trajectory its posterior, and
 :func:`measure` is the one-outcome case.  Quadratures over outcomes use the
-trapezoid rule on grids whose step bounds its aliasing of the unit-period
-fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), evaluated only where
-the state has weight (:func:`grid_profiles`).
+trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
+unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), evaluated
+only where the state has weight (:func:`grid_profiles`).  On a lattice the
+offset from a level to an outcome depends only on the outcome's residue
+r = j mod M and the level's distance from the integer anchor j // M, so a
+quadrature takes M exponentials per band offset and its band sums are two
+matrix products, on exact offsets.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -61,14 +65,14 @@ _EXCESS_NOISE_TOL = 1e-9
 # exp(-8^2 / 2) = exp(-32), about 1e-14 of its peak.
 _PAD_WIDTHS = 8.0
 
-# Quadrature steps are dn / (dn + _ALIAS_C): sqrt(ln(2e16) / (2 pi^2)) = 1.37896,
-# rounded up, keeps the trapezoid rule's aliasing below 1e-16 (see
+# Quadrature steps are 1/M with M - 1 >= _ALIAS_C / dn: sqrt(ln(2e16) / (2 pi^2))
+# = 1.37896, rounded up, keeps the trapezoid rule's aliasing below 1e-16 (see
 # MeasurementConfig.adequate).
 _ALIAS_C = 1.38
 
-# Levels a quadrature leaves off may hold this much probability beyond each
-# end of the state's support.
-_SUPPORT_TAIL = 1e-16
+# A grid step h is a lattice step when 1/h is an integer to this relative
+# tolerance.
+_LATTICE_TOL = 1e-12
 
 # Probability mass a quadrature grid may miss before it is too narrow; also
 # the tolerance of quadratures against their closed forms.
@@ -108,6 +112,15 @@ def _scalar_or_array(n_m, values: np.ndarray):
     return values[0].item() if np.ndim(n_m) == 0 else values
 
 
+def _reach(width: float) -> float:
+    """Distance from an outcome to the farthest level its window of ``width`` reaches.
+
+    g underflows beyond 38.61 widths; the coherence's Gaussians sit half a
+    level off the levels, hence the 1/2.
+    """
+    return _BAND_WIDTHS * width + 0.5
+
+
 def _bands(centers: np.ndarray, widths, levels: int):
     """Bands of levels the windows reach, in chunks of about ``_CHUNK_CELLS`` cells.
 
@@ -122,7 +135,7 @@ def _bands(centers: np.ndarray, widths, levels: int):
     """
     start = 0
     while start < centers.size:
-        reach = _BAND_WIDTHS * widths[start] + 0.5
+        reach = _reach(widths[start])
         width = int(min(levels, 2.0 * reach + 1.0))
         stop = min(centers.size, start + max(1, _CHUNK_CELLS // width))
         # 2 (_BAND_WIDTHS w + 1/2) + 1 < width / 2 below this w; the first
@@ -314,33 +327,45 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     """Total likelihood of integer outcomes relative to half-integer outcomes.
 
     Sums the outcome density over all integers and over all half-integers
-    covering the state's support.  The envelope of the number distribution
-    cancels between the two sums, so the ratio isolates the periodic
-    quantization contrast and is the same for every state.
+    covering the state's support: the M = 2 lattice, residue 0 over residue 1.
+    The envelope of the number distribution cancels between the two sums, so
+    the ratio isolates the periodic quantization contrast and is the same for
+    every state.
     """
     delta_n = _check_delta_n(delta_n)
-    pad = int(math.ceil(_PAD_WIDTHS * delta_n)) + 1
-    integers = np.arange(-pad, state.n_max + pad + 1, dtype=float)
-    p_int, _ = _profiles(state, integers, delta_n)
-    p_half, _ = _profiles(state, integers + 0.5, delta_n)
-    return float(p_int.sum() / p_half.sum())
+    pad = _PAD_WIDTHS * delta_n
+    config = MeasurementConfig(delta_n, -pad, state.n_max + pad, 0.5)
+    _, density, _, quantization = _lattice_profiles(state, config)
+    # Q is +1 on the integers (residue 0) and -1 on the half-integers.
+    return float(density[quantization > 0].sum() / density[quantization < 0].sum())
 
 
-def _support(state: PureState) -> tuple[int, int]:
-    """First and last levels that leave at most ``_SUPPORT_TAIL`` of the mass beyond each end."""
-    p = state.probabilities()
-    below = np.searchsorted(np.cumsum(p), _SUPPORT_TAIL, side="right")
-    above = np.searchsorted(np.cumsum(p[::-1]), _SUPPORT_TAIL, side="right")
-    return int(below), p.size - 1 - int(above)
+# First and last levels that leave at most SUPPORT_TAIL of the mass beyond
+# each end; scanned once per state.
+_support = PureState.support
+
+
+def _lattice_floor(x: float, per_unit: int) -> int:
+    """Index j of the last lattice point j / per_unit at or below ``x``, compared as floats.
+
+    The last point at or above ``x`` is ``-_lattice_floor(-x, per_unit)``.
+    """
+    j = math.floor(x * per_unit)
+    if (j + 1) / per_unit <= x:
+        return j + 1
+    return j - 1 if j / per_unit > x else j
 
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Resolution plus a uniform outcome grid for quadrature over outcomes.
+    """Resolution plus a lattice of outcomes j/M for quadrature over outcomes.
 
-    For full-line averages the grid must cover the state's support with
-    ``_PAD_WIDTHS`` = 8 resolution widths of padding; ``adequate`` builds such
-    a grid with a step whose aliasing of the unit-period fringes is bounded.
+    ``grid_step`` must be 1/M for an integer M.  The grid is the run of
+    lattice points from the last one at or below ``grid_min`` to the first one
+    at or above ``grid_max``.  For full-line averages it must cover the
+    state's support with ``_PAD_WIDTHS`` = 8 resolution widths of padding;
+    ``adequate`` builds such a grid with a step whose aliasing of the
+    unit-period fringes is bounded.
     """
 
     delta_n: float
@@ -354,12 +379,19 @@ class MeasurementConfig:
             raise InvalidParam("grid bounds must be finite")
         if self.grid_step <= 0 or not math.isfinite(self.grid_step):
             raise InvalidParam("grid_step must be positive")
+        if abs(self.per_unit * self.grid_step - 1.0) > _LATTICE_TOL:
+            raise InvalidParam(f"grid_step {self.grid_step!r} is not 1/M for an integer M")
         if self.grid_min >= self.grid_max:
             raise InvalidParam("grid_min must be below grid_max")
 
+    @property
+    def per_unit(self) -> int:
+        """M, the number of lattice points per unit outcome."""
+        return round(1.0 / self.grid_step)
+
     @classmethod
     def adequate(cls, delta_n: float, n_max: int) -> "MeasurementConfig":
-        """Grid over levels 0..n_max, padded by 8 widths, with aliasing below 1e-16.
+        """Lattice over levels 0..n_max, padded by 8 widths, with aliasing below 1e-16.
 
         The trapezoid rule with step h adds to the integral the integrand's
         Fourier transform at the frequencies m/h, m != 0 (Poisson summation).
@@ -367,28 +399,34 @@ class MeasurementConfig:
         exp(-2 pi^2 dn^2 k^2), and the quantization fringe cos(2 pi x) shifts
         it by +-1, so for g(x - n) cos(2 pi x) the worst aliased term is
         exp(-2 pi^2 dn^2 (1/h - 1)^2), at m = +-1, and all of them together
-        stay below twice it.  The step h = dn / (dn + c) makes 1/h - 1 = c / dn,
-        so that bound is 2 exp(-2 pi^2 c^2) <= 1e-16 at every dn, with
-        c = 1.38 >= sqrt(ln(2e16) / (2 pi^2)).  The density alone aliases only
-        exp(-2 pi^2 dn^2 / h^2), less still; the coherence's Gaussians sit at
-        n + 1/2, so its error is the same bound times sum_n |b_n|.  Not in
-        this bound: rounding of the grid's positions, an ulp of the outcome
-        each, which moves q_bar by up to 5e-12 at n = 10^4 and dn = 0.05.
+        stay below twice it.  The step h = 1/M with M = 1 + ceil(c / dn) makes
+        1/h - 1 >= c / dn, so that bound is at most 2 exp(-2 pi^2 c^2) <= 1e-16
+        at every dn, with c = 1.38 >= sqrt(ln(2e16) / (2 pi^2)).  The density
+        alone aliases only exp(-2 pi^2 dn^2 / h^2), less still; the
+        coherence's Gaussians sit at n + 1/2, so its error is the same bound
+        times sum_n |b_n|.  The bounds sit on the lattice.
 
         The grid spans the whole basis; :func:`grid_profiles` evaluates only
         the part of it that covers the state's support.
         """
         delta_n = _check_delta_n(delta_n)
+        per_unit = 1 + math.ceil(_ALIAS_C / delta_n)
+        pad = _PAD_WIDTHS * delta_n
         return cls(
             delta_n=delta_n,
-            grid_min=-_PAD_WIDTHS * delta_n,
-            grid_max=n_max + _PAD_WIDTHS * delta_n,
-            grid_step=delta_n / (delta_n + _ALIAS_C),
+            grid_min=_lattice_floor(-pad, per_unit) / per_unit,
+            grid_max=-_lattice_floor(-(n_max + pad), per_unit) / per_unit,
+            grid_step=1.0 / per_unit,
         )
 
+    def _indices(self) -> tuple[int, int]:
+        """Indices j of the grid's first and last points j / M."""
+        per_unit = self.per_unit
+        return _lattice_floor(self.grid_min, per_unit), -_lattice_floor(-self.grid_max, per_unit)
+
     def grid(self) -> np.ndarray:
-        count = int(math.ceil((self.grid_max - self.grid_min) / self.grid_step - 1e-9))
-        return self.grid_min + self.grid_step * np.arange(count + 1)
+        first, last = self._indices()
+        return np.arange(first, last + 1) / self.per_unit
 
 
 def trapezoid(values: np.ndarray, step: float):
@@ -402,11 +440,11 @@ def grid_profiles(
     """Density and coherence profiles on the config's grid, trimmed to the state.
 
     Only the run of grid points that covers the state's support
-    (:func:`_support`) padded by ``_PAD_WIDTHS`` = 8 widths is kept: from the
-    last point at or below its lower end to the first point at or above its
-    upper end.  Beyond either end of that run lies less than 1e-15 of the
-    outcome probability: Gaussian tails past 8 widths, and the 1e-16 the
-    support leaves out.  Returns that run; quadratures on it take the
+    (:meth:`PureState.support`) padded by ``_PAD_WIDTHS`` = 8 widths is kept:
+    from the last point at or below its lower end to the first point at or
+    above its upper end.  Beyond either end of that run lies less than 1e-15
+    of the outcome probability: Gaussian tails past 8 widths, and the 1e-16
+    the support leaves out.  Returns that run; quadratures on it take the
     config's step.
 
     Raises
@@ -415,19 +453,72 @@ def grid_profiles(
         If the probability mass captured by the returned grid falls short of
         ``1 - QUAD_TOL``.
     """
-    grid = config.grid()
-    first, last = _support(state)
-    pad = _PAD_WIDTHS * config.delta_n
-    start = max(int(np.searchsorted(grid, first - pad, side="right")) - 1, 0)
-    stop = int(np.searchsorted(grid, last + pad, side="left")) + 1
-    grid = grid[start:stop]
-    density, coherence = _profiles(state, grid, config.delta_n)
+    return _lattice_profiles(state, config)[:3]
+
+
+def _lattice_profiles(
+    state: PureState, config: MeasurementConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`grid_profiles` plus the quantization Q = cos(2 pi r/M) of each point.
+
+    The grid point j/M = q + r/M has integer anchor q = j // M and residue
+    r = j mod M, and its offset from the level n = q + s is
+    x = (r - M s) / M, one rounding of an exact integer ratio.  Over the band
+    |x| <= ``_reach(dn)`` the exponentials e(x) = exp(-x^2 / (4 dn^2)) form an
+    M x W table E[r, s], and the band sums of :func:`_profiles` are the
+    matrix products P_win @ (E * E).T and B_win @ (E(x) E(x - 1)).T, where row
+    q of the (anchors x W) windows P_win and B_win holds the level moments
+    p_n and b_n of the levels q + s.  Row q, column r of a product is the
+    point q + r/M.  Anchors are taken in chunks of about ``_CHUNK_CELLS``
+    window cells.
+    """
+    per_unit, delta_n = config.per_unit, config.delta_n
+    low, high = config._indices()
+    first, last = state.support()
+    pad = _PAD_WIDTHS * delta_n
+    start = min(max(_lattice_floor(first - pad, per_unit), low), high)
+    stop = max(min(-_lattice_floor(-(last + pad), per_unit), high), low)
+
+    reach = int(_reach(delta_n))
+    offsets = np.arange(-reach, reach + 2)
+    residues = np.arange(per_unit)
+    x = (residues[:, None] - per_unit * offsets) / per_unit
+    e = np.exp(-1.0 / (4.0 * delta_n**2) * x * x)
+    square = (e * e).T
+    pair = (e[:, :-1] * e[:, 1:]).T
+
+    # The level moments of levels anchor - reach .. anchor + reach + 1 for every
+    # anchor, zero off the basis: p, Re b and Im b in one block of windows.
+    q_first, q_last = start // per_unit, stop // per_unit
+    base = q_first - reach
+    levels = np.zeros((3, q_last - q_first + offsets.size))
+    p, b = state.level_moments()
+    inside = slice(max(base, 0), min(q_last + reach + 2, p.size))
+    into = slice(inside.start - base, inside.stop - base)
+    levels[0, into], levels[1, into], levels[2, into] = p[inside], b.real[inside], b.imag[inside]
+    windows = sliding_window_view(levels, offsets.size, axis=1)
+
+    anchors = q_last - q_first + 1
+    density = np.empty((anchors, per_unit))
+    coherence = np.empty((2, anchors, per_unit))
+    chunk = max(1, _CHUNK_CELLS // offsets.size)
+    for rows in range(0, anchors, chunk):
+        block = np.ascontiguousarray(windows[:, rows : rows + chunk])
+        np.matmul(block[0], square, out=density[rows : rows + chunk])
+        np.matmul(block[1:, :, :-1], pair, out=coherence[:, rows : rows + chunk])
+
+    run = slice(start - q_first * per_unit, stop - q_first * per_unit + 1)
+    norm = (2.0 * math.pi * delta_n**2) ** -0.5
+    density = norm * density.ravel()[run]
+    coherence = norm * (coherence[0].ravel()[run] + 1j * coherence[1].ravel()[run])
     mass = float(trapezoid(density, config.grid_step))
     if mass < 1.0 - QUAD_TOL:
         raise GridTooNarrow(
             f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g}"
         )
-    return grid, density, coherence
+    j = np.arange(start, stop + 1)
+    quantization = np.cos(2.0 * math.pi * residues / per_unit)[j % per_unit]
+    return j / per_unit, density, coherence, quantization
 
 
 def average_coherence(state: PureState, config: MeasurementConfig) -> complex:

@@ -202,13 +202,11 @@ def criterion_exact_factorization():
     for dn in (0.2, 0.3, 0.5, 1.0):
         min_level = int(math.ceil(5.0 * dn))
         config = measurement.MeasurementConfig.adequate(dn, n_max)
-        grid = config.grid()
-        q_values = correlations.quantization(grid)
         factor = approx.fringe_amplitude(dn) * measurement.decoherence_factor(dn)
         worst = 0.0
         for _ in range(50):
             state = random_state(n_max, rng, min_level=min_level)
-            _, coherence = measurement._profiles(state, grid, dn)
+            _, _, coherence, q_values = measurement._lattice_profiles(state, config)
             product = measurement.trapezoid(q_values * coherence, config.grid_step)
             target = -factor * expectation_a(state)
             worst = max(worst, abs(product - target))
@@ -243,8 +241,7 @@ def criterion_povm_completeness():
         for _ in range(10):
             state = random_state(int(rng.integers(1, 64)), rng)
             config = measurement.MeasurementConfig.adequate(dn, state.n_max)
-            grid = config.grid()
-            density, _ = measurement._profiles(state, grid, dn)
+            _, density, _ = measurement.grid_profiles(state, config)
             mass = measurement.trapezoid(density, config.grid_step)
             worst_mass = max(worst_mass, abs(mass - 1.0))
             outcome = rng.normal(expectation_n(state), dn)

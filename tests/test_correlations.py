@@ -25,8 +25,9 @@ from qndsim import (
     quantization_coherence_correlation,
     random_state,
 )
-from qndsim import correlations
+from qndsim import correlations, figures, fock
 from qndsim.correlations import _apply_annihilation, _apply_parity
+from qndsim.fock import _scan_support as scan_support
 from qndsim.measurement import QUAD_TOL, _profiles, _support, trapezoid
 from test_kernel import make_state
 
@@ -75,10 +76,10 @@ def grid_statistics(grid, density, coherence, step):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_aliasing_bounded_grid_matches_fine_grid(n_max, delta_n, kind, seed):
-    """The adequate grid, trimmed to the state's support, against a dn/8 step over the basis."""
+    """The adequate grid, trimmed to the state's support, against a dn/8 lattice over the basis."""
     state = make_state(kind, n_max, np.random.default_rng(seed))
     fine = MeasurementConfig(
-        delta_n, -8 * delta_n, n_max + 8 * delta_n, min(delta_n / 8, 0.25)
+        delta_n, -8 * delta_n, n_max + 8 * delta_n, 1 / math.ceil(8 / delta_n)
     )
     grid = fine.grid()
     want = grid_statistics(grid, *_profiles(state, grid, delta_n), fine.grid_step)
@@ -99,7 +100,7 @@ def test_support_leaves_at_most_1e_16_beyond_each_end():
 
 def test_grid_profiles_trims_the_grid_to_the_support():
     # The benchmark's alpha=25 quadrature: 1 015 levels, support 431..841, so
-    # 2 325 of the 5 712 grid points.
+    # 2 491 of the 6 120 points of the lattice j/6.
     state = coherent_state(CoherentParams(25.0, 0.4), 1015)
     config = MeasurementConfig.adequate(0.3, state.n_max)
     grid, density, coherence = grid_profiles(state, config)
@@ -111,9 +112,38 @@ def test_grid_profiles_trims_the_grid_to_the_support():
     start = int(np.searchsorted(full, grid[0]))
     assert np.array_equal(grid, full[start : start + grid.size])
     assert grid.size < full.size
+    j = round(grid[0] * 6) + np.arange(grid.size)
+    assert config.per_unit == 6 and np.array_equal(grid, j / 6)
+    # The lattice kernel sums in another order than _profiles, on exact offsets.
     want_density, want_coherence = _profiles(state, grid, 0.3)
-    assert np.array_equal(density, want_density)
-    assert np.array_equal(coherence, want_coherence)
+    kept = density >= 1e-12 * density.max()
+    assert np.all(np.abs(density - want_density)[kept] <= 1e-11 * want_density[kept])
+    assert np.all(np.abs(coherence - want_coherence)[kept] <= 1e-11 * np.abs(want_coherence[kept]))
+
+
+# The scan that sets the bounds of analytic_deltas on adequate lattices.
+SCAN_ALPHAS = (0.0, 1.0, 3.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
+SCAN_RESOLUTIONS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0)
+SCAN_PHASES = (0.0, 0.7, -2.1)
+SCAN_BOUNDS = {
+    "q_bar": 1e-14,
+    "avg_coherence": 7.4e-12,
+    "q_coherence_product": 1e-12,
+    "correlation": 1e-12,
+}
+
+
+@pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+def test_analytic_deltas_over_the_scan(alpha):
+    """396 reports: 12 alphas, 11 resolutions, 3 phases, each on its adequate lattice."""
+    for phase in SCAN_PHASES:
+        params = CoherentParams(alpha, phase)
+        state = coherent_state(params)
+        for dn in SCAN_RESOLUTIONS:
+            config = MeasurementConfig.adequate(dn, state.n_max)
+            deltas = correlations._correlation_report(params, state, config).analytic_deltas
+            for name, bound in SCAN_BOUNDS.items():
+                assert deltas[name] <= bound, (alpha, phase, dn, name, deltas[name])
 
 
 class TestQuantization:
@@ -300,6 +330,18 @@ class TestOrderingDemo:
 
 
 class TestArgmax:
+    def test_sweep_scans_the_support_once(self, monkeypatch):
+        scans = []
+
+        def counting(p):
+            scans.append(p.size)
+            return scan_support(p)
+
+        monkeypatch.setattr(fock, "_scan_support", counting)
+        columns, _ = figures._resolution_sweep(ALPHA3, 0.1, 1.0, 0.002)
+        assert len(columns["q_bar"]) == 451
+        assert len(scans) == 1
+
     def test_builds_the_state_once(self, monkeypatch):
         built = []
 

@@ -82,6 +82,18 @@ class TestPureState:
         with pytest.raises(InvalidParam):
             number_state(3, n_max=1)
 
+    def test_level_moments_are_computed_once_and_read_only(self):
+        state = coherent_state(CoherentParams(3.0, 0.4), 40)
+        p, b = state.level_moments()
+        again = state.level_moments()
+        assert again[0] is p and again[1] is b
+        assert not p.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 0.0
+        assert np.array_equal(p, state.probabilities())
+        assert complex(b.sum()) == expectation_a(state)
+        assert state.support() is state.support()
+
 
 class TestCoherentState:
     def test_vacuum(self):

@@ -8,7 +8,6 @@ from qndsim import (
     CoherentParams,
     classical_coherence,
     classical_probability,
-    gaussian_comb,
     lowest_order,
     quantization,
     quantization_sum,
@@ -312,6 +311,21 @@ class TestMeasurementConfig:
         with pytest.raises(InvalidParam):
             MeasurementConfig(delta_n=1.0, grid_min=0, grid_max=1, grid_step=0.0)
 
+    def test_step_must_be_on_a_lattice(self):
+        assert MeasurementConfig(0.3, 6.0, 12.0, 0.02).per_unit == 50
+        assert MeasurementConfig(0.3, 6.0, 12.0, 1 / 7).per_unit == 7
+        for step in (0.03, 0.3, 0.02 * (1 + 1e-11), 2.0, 0.6):
+            with pytest.raises(InvalidParam):
+                MeasurementConfig(delta_n=0.3, grid_min=6.0, grid_max=12.0, grid_step=step)
+
+    def test_grid_is_the_lattice_run_over_the_bounds(self):
+        config = MeasurementConfig(0.3, -0.15, 2.05, 0.1)
+        assert np.array_equal(config.grid(), np.arange(-2, 22) / 10)
+        adequate = MeasurementConfig.adequate(0.3, 60)
+        assert adequate.per_unit == 6 and adequate.grid_step == 1 / 6
+        assert adequate.grid()[0] == adequate.grid_min == -15 / 6
+        assert adequate.grid()[-1] == adequate.grid_max == 375 / 6
+
     def test_adequate_covers(self):
         config = MeasurementConfig.adequate(0.4, 60)
         assert config.grid_min <= -8 * 0.4 and config.grid_max >= 60 + 8 * 0.4
@@ -392,7 +406,6 @@ _SCALAR_OR_ARRAY = {
     "coherence_after": (lambda n, s: coherence_after(s, n, 0.3), (complex,)),
     "quantization": (lambda n, s: quantization(n), (float,)),
     "quantization_sum": (lambda n, s: quantization_sum(n, 0.3, 0.5), (float,)),
-    "gaussian_comb": (lambda n, s: gaussian_comb(n, 0.3), (float,)),
     "classical_probability": (lambda n, s: classical_probability(9.0, n), (float,)),
     "classical_coherence": (lambda n, s: classical_coherence(ALPHA3, 0.3, n), (complex,)),
     "lowest_order": (lambda n, s: lowest_order(ALPHA3, 0.3, n), (float, complex)),
