@@ -12,6 +12,13 @@ half-offset shifts each harmonic by pi*k, so odd harmonics flip sign; the
 usual lowest-order reading keeps k = 1 only, giving 1 -/+ 2 q cos(2 pi x).)
 Keeping only k = 1 yields the lowest-order fringe formulas; dropping the
 periodic factor altogether gives the classical limit.
+
+Error reports compare these closed forms with the exact kernel at the
+integer and half-integer outcomes nearest the mean intensity.  A report
+over many resolutions (:func:`_error_columns`, behind the sweep table) takes
+all of its probes in one kernel pass, with one window width per probe, and
+evaluates the closed forms one row per resolution; :func:`error_report` is
+its one-resolution case.
 """
 
 from __future__ import annotations
@@ -19,12 +26,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import measurement
-from .errors import InvalidParam, RegimeWarning
+from .errors import InvalidParam, RegimeWarning, ZeroProbability
 from .fock import CoherentParams, PureState, coherent_state
 
 # Default bound on the dropped tail of the quantization-comb harmonic series.
@@ -93,12 +101,25 @@ def quantization_sum(n_m, delta_n: float, offset: float = 0.0):
         raise InvalidParam("offset must be 0 or 1/2")
     delta_n = measurement._check_delta_n(delta_n)
     grid = measurement._grid(n_m)
-    value = np.ones_like(grid)
-    for k in range(1, FourierTruncation.for_resolution(delta_n).k_max + 1):
-        value += (
-            2.0 * fringe_amplitude(delta_n, k) * np.cos(2.0 * math.pi * k * (grid + offset))
-        )
+    value = _quantization_sums(grid + offset, [delta_n])[0]
     return measurement._scalar_or_array(n_m, value)
+
+
+def _quantization_sums(grid: np.ndarray, resolutions) -> np.ndarray:
+    """Integer-comb :func:`quantization_sum` on ``grid``, one row per resolution.
+
+    The half-integer comb is this sum at n_m + 1/2.  Each row adds its
+    harmonics k = 1..k_max in increasing k; a row's zero amplitudes beyond
+    its k_max add 2 * 0 * cos = +-0, which leaves the sum's bits as they are.
+    """
+    k_max = [FourierTruncation.for_resolution(dn).k_max for dn in resolutions]
+    amplitudes = np.zeros((len(k_max), max(k_max) + 1))
+    for row, (dn, top) in enumerate(zip(resolutions, k_max)):
+        amplitudes[row, 1 : top + 1] = [fringe_amplitude(dn, k) for k in range(1, top + 1)]
+    value = np.ones((len(k_max), grid.size))
+    for k in range(1, amplitudes.shape[1]):
+        value += 2.0 * amplitudes[:, k, None] * np.cos(2.0 * math.pi * k * grid)
+    return value
 
 
 def classical_probability(mean_intensity: float, n_m):
@@ -118,13 +139,17 @@ def classical_coherence(params: CoherentParams, delta_n: float, n_m):
     The magnitude follows the square root of the observed intensity; the
     initial field enters only through its phase.
     """
-    grid = measurement._grid(n_m)
+    value = _classical_coherences(params, [delta_n], measurement._grid(n_m))[0]
+    return measurement._scalar_or_array(n_m, value)
+
+
+def _classical_coherences(params: CoherentParams, resolutions, grid: np.ndarray) -> np.ndarray:
+    """:func:`classical_coherence` on ``grid``, one row per resolution."""
     if np.any(grid < -0.5):
         raise InvalidParam("n_m must be at least -1/2")
-    factor = measurement.decoherence_factor(delta_n)
+    factors = np.array([measurement.decoherence_factor(dn) for dn in resolutions])
     phase = complex(math.cos(params.phase), -math.sin(params.phase))
-    value = phase * np.sqrt(grid + 0.5) * factor
-    return measurement._scalar_or_array(n_m, value)
+    return phase * np.sqrt(grid + 0.5) * factors[:, None]
 
 
 class LowestOrder(NamedTuple):
@@ -150,14 +175,26 @@ def lowest_order(params: CoherentParams, delta_n: float, n_m) -> LowestOrder:
             stacklevel=2,
         )
     grid = measurement._grid(n_m)
-    modulation = 2.0 * fringe_amplitude(delta_n) * np.cos(2.0 * math.pi * grid)
-    probability = classical_probability(params.mean_photon_number, grid) * (1.0 + modulation)
-    coherence = (
-        classical_coherence(params, delta_n, grid) * (1.0 - modulation) / (1.0 + modulation)
+    fringes = _fringes(
+        classical_probability(params.mean_photon_number, grid),
+        _classical_coherences(params, [delta_n], grid),
+        _modulation([delta_n], grid),
     )
+    return LowestOrder(*(measurement._scalar_or_array(n_m, value[0]) for value in fringes))
+
+
+def _modulation(resolutions, grid: np.ndarray) -> np.ndarray:
+    """Single-harmonic fringe 2 q cos(2 pi n_m) on ``grid``, one row per resolution."""
+    q = np.array([fringe_amplitude(dn) for dn in resolutions])
+    return 2.0 * q[:, None] * np.cos(2.0 * math.pi * grid)
+
+
+def _fringes(
+    probability: np.ndarray, coherence: np.ndarray, modulation: np.ndarray
+) -> LowestOrder:
+    """The fringe formulas of :func:`lowest_order` on classical curves and a ``modulation``."""
     return LowestOrder(
-        measurement._scalar_or_array(n_m, probability),
-        measurement._scalar_or_array(n_m, coherence),
+        probability * (1.0 + modulation), coherence * (1.0 - modulation) / (1.0 + modulation)
     )
 
 
@@ -197,48 +234,87 @@ def error_report(
     where the fringe formulas are least accurate.  ``boundary_flag`` is set
     when the probes sit within five resolution widths of n = 0, where the
     one-sided physical comb deviates from the two-sided periodic factor.
+    The one-resolution case of :func:`_error_columns`.
+
+    Raises
+    ------
+    ZeroProbability
+        If a probe's outcome density underflows, which happens for the
+        half-integer probe once delta_n is below about 0.0135.
     """
     delta_n = measurement._check_delta_n(delta_n)
     if params.magnitude == 0.0:
         raise InvalidParam("error report requires a bright field")
-    return _error_report(params, coherent_state(params, n_max), delta_n)
+    return _error_columns(params, coherent_state(params, n_max), [delta_n])[0]
 
 
-def _error_report(
-    params: CoherentParams, state: PureState, delta_n: float
-) -> ApproximationReport:
-    """:func:`error_report` on the already built ``state`` of a bright ``params``."""
+def _error_columns(
+    params: CoherentParams, state: PureState, resolutions
+) -> list[ApproximationReport]:
+    """:func:`error_report` at each of ``resolutions``, one report each, on the built ``state``.
+
+    ``params`` must be bright.  The two probes at every resolution go
+    through one kernel pass, with one window width per probe, and the closed
+    forms are evaluated one row per resolution with the one-resolution
+    arithmetic; a report differs from the one-resolution report at most by
+    the kernel's summation order within a band.
+
+    Raises
+    ------
+    ZeroProbability
+        If a probe's outcome density falls below ``DENSITY_FLOOR``; the
+        message names the probe and the smallest resolution where it does.
+    """
+    resolutions = np.asarray(resolutions, dtype=float)
     base = math.floor(params.mean_photon_number)
     probes = np.array([base, base + 0.5])
-    exact_p, exact_a = measurement._conditional_profiles(state, probes, delta_n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        approx = lowest_order(params, delta_n, probes)
-    class_p = classical_probability(params.mean_photon_number, probes)
-    class_a = classical_coherence(params, delta_n, probes)
+    density, coherence = measurement._band_profiles(
+        state, np.tile(probes, resolutions.size), np.repeat(resolutions, 2)
+    )
+    exact_p = density.reshape(-1, 2)
+    vanished = ~(exact_p >= measurement.DENSITY_FLOOR)  # also catches NaN
+    if vanished.any():
+        failing = np.flatnonzero(vanished.any(axis=1))
+        row = failing[np.argmin(resolutions[failing])]
+        probe = float(probes[np.argmax(vanished[row])])
+        raise ZeroProbability(
+            f"error probe n_m = {probe} has outcome density below "
+            f"{measurement.DENSITY_FLOOR:g} at delta_n = {resolutions[row]:g}"
+            + (f", among {len(failing)} failing resolutions" if len(failing) > 1 else "")
+        )
+    exact_a = coherence.reshape(-1, 2) / exact_p
 
-    p_err = float(np.max(np.abs(approx.probability - exact_p) / exact_p))
-    a_err = float(np.max(np.abs(np.abs(approx.coherence) - np.abs(exact_a)) / np.abs(exact_a)))
+    dns = resolutions.tolist()
+    modulation = _modulation(dns, probes)
+    class_p = classical_probability(params.mean_photon_number, probes)
+    class_a = _classical_coherences(params, dns, probes)
+    approx = _fringes(class_p, class_a, modulation)
+
+    p_err = np.max(np.abs(approx.probability - exact_p) / exact_p, axis=1)
+    a_err = np.max(np.abs(np.abs(approx.coherence) - np.abs(exact_a)) / np.abs(exact_a), axis=1)
 
     # Truncation component alone: single-harmonic fringe vs the full series.
-    full_fringe = quantization_sum(probes, delta_n, 0.5) / quantization_sum(
-        probes, delta_n, 0.0
-    )
-    modulation = 2.0 * fringe_amplitude(delta_n) * np.cos(2.0 * math.pi * probes)
+    sums = _quantization_sums(np.concatenate([probes + 0.5, probes]), dns)
+    full_fringe = sums[:, :2] / sums[:, 2:]
     truncated_fringe = (1.0 - modulation) / (1.0 + modulation)
-    fringe_err = float(np.max(np.abs(truncated_fringe - full_fringe) / np.abs(full_fringe)))
+    fringe_err = np.max(np.abs(truncated_fringe - full_fringe) / np.abs(full_fringe), axis=1)
 
-    return ApproximationReport(
-        delta_n=delta_n,
-        probe_points=(float(probes[0]), float(probes[1])),
-        exact_probability=(float(exact_p[0]), float(exact_p[1])),
-        lowest_order_probability=(float(approx.probability[0]), float(approx.probability[1])),
-        classical_probability=(float(class_p[0]), float(class_p[1])),
-        exact_coherence=(complex(exact_a[0]), complex(exact_a[1])),
-        lowest_order_coherence=(complex(approx.coherence[0]), complex(approx.coherence[1])),
-        classical_coherence=(complex(class_a[0]), complex(class_a[1])),
-        max_probability_error=p_err,
-        max_coherence_error=a_err,
-        max_fringe_truncation_error=fringe_err,
-        boundary_flag=bool(probes[0] < _BOUNDARY_SIGMAS * delta_n),
+    def pairs(values: np.ndarray):
+        return map(tuple, values.tolist())
+
+    # In the order of ApproximationReport's fields.
+    rows = zip(
+        dns,
+        repeat(tuple(probes.tolist())),
+        pairs(exact_p),
+        pairs(approx.probability),
+        repeat(tuple(class_p.tolist())),
+        pairs(exact_a),
+        pairs(approx.coherence),
+        pairs(class_a),
+        p_err.tolist(),
+        a_err.tolist(),
+        fringe_err.tolist(),
+        (probes[0] < _BOUNDARY_SIGMAS * resolutions).tolist(),
     )
+    return [ApproximationReport(*row) for row in rows]

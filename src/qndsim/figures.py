@@ -201,9 +201,9 @@ def sweep_table(
     """
     params = params or _default_params()
     columns, state = _resolution_sweep(params, dn_min, dn_max, dn_step)
-    errors = [approx._error_report(params, state, dn) for dn in columns["delta_n"]]
-    columns["coh_err_vs_exact"] = [err.max_coherence_error for err in errors]
-    columns["coh_err_truncation"] = [err.max_fringe_truncation_error for err in errors]
+    reports = approx._error_columns(params, state, columns["delta_n"])
+    columns["coh_err_vs_exact"] = [report.max_coherence_error for report in reports]
+    columns["coh_err_truncation"] = [report.max_fringe_truncation_error for report in reports]
     return _table(params, columns, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)
 
 

@@ -27,7 +27,9 @@ times band width, not basis size, and temporary memory stays at a few MB.
 Conditional states are the same band sum over the same bands: windows at
 outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
 mean, so one pass gives every step of a trajectory its posterior, and
-:func:`measure` is the one-outcome case.  Quadratures over outcomes use the
+:func:`measure` is the one-outcome case.  Profiles take one width per
+outcome in the same way (:func:`_band_profiles`), so a sweep's probes at
+many resolutions are one pass too.  Quadratures over outcomes use the
 trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
 unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), evaluated
 only where the state has weight (:func:`grid_profiles`).  On a lattice the
@@ -47,7 +49,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, InvalidParam, ToleranceWarning, ZeroProbability
 from .fock import PureState
@@ -151,8 +152,42 @@ def _bands(centers: np.ndarray, widths, levels: int):
         start = rows.stop
 
 
+def _windows(values: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view of every run of ``width`` consecutive entries along the last axis.
+
+    ``_windows(v, width)[..., i, k]`` is ``v[..., i + k]``; ``values`` must be
+    C-contiguous.  Built from the strides by hand: ``sliding_window_view``
+    gives the same view at several times the cost of this small a call.
+    """
+    *lead, size = values.shape
+    step = values.strides[-1]
+    view = np.ndarray(
+        (*lead, size - width + 1, width), values.dtype, values,
+        strides=(*values.strides[:-1], step, step),
+    )
+    view.flags.writeable = False
+    return view
+
+
+def _window_constants(delta_n: float) -> tuple[float, float]:
+    """1/(4 dn^2) and the normalization N = (2 pi dn^2)**-0.5 of a window of width dn."""
+    return 1.0 / (4.0 * delta_n**2), (2.0 * math.pi * delta_n**2) ** -0.5
+
+
 def _profiles(
     state: PureState, n_m: np.ndarray, delta_n: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Density P(n_m) and coherence-weighted density <a>_f(n_m) P(n_m) at one resolution.
+
+    The one-width case of :func:`_band_profiles`.  The benchmark's tracer
+    (``bench/tracing.py``) counts kernel cells from this entry point's float
+    ``delta_n``, so batches of widths call :func:`_band_profiles` directly.
+    """
+    return _band_profiles(state, n_m, delta_n)
+
+
+def _band_profiles(
+    state: PureState, n_m: np.ndarray, delta_n
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density P(n_m) and coherence-weighted density <a>_f(n_m) P(n_m) on a grid.
 
@@ -166,22 +201,40 @@ def _profiles(
     Both Gaussians come from one exponential per cell, e(x) = exp(-x^2/(4 dn^2)):
     g(x) = N e(x)^2 and exp(-1/(8 dn^2)) g(x - 1/2) = N e(x) e(x - 1), with
     N = (2 pi dn^2)**-0.5 and x = n_m - n, over the bands of :func:`_bands`.
-    The grid need not be sorted.
+    The grid need not be sorted.  ``delta_n`` is a float, one width for every
+    outcome, or an array of one width per outcome in any order: the outcomes
+    are then visited widest first, as :func:`_bands` needs, and the results
+    put back in the grid's order.  Each width's 1/(4 dn^2) and N take the
+    float path's scalar arithmetic, so a constant array gives the float
+    call's values bit for bit.
     """
     p, b = state.level_moments()
-    inv_4var = 1.0 / (4.0 * delta_n**2)
+    if np.ndim(delta_n) == 0:
+        order, centers, widths = None, n_m, np.full(n_m.size, delta_n)
+        inv_4var, norm = _window_constants(delta_n)
+        scale = -inv_4var
+    else:
+        order = np.argsort(-delta_n, kind="stable")
+        centers, widths = n_m[order], delta_n[order]
+        constants = np.array([_window_constants(w) for w in widths.tolist()])
+        scale, norm = -constants[:, :1], constants[:, 1]
     density = np.empty(n_m.size)
     coherence = np.empty(n_m.size, dtype=np.complex128)
-    p_bands = b_bands = None
-    for rows, first, x in _bands(n_m, np.full(n_m.size, delta_n), p.size):
-        if p_bands is None:  # one resolution: every chunk's bands have one width
-            p_bands, b_bands = (sliding_window_view(v, x.shape[1]) for v in (p, b))
-        e = np.exp(-inv_4var * x * x)
+    width = None
+    for rows, first, x in _bands(centers, widths, p.size):
+        if x.shape[1] != width:
+            width = x.shape[1]
+            p_bands, b_bands = _windows(p, width), _windows(b, width)
+        # A float width keeps a scalar factor: a column broadcast is slower.
+        e = np.exp((scale if order is None else scale[rows]) * x * x)
         density[rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
         pair = e[:, :-1] * e[:, 1:]
         coherence[rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
-    norm = (2.0 * math.pi * delta_n**2) ** -0.5
-    return norm * density, norm * coherence
+    density, coherence = norm * density, norm * coherence
+    if order is None:
+        return density, coherence
+    back = np.argsort(order)
+    return density[back], coherence[back]
 
 
 def _sequential_posteriors(
@@ -496,7 +549,7 @@ def _lattice_profiles(
     inside = slice(max(base, 0), min(q_last + reach + 2, p.size))
     into = slice(inside.start - base, inside.stop - base)
     levels[0, into], levels[1, into], levels[2, into] = p[inside], b.real[inside], b.imag[inside]
-    windows = sliding_window_view(levels, offsets.size, axis=1)
+    windows = _windows(levels, offsets.size)
 
     anchors = q_last - q_first + 1
     density = np.empty((anchors, per_unit))

@@ -165,12 +165,12 @@ def criterion_lowest_order_accuracy():
     kernel additionally carries the Poisson-envelope asymmetry and is
     reported by ``error_report`` separately.
     """
-    for bound, resolutions in ((0.01, (0.27, 0.30, 0.35)), (0.10, (0.23, 0.25))):
-        for dn in resolutions:
-            report = approx.error_report(_BENCH, dn, _BENCH_N_MAX)
-            yield (f"fringe truncation error at dn={dn} within {bound:.0%}",
-                   report.max_fringe_truncation_error, bound, 0.0, "le")
-    breakdown = approx.error_report(_BENCH, 0.15, _BENCH_N_MAX)
+    bounds = [(0.01, dn) for dn in (0.27, 0.30, 0.35)] + [(0.10, dn) for dn in (0.23, 0.25)]
+    resolutions = [dn for _, dn in bounds] + [0.15]
+    *reports, breakdown = approx._error_columns(_BENCH, _benchmark_state(), resolutions)
+    for (bound, dn), report in zip(bounds, reports):
+        yield (f"fringe truncation error at dn={dn} within {bound:.0%}",
+               report.max_fringe_truncation_error, bound, 0.0, "le")
     yield ("fringe truncation error at dn=0.15 exceeds 10% (breakdown)",
            breakdown.max_fringe_truncation_error, 0.10, 0.0, "ge")
     with warnings.catch_warnings(record=True) as caught:

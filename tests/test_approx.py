@@ -18,6 +18,8 @@ from qndsim import (
     outcome_density,
     quantization_sum,
 )
+from qndsim import approx, figures, measurement
+from qndsim.errors import ZeroProbability
 from qndsim.measurement import trapezoid
 
 ALPHA3 = CoherentParams(3.0, 0.0)
@@ -240,4 +242,43 @@ class TestErrorReport:
         assert report.lowest_order_coherence[0] == pytest.approx(lo.coherence)
         assert report.classical_probability[0] == pytest.approx(
             classical_probability(9.0, 9.0)
+        )
+
+
+class TestErrorColumns:
+    @pytest.mark.parametrize("alpha", [1.0, 3.0, 30.0])
+    def test_sweep_columns_match_one_resolution_reports(self, alpha):
+        params = CoherentParams(alpha)
+        table = figures.sweep_table(params, 0.1, 1.0, 0.002)
+        columns = dict(zip(table.columns, map(list, zip(*table.rows))))
+        reports = [error_report(params, dn) for dn in columns["delta_n"]]
+        want = [report.max_fringe_truncation_error for report in reports]
+        assert columns["coh_err_truncation"] == want
+        exact = np.array([report.max_coherence_error for report in reports])
+        assert np.max(np.abs(np.array(columns["coh_err_vs_exact"]) - exact)) <= 1e-14
+        batch = approx._error_columns(params, coherent_state(params), columns["delta_n"])
+        flags = [report.boundary_flag for report in reports]
+        assert [report.boundary_flag for report in batch] == flags
+        assert any(flags) == (alpha == 1.0)
+
+    def test_sweep_takes_its_error_probes_in_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = measurement._band_profiles
+
+        def counting(state, n_m, delta_n):
+            calls.append(np.size(delta_n))
+            return kernel(state, n_m, delta_n)
+
+        monkeypatch.setattr(measurement, "_band_profiles", counting)
+        assert len(figures.sweep_table(ALPHA3, 0.1, 1.0, 0.002).rows) == 451
+        assert calls == [902]
+
+    def test_vanishing_probe_names_the_smallest_failing_resolution(self):
+        # Between levels the density at 9.5 underflows once dn < 0.0135.
+        state = coherent_state(ALPHA3)
+        with pytest.raises(ZeroProbability) as caught:
+            approx._error_columns(ALPHA3, state, [0.3, 0.013, 0.011, 0.5])
+        assert str(caught.value) == (
+            "error probe n_m = 9.5 has outcome density below 1e-300 at delta_n = 0.011"
+            ", among 2 failing resolutions"
         )

@@ -289,6 +289,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert "requires a bright field" in captured.err
 
+    @pytest.mark.parametrize("dn_min", ["0.01", "0.013"])
+    def test_fine_sweep_names_the_vanishing_error_probe(self, capsys, dn_min):
+        argv = ["sweep", "--dn-min", dn_min, "--dn-max", "0.1", "--dn-step", "0.01"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: error probe n_m = 9.5 has outcome density below 1e-300 at delta_n = {dn_min}\n"
+        )
+
     def test_negative_seed(self, capsys):
         assert cli.main(["sample", "--dn", "0.3", "--count", "3", "--seed", "-1"]) == 2
         captured = capsys.readouterr()

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from qndsim import (
@@ -34,7 +35,15 @@ from qndsim import (
     outcome_density,
     random_state,
 )
-from qndsim.measurement import _BAND_WIDTHS, _CHUNK_CELLS, DENSITY_FLOOR, _bands, _profiles
+from qndsim.measurement import (
+    _BAND_WIDTHS,
+    _CHUNK_CELLS,
+    DENSITY_FLOOR,
+    _band_profiles,
+    _bands,
+    _profiles,
+    _windows,
+)
 
 RTOL = 1e-12
 
@@ -145,6 +154,53 @@ def test_many_chunks():
     state = random_state(60, rng)
     grid = rng.permutation(np.linspace(-2.0, 62.0, 40_000))
     assert_matches_dense(state, grid, 0.1)
+
+
+@pytest.mark.parametrize("delta_n", [0.07, 0.3, 2.0])
+def test_a_constant_width_array_is_the_float_call_bit_for_bit(delta_n):
+    rng = np.random.default_rng(11)
+    state = make_state("poisson", 200, rng)
+    grid = make_grid(200, delta_n, 300, rng)
+    want = _profiles(state, grid, delta_n)
+    got = _band_profiles(state, grid, np.full(grid.size, delta_n))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_one_width_per_outcome_matches_per_width_calls(order):
+    # Narrow windows ride in chunks of wider bands, which may sum them in
+    # another order: the match is to rounding, not to the bit.
+    rng = np.random.default_rng(23)
+    state = make_state("poisson", 300, rng)
+    resolutions = np.array([0.05, 0.1, 0.2, 0.28, 0.35, 1.0, 1.7, 3.0])
+    grid = rng.uniform(-5.0, 305.0, (resolutions.size, 50))
+    widths = np.repeat(resolutions, 50)
+    arrange = {
+        "ascending": np.arange(widths.size),
+        "descending": np.arange(widths.size)[::-1],
+        "shuffled": rng.permutation(widths.size),
+    }[order]
+    density, coherence = _band_profiles(state, grid.ravel()[arrange], widths[arrange])
+    back = np.argsort(arrange)
+    density, coherence = density[back].reshape(grid.shape), coherence[back].reshape(grid.shape)
+    for row, delta_n in enumerate(resolutions):
+        want_density, want_coherence = _profiles(state, grid[row], delta_n)
+        ref_density, ref_coherence, scale = dense_profiles(state, grid[row], delta_n)
+        assert np.all(np.abs(density[row] - want_density) <= 1e-14 * want_density)
+        assert np.all(np.abs(coherence[row] - want_coherence) <= 1e-14 * (scale + DENSITY_FLOOR))
+        live = ref_density > DENSITY_FLOOR
+        assert np.all(np.abs(density[row] - ref_density)[live] <= RTOL * ref_density[live])
+        error = np.abs(coherence[row] - ref_coherence)[live]
+        assert np.all(error <= RTOL * (scale[live] + DENSITY_FLOOR))
+
+
+def test_windows_are_the_sliding_window_view_read_only():
+    values = np.arange(36.0).reshape(3, 12)
+    windows = _windows(values, 5)
+    assert np.array_equal(windows, sliding_window_view(values, 5, axis=1))
+    assert not windows.flags.writeable
+    complex_values = values[0] * (1 + 2j)
+    assert np.array_equal(_windows(complex_values, 4), sliding_window_view(complex_values, 4))
 
 
 def band_width(w, levels):
