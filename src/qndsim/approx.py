@@ -5,11 +5,11 @@ the outcome statistics factorize into a smooth Gaussian envelope and a
 1-periodic quantization factor.  The periodic factor is a comb of Gaussians
 at (half-)integer centers and has a rapidly converging harmonic series:
 
-    comb(x) = 1 + 2 sum_k exp(-2 pi^2 delta_n^2 k^2) cos(2 pi k (x + offset))
+    comb(x) = 1 + 2 sum_k exp(-2 pi^2 delta_n^2 k^2) cos(2 pi k x)
 
-with offset 0 for the integer comb and 1/2 for the half-integer comb.  (The
-half-offset shifts each harmonic by pi*k, so odd harmonics flip sign; the
-usual lowest-order reading keeps k = 1 only, giving 1 -/+ 2 q cos(2 pi x).)
+for the integer comb; the half-integer comb is comb(x + 1/2).  (The half
+shift turns each harmonic by pi*k, so odd harmonics flip sign; the usual
+lowest-order reading keeps k = 1 only, giving 1 -/+ 2 q cos(2 pi x).)
 Keeping only k = 1 yields the lowest-order fringe formulas; dropping the
 periodic factor altogether gives the classical limit.
 
@@ -35,7 +35,7 @@ from . import measurement
 from .errors import InvalidParam, RegimeWarning, ZeroProbability
 from .fock import CoherentParams, PureState, coherent_state
 
-# Default bound on the dropped tail of the quantization-comb harmonic series.
+# Bound on the dropped tail of the quantization-comb harmonic series.
 SERIES_TOL = 1e-14
 
 # Below this resolution the single-harmonic fringe formulas are unreliable.
@@ -62,16 +62,12 @@ class FourierTruncation:
             raise InvalidParam("k_max must be non-negative")
 
     @classmethod
-    def for_resolution(
-        cls, delta_n: float, series_tol: float = SERIES_TOL
-    ) -> "FourierTruncation":
-        """Fewest harmonics whose dropped tail stays below ``series_tol``."""
+    def for_resolution(cls, delta_n: float) -> "FourierTruncation":
+        """Fewest harmonics whose dropped tail stays below ``SERIES_TOL``."""
         delta_n = measurement._check_delta_n(delta_n)
-        if not (0.0 < series_tol < 1.0):
-            raise InvalidParam("series_tol must lie in (0, 1)")
-        limit = math.log(1.0 / series_tol) / (2.0 * math.pi**2 * delta_n**2)
+        limit = math.log(1.0 / SERIES_TOL) / (2.0 * math.pi**2 * delta_n**2)
         trunc = cls(k_max=int(math.floor(math.sqrt(limit))))
-        while trunc.dropped_tail_bound(delta_n) >= series_tol:
+        while trunc.dropped_tail_bound(delta_n) >= SERIES_TOL:
             trunc = cls(trunc.k_max + 1)
         return trunc
 
@@ -88,29 +84,25 @@ class FourierTruncation:
         return 2.0 * total
 
 
-def quantization_sum(n_m, delta_n: float, offset: float = 0.0):
-    """Periodic quantization factor via its harmonic series.
+def quantization_sum(n_m, delta_n: float):
+    """Periodic quantization factor of the integer comb via its harmonic series.
 
-    ``offset`` selects the comb of Gaussian centers: 0 for integers, 1/2 for
-    half-integers.  The series keeps the harmonics of
-    :meth:`FourierTruncation.for_resolution`, so it agrees with the directly
-    summed comb of Gaussians to the series truncation tolerance.  Accepts
-    scalar or array ``n_m``.
+    The half-integer comb is ``quantization_sum(n_m + 0.5, delta_n)``.  The
+    series keeps the harmonics of :meth:`FourierTruncation.for_resolution`,
+    so it agrees with the directly summed comb of Gaussians to the series
+    truncation tolerance.  Accepts scalar or array ``n_m``.
     """
-    if offset not in (0.0, 0.5):
-        raise InvalidParam("offset must be 0 or 1/2")
     delta_n = measurement._check_delta_n(delta_n)
-    grid = measurement._grid(n_m)
-    value = _quantization_sums(grid + offset, [delta_n])[0]
+    value = _quantization_sums(measurement._grid(n_m), [delta_n])[0]
     return measurement._scalar_or_array(n_m, value)
 
 
 def _quantization_sums(grid: np.ndarray, resolutions) -> np.ndarray:
-    """Integer-comb :func:`quantization_sum` on ``grid``, one row per resolution.
+    """:func:`quantization_sum` on ``grid``, one row per resolution.
 
-    The half-integer comb is this sum at n_m + 1/2.  Each row adds its
-    harmonics k = 1..k_max in increasing k; a row's zero amplitudes beyond
-    its k_max add 2 * 0 * cos = +-0, which leaves the sum's bits as they are.
+    Each row adds its harmonics k = 1..k_max in increasing k; a row's zero
+    amplitudes beyond its k_max add 2 * 0 * cos = +-0, which leaves the sum's
+    bits as they are.
     """
     k_max = [FourierTruncation.for_resolution(dn).k_max for dn in resolutions]
     amplitudes = np.zeros((len(k_max), max(k_max) + 1))

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import approx, measurement
-from .errors import InvalidParam
 from .fock import (
     CoherentParams,
     PureState,
@@ -27,6 +26,10 @@ from .fock import (
     expectation_parity_squared,
 )
 from .measurement import MeasurementConfig, trapezoid
+
+# Resolutions on which |covariance| is unimodal, narrowed to _ARGMAX_TOL by the search.
+_ARGMAX_BRACKET = (0.1, 1.0)
+_ARGMAX_TOL = 1e-5
 
 
 def quantization(n_m):
@@ -53,7 +56,7 @@ class CorrelationReport:
     avg_coherence`` computed from the quadrature values, so that identity is
     exact by construction.  ``analytic_deltas`` records how far each
     quadrature lies from its closed form; ``consistent`` checks them against
-    ``tolerance``.
+    ``QUAD_TOL``.
     """
 
     delta_n: float
@@ -62,11 +65,10 @@ class CorrelationReport:
     q_coherence_product: complex
     correlation: complex
     analytic_deltas: dict[str, float]
-    tolerance: float
 
     @property
     def consistent(self) -> bool:
-        return all(delta <= self.tolerance for delta in self.analytic_deltas.values())
+        return all(delta <= measurement.QUAD_TOL for delta in self.analytic_deltas.values())
 
 
 def quantization_coherence_correlation(
@@ -112,7 +114,6 @@ def _correlation_report(
         q_coherence_product=q_product,
         correlation=correlation,
         analytic_deltas=deltas,
-        tolerance=measurement.QUAD_TOL,
     )
 
 
@@ -123,21 +124,12 @@ def correlation_at(params: CoherentParams, delta_n: float) -> complex:
     return _correlation_report(params, state, config).correlation
 
 
-def argmax_correlation_resolution(
-    params: CoherentParams,
-    dn_min: float = 0.1,
-    dn_max: float = 1.0,
-    tol: float = 1e-5,
-) -> float:
+def argmax_correlation_resolution(params: CoherentParams) -> float:
     """Resolution maximizing |covariance|, located by golden-section search.
 
-    The quadrature-evaluated covariance magnitude is unimodal on the default
-    bracket; the search narrows it to ``tol``.  The state is built once.
+    The quadrature-evaluated |covariance| is unimodal on ``_ARGMAX_BRACKET``;
+    the search narrows it to ``_ARGMAX_TOL``.  The state is built once.
     """
-    if not (0 < dn_min < dn_max):
-        raise InvalidParam("need 0 < dn_min < dn_max")
-    if tol <= 0:
-        raise InvalidParam("tol must be positive")
     state = coherent_state(params)
 
     def objective(dn: float) -> float:
@@ -145,11 +137,11 @@ def argmax_correlation_resolution(
         return -abs(_correlation_report(params, state, config).correlation)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = dn_min, dn_max
+    lo, hi = _ARGMAX_BRACKET
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
+    while hi - lo > _ARGMAX_TOL:
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)

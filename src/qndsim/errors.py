@@ -14,7 +14,7 @@ class TruncationTooSmall(QndError):
 
 
 class ZeroProbability(QndError):
-    """An outcome so far outside the state's support that its density underflows."""
+    """An outcome density that underflows: far outside the support, or between levels."""
 
 
 class GridTooNarrow(QndError):

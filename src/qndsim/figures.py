@@ -157,10 +157,11 @@ def figure_table(
 
     p_exact, coherence = measurement._profiles(state, grid, dn)
     if np.any(p_exact < measurement.DENSITY_FLOOR):
-        raise InvalidParam(
+        raise InvalidParam(measurement._underflow(
+            state, grid[p_exact < measurement.DENSITY_FLOOR], dn,
             f"outcome grid [{grid_min:g}, {grid_max:g}] reaches outside the state's "
-            f"support around <n> = {params.mean_photon_number:g}"
-        )
+            f"support around <n> = {params.mean_photon_number:g}",
+        ))
     a_exact = np.abs(coherence / p_exact)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)

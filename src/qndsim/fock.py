@@ -34,14 +34,6 @@ SUPPORT_TAIL = 1e-16
 _MIN_CERTIFIABLE_TAIL = 1e-15
 
 
-def _fold_phase(phi: float) -> float:
-    """Fold an angle into (-pi, pi]."""
-    folded = math.remainder(phi, 2.0 * math.pi)
-    if folded <= -math.pi:
-        folded += 2.0 * math.pi
-    return folded
-
-
 class CoherentParams:
     """Magnitude and phase of a coherent field, alpha = magnitude * exp(-1j * phase).
 
@@ -58,7 +50,8 @@ class CoherentParams:
         if magnitude < 0.0:
             raise InvalidParam("coherent-state magnitude must be non-negative")
         self.magnitude = magnitude
-        self.phase = _fold_phase(phase)
+        folded = math.remainder(phase, 2.0 * math.pi)
+        self.phase = folded + 2.0 * math.pi if folded <= -math.pi else folded
 
     @property
     def alpha(self) -> complex:
@@ -85,17 +78,13 @@ class PureState:
     downstream identities hold at machine precision.  Use
     :meth:`from_unnormalized` for arbitrary nonzero vectors.
 
-    ``truncation_adequate`` records whether the constructor certified that
-    the top five basis levels carry negligible weight (so the cutoff is
-    comfortable, not merely sufficient).
-
     The level moments and the support are derived once, on first use, and
     kept with the state: the amplitudes are read-only, so they never go stale.
     """
 
-    __slots__ = ("amplitudes", "truncation_adequate", "_moments", "_support")
+    __slots__ = ("amplitudes", "_moments", "_support")
 
-    def __init__(self, amplitudes, truncation_adequate: bool = False):
+    def __init__(self, amplitudes):
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise InvalidParam("amplitudes must form a non-empty 1-D vector")
@@ -109,7 +98,6 @@ class PureState:
         amps = amps / norm
         amps.setflags(write=False)
         self.amplitudes = amps
-        self.truncation_adequate = bool(truncation_adequate)
         self._moments = self._support = None
 
     @classmethod
@@ -174,7 +162,7 @@ def number_state(n: int, n_max: int | None = None) -> PureState:
         raise InvalidParam("n_max must be at least n")
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[n] = 1.0
-    return PureState(amps, truncation_adequate=True)
+    return PureState(amps)
 
 
 def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureState:
@@ -207,13 +195,10 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
         raise TruncationTooSmall(
             f"mass {tail:.3e} beyond n_max={n_max} exceeds {DEFAULT_TAIL_TOL:.3e}"
         )
-    # Mass on the top five levels and beyond.
-    top_band = float(pdtrc(n_max - 5, lam)) if n_max >= 5 else 1.0
-    adequate = top_band < DEFAULT_TAIL_TOL
 
     amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
     amps /= np.linalg.norm(amps)
-    return PureState(amps, truncation_adequate=adequate)
+    return PureState(amps)
 
 
 def choose_truncation(params: CoherentParams, tail_tol: float) -> int:

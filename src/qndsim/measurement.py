@@ -259,8 +259,8 @@ def _sequential_posteriors(
     Raises
     ------
     ZeroProbability
-        If a pass's density falls below ``DENSITY_FLOOR``, i.e. an outcome
-        lies far outside the state's support.
+        If a pass's density falls below ``DENSITY_FLOOR``: an outcome lies far
+        outside the support, or the pass's window (width dn / sqrt(j)) falls between levels.
     """
     p, b = state.level_moments()
     passes = np.arange(1, outcomes.size + 1)
@@ -282,7 +282,8 @@ def _sequential_posteriors(
         total = np.einsum("ij,ij,ij->i", p_band, e, e)
         density[rows] = norm[rows] * total
         if not density[rows].min() >= DENSITY_FLOOR:  # also catches NaN
-            raise ZeroProbability("an outcome lies far outside the state's support")
+            j = rows.start + int(np.argmin(density[rows] >= DENSITY_FLOOR))
+            raise ZeroProbability(_underflow(state, centers[j : j + 1], delta_n / root[j]))
         weight = p_band * e
         weight *= e
         peak = weight.max(axis=1, keepdims=True)
@@ -340,8 +341,8 @@ def measure(state: PureState, n_m: float, delta_n: float) -> OutcomeRecord:
     Raises
     ------
     ZeroProbability
-        If the outcome density underflows, i.e. ``n_m`` lies far outside the
-        state's support.
+        If the outcome density underflows: ``n_m`` lies far outside the
+        state's support, or the window is too narrow to reach a level.
     """
     delta_n = _check_delta_n(delta_n)
     density, _, _, coherence, post = _sequential_posteriors(state, _grid(n_m), delta_n)
@@ -359,21 +360,31 @@ def coherence_after(state: PureState, n_m, delta_n: float):
         Where the outcome density underflows.
     """
     delta_n = _check_delta_n(delta_n)
-    _, ratio = _conditional_profiles(state, _grid(n_m), delta_n)
-    return _scalar_or_array(n_m, ratio)
-
-
-def _conditional_profiles(
-    state: PureState, n_m: np.ndarray, delta_n: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Density P(n_m) and conditional coherence <a>_f(n_m) from one kernel pass.
-
-    Raises ``ZeroProbability`` where the density falls below ``DENSITY_FLOOR``.
-    """
-    density, coherence = _profiles(state, n_m, delta_n)
+    grid = _grid(n_m)
+    density, coherence = _profiles(state, grid, delta_n)
     if np.any(density < DENSITY_FLOOR):
-        raise ZeroProbability("an outcome lies far outside the state's support")
-    return density, coherence / density
+        raise ZeroProbability(_underflow(state, grid[density < DENSITY_FLOOR], delta_n))
+    return _scalar_or_array(n_m, coherence / density)
+
+
+def _underflow(
+    state: PureState, vanished: np.ndarray, delta_n: float,
+    beyond: str = "an outcome lies far outside the state's support",
+) -> str:
+    """Why the densities at the outcomes ``vanished`` underflowed.
+
+    Within the state's support padded by ``_PAD_WIDTHS`` = 8 widths, only a
+    window too narrow to reach a level underflows: at half-integers, below
+    about delta_n = 0.0135.  An outcome beyond gives the message ``beyond``.
+    """
+    first, last = state.support()
+    pad = _PAD_WIDTHS * delta_n
+    if not np.all((first - pad <= vanished) & (vanished <= last + pad)):
+        return beyond
+    return (
+        f"the window at n_m = {vanished[0]:g} with delta_n = {delta_n:g} falls between "
+        "levels and its density underflowed (below about delta_n 0.0135 at half-integers)"
+    )
 
 
 def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
@@ -391,11 +402,6 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     _, density, _, quantization = _lattice_profiles(state, config)
     # Q is +1 on the integers (residue 0) and -1 on the half-integers.
     return float(density[quantization > 0].sum() / density[quantization < 0].sum())
-
-
-# First and last levels that leave at most SUPPORT_TAIL of the mass beyond
-# each end; scanned once per state.
-_support = PureState.support
 
 
 def _lattice_floor(x: float, per_unit: int) -> int:

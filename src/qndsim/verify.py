@@ -184,7 +184,7 @@ def criterion_lowest_order_accuracy():
 def criterion_correlation_maximum():
     """Location and value of the quantization/coherence covariance maximum."""
     target = 1.0 / (2.0 * math.sqrt(math.pi))
-    dn_star = correlations.argmax_correlation_resolution(_BENCH, 0.1, 1.0, tol=1e-5)
+    dn_star = correlations.argmax_correlation_resolution(_BENCH)
     config = measurement.MeasurementConfig.adequate(dn_star, _BENCH_N_MAX)
     q_bar = correlations.average_quantization(_benchmark_state(), config)
     reference = math.exp(-math.pi / 2.0)

@@ -50,22 +50,22 @@ class TestQuantizationSum:
         grid = np.arange(0.0, 20.0001, 0.05)
         for dn in np.arange(0.15, 3.0001, 0.05):
             for offset in (0.0, 0.5):
-                series = quantization_sum(grid, float(dn), offset)
+                series = quantization_sum(grid + offset, float(dn))
                 comb = gaussian_comb(grid, float(dn), offset)
                 assert np.max(np.abs(series - comb)) < 1e-10
 
     def test_classical_limit_is_flat(self):
         for n_m in (0.0, 0.25, 7.5, 13.0):
-            assert quantization_sum(n_m, 2.0, 0.0) == pytest.approx(1.0, abs=1e-8)
-            assert quantization_sum(n_m, 2.0, 0.5) == pytest.approx(1.0, abs=1e-8)
+            assert quantization_sum(n_m, 2.0) == pytest.approx(1.0, abs=1e-8)
+            assert quantization_sum(n_m + 0.5, 2.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_lowest_order_value_at_integer(self):
         # 1 + 2 exp(-2 pi^2 0.16) = 1.085 to lowest order
-        assert quantization_sum(9.0, 0.4, 0.0) == pytest.approx(1.085, abs=1e-3)
+        assert quantization_sum(9.0, 0.4) == pytest.approx(1.085, abs=1e-3)
 
     def test_half_offset_at_quarter_point(self):
         # matches the comb at a point where odd and even harmonics differ
-        value = quantization_sum(9.25, 0.25, 0.0)
+        value = quantization_sum(9.25, 0.25)
         assert value == pytest.approx(gaussian_comb(9.25, 0.25, 0.0), abs=1e-12)
 
     def test_comb_is_one_periodic(self):
@@ -74,10 +74,6 @@ class TestQuantizationSum:
             a = gaussian_comb(grid, 0.3, offset)
             b = gaussian_comb(grid + 1.0, 0.3, offset)
             assert np.max(np.abs(a - b)) < 1e-13
-
-    def test_rejects_bad_offset(self):
-        with pytest.raises(InvalidParam):
-            quantization_sum(1.0, 0.3, 0.25)
 
 
 class TestFourierTruncation:

@@ -235,6 +235,15 @@ class TestBrightFields:
 
 
 class TestExitCodes:
+    def test_window_between_levels(self, capsys):
+        # The default grid [0, 20] lies on the state, but at dn = 0.01 the
+        # density underflows between levels.
+        assert cli.main(["figure", "3", "--dn", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "with delta_n = 0.01 falls between levels" in captured.err
+        assert "outside" not in captured.err
+
     def test_invalid_figure_id(self, capsys):
         assert cli.main(["figure", "9"]) == 2
         capsys.readouterr()

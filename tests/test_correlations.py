@@ -28,7 +28,7 @@ from qndsim import (
 from qndsim import correlations, figures, fock
 from qndsim.correlations import _apply_annihilation, _apply_parity
 from qndsim.fock import _scan_support as scan_support
-from qndsim.measurement import QUAD_TOL, _profiles, _support, trapezoid
+from qndsim.measurement import QUAD_TOL, _profiles, trapezoid
 from test_kernel import make_state
 
 ALPHA3 = CoherentParams(3.0, 0.0)
@@ -92,10 +92,10 @@ def test_aliasing_bounded_grid_matches_fine_grid(n_max, delta_n, kind, seed):
 def test_support_leaves_at_most_1e_16_beyond_each_end():
     state = coherent_state(CoherentParams(30.0), 1119)
     p = state.probabilities()
-    n_min, n_max = _support(state)
+    n_min, n_max = state.support()
     assert p[:n_min].sum() <= 1e-16 < p[: n_min + 1].sum()
     assert n_max == 1119  # the cutoff's 1e-12 tail lies inside the support
-    assert _support(number_state(7, 20)) == (7, 7)
+    assert number_state(7, 20).support() == (7, 7)
 
 
 def test_grid_profiles_trims_the_grid_to_the_support():
@@ -104,7 +104,7 @@ def test_grid_profiles_trims_the_grid_to_the_support():
     state = coherent_state(CoherentParams(25.0, 0.4), 1015)
     config = MeasurementConfig.adequate(0.3, state.n_max)
     grid, density, coherence = grid_profiles(state, config)
-    first, last = _support(state)
+    first, last = state.support()
     low, high = first - 8 * 0.3, last + 8 * 0.3
     assert low - config.grid_step < grid[0] <= low
     assert high <= grid[-1] < high + config.grid_step
@@ -350,13 +350,18 @@ class TestArgmax:
             return coherent_state(*args, **kwargs)
 
         monkeypatch.setattr(correlations, "coherent_state", counting)
-        argmax_correlation_resolution(ALPHA3, 0.1, 1.0, tol=1e-3)
+        argmax_correlation_resolution(ALPHA3)
         assert len(built) == 1
 
     def test_location(self):
-        dn_star = argmax_correlation_resolution(ALPHA3, 0.1, 1.0, tol=1e-5)
+        dn_star = argmax_correlation_resolution(ALPHA3)
+        assert abs(dn_star - PEAK_RESOLUTION) < 1e-4
+
+    @pytest.mark.parametrize("magnitude", [1.0, 30.0])
+    def test_location_away_from_alpha_3(self, magnitude):
+        dn_star = argmax_correlation_resolution(CoherentParams(magnitude, 0.7))
         assert abs(dn_star - PEAK_RESOLUTION) < 1e-4
 
     def test_both_factors_equal_at_peak(self):
-        dn_star = argmax_correlation_resolution(ALPHA3, 0.1, 1.0, tol=1e-5)
+        dn_star = argmax_correlation_resolution(ALPHA3)
         assert closed_q_bar(dn_star) == pytest.approx(decoherence_factor(dn_star), abs=1e-4)

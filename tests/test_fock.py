@@ -116,12 +116,6 @@ class TestCoherentState:
         with pytest.raises(TruncationTooSmall):
             coherent_state(CoherentParams(3.0), 15)
 
-    def test_adequacy_flag(self):
-        assert coherent_state(CoherentParams(3.0), 60).truncation_adequate
-        # minimal cutoff is sufficient but not comfortable
-        n_min = choose_truncation(CoherentParams(3.0), 1e-12)
-        assert not coherent_state(CoherentParams(3.0), n_min).truncation_adequate
-
     def test_normalized_within_1e12(self):
         for mag in (0.5, 1.0, 3.0, 6.0):
             state = coherent_state(CoherentParams(mag), choose_truncation(CoherentParams(mag), 1e-12))
@@ -175,7 +169,6 @@ class TestChooseTruncation:
             default = coherent_state(params)
             explicit = coherent_state(params, default_cutoff(params))
             assert default.amplitudes.tobytes() == explicit.amplitudes.tobytes()
-            assert default.truncation_adequate == explicit.truncation_adequate
 
     def test_rejects_bad_tolerance(self):
         for tol in (0.0, 1.0, -0.1, 1e-16):

@@ -245,6 +245,17 @@ class TestCoherenceAfter:
             assert np.angle(a_rot) == pytest.approx(-1.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("readout", [measure, coherence_after])
+def test_vanished_density_names_its_cause(readout):
+    # The default basis of alpha = 3 is levels 0..37, all of them in the support:
+    # at its mean a window of 0.012 falls between levels, 60 lies beyond them.
+    state = coherent_state(ALPHA3)
+    with pytest.raises(ZeroProbability, match="n_m = 9.5 with delta_n = 0.012 falls between"):
+        readout(state, 9.5, 0.012)
+    with pytest.raises(ZeroProbability, match="^an outcome lies far outside the state's support$"):
+        readout(state, 60.0, 0.012)
+
+
 class TestAverageCoherence:
     def test_vacuum_zero(self):
         config = MeasurementConfig.adequate(0.5, 0)
@@ -405,7 +416,7 @@ _SCALAR_OR_ARRAY = {
     "coherence_density": (lambda n, s: coherence_density(s, n, 0.3), (complex,)),
     "coherence_after": (lambda n, s: coherence_after(s, n, 0.3), (complex,)),
     "quantization": (lambda n, s: quantization(n), (float,)),
-    "quantization_sum": (lambda n, s: quantization_sum(n, 0.3, 0.5), (float,)),
+    "quantization_sum": (lambda n, s: quantization_sum(n, 0.3), (float,)),
     "classical_probability": (lambda n, s: classical_probability(9.0, n), (float,)),
     "classical_coherence": (lambda n, s: classical_coherence(ALPHA3, 0.3, n), (complex,)),
     "lowest_order": (lambda n, s: lowest_order(ALPHA3, 0.3, n), (float, complex)),
