@@ -24,10 +24,10 @@ state = coherent_state(params, 60)
 print("one trajectory: 25 passes at delta_n = 0.3, seed 13")
 trajectory = repeated_measurement(state, 0.3, 25, 13)
 print(f"{'pass':>4} {'outcome':>8} {'<n>':>7} {'Var(n)':>8} {'|<a>|':>7}")
-for i, step in enumerate(trajectory.steps):
+columns = (trajectory.outcomes, trajectory.mean_n, trajectory.var_n, trajectory.coherence_mag)
+for i, (n_m, mean_n, var_n, coherence_mag) in enumerate(zip(*columns)):
     if i < 5 or i % 5 == 4:
-        print(f"{i + 1:>4} {step.n_m:>8.3f} {step.mean_n:>7.3f} "
-              f"{step.var_n:>8.4f} {step.coherence_mag:>7.4f}")
+        print(f"{i + 1:>4} {n_m:>8.3f} {mean_n:>7.3f} {var_n:>8.4f} {coherence_mag:>7.4f}")
 
 weights = trajectory.final_state.probabilities()
 print(f"final state: weight {weights.max():.6f} on |{int(np.argmax(weights))}>")

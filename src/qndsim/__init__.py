@@ -52,7 +52,6 @@ from .measurement import (
 )
 from .approx import (
     ApproximationReport,
-    FourierTruncation,
     classical_coherence,
     classical_probability,
     error_report,
@@ -73,7 +72,6 @@ from .correlations import (
 from .trajectories import (
     PhaseDiffusionResult,
     Trajectory,
-    TrajectoryStep,
     effective_post_state,
     phase_diffusion_equivalence,
     repeated_measurement,

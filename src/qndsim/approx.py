@@ -51,44 +51,32 @@ def fringe_amplitude(delta_n: float, k: int = 1) -> float:
     return math.exp(-2.0 * math.pi**2 * delta_n**2 * k * k)
 
 
-@dataclass(frozen=True)
-class FourierTruncation:
-    """Number of harmonics retained when evaluating the quantization comb."""
+def _harmonics(delta_n: float) -> int:
+    """Fewest harmonics k_max whose dropped tail stays below ``SERIES_TOL``."""
+    delta_n = measurement._check_delta_n(delta_n)
+    limit = math.log(1.0 / SERIES_TOL) / (2.0 * math.pi**2 * delta_n**2)
+    k_max = int(math.floor(math.sqrt(limit)))
+    while _dropped_tail(delta_n, k_max) >= SERIES_TOL:
+        k_max += 1
+    return k_max
 
-    k_max: int
 
-    def __post_init__(self):
-        if self.k_max < 0:
-            raise InvalidParam("k_max must be non-negative")
-
-    @classmethod
-    def for_resolution(cls, delta_n: float) -> "FourierTruncation":
-        """Fewest harmonics whose dropped tail stays below ``SERIES_TOL``."""
-        delta_n = measurement._check_delta_n(delta_n)
-        limit = math.log(1.0 / SERIES_TOL) / (2.0 * math.pi**2 * delta_n**2)
-        trunc = cls(k_max=int(math.floor(math.sqrt(limit))))
-        while trunc.dropped_tail_bound(delta_n) >= SERIES_TOL:
-            trunc = cls(trunc.k_max + 1)
-        return trunc
-
-    def dropped_tail_bound(self, delta_n: float) -> float:
-        """Upper bound on twice the summed coefficients beyond ``k_max``."""
-        total = 0.0
-        k = self.k_max + 1
-        while True:
-            term = fringe_amplitude(delta_n, k)
-            total += term
-            if term < 1e-30 or k > self.k_max + 64:
-                break
-            k += 1
-        return 2.0 * total
+def _dropped_tail(delta_n: float, k_max: int) -> float:
+    """Upper bound on twice the summed coefficients beyond ``k_max``."""
+    total = 0.0
+    for k in range(k_max + 1, k_max + 66):
+        term = fringe_amplitude(delta_n, k)
+        total += term
+        if term < 1e-30:
+            break
+    return 2.0 * total
 
 
 def quantization_sum(n_m, delta_n: float):
     """Periodic quantization factor of the integer comb via its harmonic series.
 
     The half-integer comb is ``quantization_sum(n_m + 0.5, delta_n)``.  The
-    series keeps the harmonics of :meth:`FourierTruncation.for_resolution`,
+    series keeps the harmonics of :func:`_harmonics`,
     so it agrees with the directly summed comb of Gaussians to the series
     truncation tolerance.  Accepts scalar or array ``n_m``.
     """
@@ -104,7 +92,7 @@ def _quantization_sums(grid: np.ndarray, resolutions) -> np.ndarray:
     amplitudes beyond its k_max add 2 * 0 * cos = +-0, which leaves the sum's
     bits as they are.
     """
-    k_max = [FourierTruncation.for_resolution(dn).k_max for dn in resolutions]
+    k_max = [_harmonics(dn) for dn in resolutions]
     amplitudes = np.zeros((len(k_max), max(k_max) + 1))
     for row, (dn, top) in enumerate(zip(resolutions, k_max)):
         amplitudes[row, 1 : top + 1] = [fringe_amplitude(dn, k) for k in range(1, top + 1)]

@@ -5,7 +5,7 @@ Subcommands::
     qnd figure <1-5> [--alpha M] [--phase R] [--out PATH] [--format csv|json]
     qnd sweep --dn-min A --dn-max B --dn-step S [...]
     qnd sample --dn X --count N --seed K [...]
-    qnd verify [--only GROUP]
+    qnd verify [--only NAME]
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 I/O error.  Output files are byte-identical for identical arguments:
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("verify", help="run the acceptance checks")
     check.add_argument("--only", default=None,
-                       help="restrict to one check group (see docs)")
+                       help="run only the named criterion (see docs)")
     return parser
 
 

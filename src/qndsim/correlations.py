@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import approx, measurement
+from .errors import InvalidParam
 from .fock import (
     CoherentParams,
     PureState,
@@ -130,6 +131,8 @@ def argmax_correlation_resolution(params: CoherentParams) -> float:
     The quadrature-evaluated |covariance| is unimodal on ``_ARGMAX_BRACKET``;
     the search narrows it to ``_ARGMAX_TOL``.  The state is built once.
     """
+    if params.magnitude == 0.0:
+        raise InvalidParam("correlation maximum requires a bright field")
     state = coherent_state(params)
 
     def objective(dn: float) -> float:

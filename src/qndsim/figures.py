@@ -216,15 +216,13 @@ def sample_table(
 ) -> Table:
     """Sequential readout shots on a fresh coherent state, one row per draw."""
     params = params or _default_params()
-    if count < 1:
-        raise InvalidParam("count must be at least 1")
     state = coherent_state(params)
-    steps = trajectories.repeated_measurement(state, delta_n, count, int(seed)).steps
+    trajectory = trajectories.repeated_measurement(state, delta_n, count, int(seed))
     columns = {
-        "step": range(len(steps)),
-        "n_m": [step.n_m for step in steps],
-        "post_mean_n": [step.mean_n for step in steps],
-        "post_var_n": [step.var_n for step in steps],
-        "a_f_abs": [step.coherence_mag for step in steps],
+        "step": range(count),
+        "n_m": trajectory.outcomes,
+        "post_mean_n": trajectory.mean_n,
+        "post_var_n": trajectory.var_n,
+        "a_f_abs": trajectory.coherence_mag,
     }
     return _table(params, columns, delta_n=delta_n, count=count, seed=int(seed))

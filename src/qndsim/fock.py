@@ -28,6 +28,10 @@ DEFAULT_TAIL_TOL = 1e-12
 # end of a state's support (:meth:`PureState.support`).
 SUPPORT_TAIL = 1e-16
 
+# Largest basis coherent_state builds, in levels (about |alpha| 3 150); a
+# larger one is refused before anything is allocated.
+MAX_LEVELS = 10**7
+
 # A tail below double-precision resolution of the state's unit norm changes
 # nothing the renormalized state can represent, so tolerances below this are
 # refused.
@@ -174,12 +178,16 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
 
     Raises
     ------
+    InvalidParam
+        If the basis would hold more than ``MAX_LEVELS`` levels.
     TruncationTooSmall
         If the Poisson mass beyond ``n_max`` is ``DEFAULT_TAIL_TOL`` or more.
     """
     n_max = default_cutoff(params) if n_max is None else int(n_max)
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")
+    if n_max >= MAX_LEVELS:
+        raise InvalidParam(f"a basis of {n_max + 1} levels exceeds {MAX_LEVELS} levels")
 
     lam = params.mean_photon_number
     n = np.arange(n_max + 1)

@@ -71,10 +71,6 @@ _PAD_WIDTHS = 8.0
 # MeasurementConfig.adequate).
 _ALIAS_C = 1.38
 
-# A grid step h is a lattice step when 1/h is an integer to this relative
-# tolerance.
-_LATTICE_TOL = 1e-12
-
 # Probability mass a quadrature grid may miss before it is too narrow; also
 # the tolerance of quadratures against their closed forms.
 QUAD_TOL = 1e-8
@@ -396,9 +392,7 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     the ratio isolates the periodic quantization contrast and is the same for
     every state.
     """
-    delta_n = _check_delta_n(delta_n)
-    pad = _PAD_WIDTHS * delta_n
-    config = MeasurementConfig(delta_n, -pad, state.n_max + pad, 0.5)
+    config = MeasurementConfig(delta_n, state.n_max, 2)
     _, density, _, quantization = _lattice_profiles(state, config)
     # Q is +1 on the integers (residue 0) and -1 on the half-integers.
     return float(density[quantization > 0].sum() / density[quantization < 0].sum())
@@ -417,36 +411,27 @@ def _lattice_floor(x: float, per_unit: int) -> int:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Resolution plus a lattice of outcomes j/M for quadrature over outcomes.
+    """Resolution plus the lattice of outcomes j/M over levels 0..n_max, for quadrature.
 
-    ``grid_step`` must be 1/M for an integer M.  The grid is the run of
-    lattice points from the last one at or below ``grid_min`` to the first one
-    at or above ``grid_max``.  For full-line averages it must cover the
-    state's support with ``_PAD_WIDTHS`` = 8 resolution widths of padding;
-    ``adequate`` builds such a grid with a step whose aliasing of the
-    unit-period fringes is bounded.
+    The grid runs from the last lattice point at or below -8 widths to the
+    first one at or above n_max + 8 widths: the basis padded by
+    ``_PAD_WIDTHS`` = 8 resolution widths, with both ends on the lattice.
+    ``per_unit`` is M; ``adequate`` picks it so that the step's aliasing of
+    the unit-period fringes is bounded.
     """
 
     delta_n: float
-    grid_min: float
-    grid_max: float
-    grid_step: float
+    n_max: int
+    per_unit: int
 
     def __post_init__(self):
         _check_delta_n(self.delta_n)
-        if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
-            raise InvalidParam("grid bounds must be finite")
-        if self.grid_step <= 0 or not math.isfinite(self.grid_step):
-            raise InvalidParam("grid_step must be positive")
-        if abs(self.per_unit * self.grid_step - 1.0) > _LATTICE_TOL:
-            raise InvalidParam(f"grid_step {self.grid_step!r} is not 1/M for an integer M")
-        if self.grid_min >= self.grid_max:
-            raise InvalidParam("grid_min must be below grid_max")
+        if not (self.n_max >= 0 and self.per_unit >= 1 and float(self.per_unit).is_integer()):
+            raise InvalidParam("need n_max >= 0 and an integer per_unit >= 1")
 
     @property
-    def per_unit(self) -> int:
-        """M, the number of lattice points per unit outcome."""
-        return round(1.0 / self.grid_step)
+    def grid_step(self) -> float:
+        return 1.0 / self.per_unit
 
     @classmethod
     def adequate(cls, delta_n: float, n_max: int) -> "MeasurementConfig":
@@ -463,25 +448,18 @@ class MeasurementConfig:
         at every dn, with c = 1.38 >= sqrt(ln(2e16) / (2 pi^2)).  The density
         alone aliases only exp(-2 pi^2 dn^2 / h^2), less still; the
         coherence's Gaussians sit at n + 1/2, so its error is the same bound
-        times sum_n |b_n|.  The bounds sit on the lattice.
+        times sum_n |b_n|.
 
         The grid spans the whole basis; :func:`grid_profiles` evaluates only
         the part of it that covers the state's support.
         """
         delta_n = _check_delta_n(delta_n)
-        per_unit = 1 + math.ceil(_ALIAS_C / delta_n)
-        pad = _PAD_WIDTHS * delta_n
-        return cls(
-            delta_n=delta_n,
-            grid_min=_lattice_floor(-pad, per_unit) / per_unit,
-            grid_max=-_lattice_floor(-(n_max + pad), per_unit) / per_unit,
-            grid_step=1.0 / per_unit,
-        )
+        return cls(delta_n, n_max, 1 + math.ceil(_ALIAS_C / delta_n))
 
     def _indices(self) -> tuple[int, int]:
         """Indices j of the grid's first and last points j / M."""
-        per_unit = self.per_unit
-        return _lattice_floor(self.grid_min, per_unit), -_lattice_floor(-self.grid_max, per_unit)
+        pad, per_unit = _PAD_WIDTHS * self.delta_n, self.per_unit
+        return _lattice_floor(-pad, per_unit), -_lattice_floor(-(self.n_max + pad), per_unit)
 
     def grid(self) -> np.ndarray:
         first, last = self._indices()

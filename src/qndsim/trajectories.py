@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,32 +59,24 @@ def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
     return measurement.measure(state, n_m, delta_n)
 
 
-class TrajectoryStep(NamedTuple):
-    """Per-pass summary: outcome and conditional-state moments."""
-
-    n_m: float
-    mean_n: float
-    var_n: float
-    coherence_mag: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One sequential readout record at fixed resolution.
+    """One sequential readout record at fixed resolution, one array entry per pass.
 
-    ``seed`` is the integer seed when one was supplied (None when the caller
-    passed a live generator).  ``final_state`` is the conditional state after
-    the last pass.
+    ``outcomes`` holds the readout values; ``mean_n``, ``var_n`` and
+    ``coherence_mag`` the mean photon number, its variance and |<a>| of the
+    conditional state after each pass.  ``seed`` is the integer seed when one
+    was supplied (None when the caller passed a live generator).
+    ``final_state`` is the conditional state after the last pass.
     """
 
     delta_n: float
     seed: int | None
-    steps: list[TrajectoryStep]
+    outcomes: np.ndarray
+    mean_n: np.ndarray
+    var_n: np.ndarray
+    coherence_mag: np.ndarray
     final_state: PureState
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        return np.array([step.n_m for step in self.steps])
 
 
 def repeated_measurement(
@@ -97,7 +89,7 @@ def repeated_measurement(
     around it; with ``count=1`` this is the draw :func:`sample_outcome`
     makes.  The conditional state after pass j is one readout of width
     ``delta_n / sqrt(j)`` at the running mean of the first j outcomes (Gaussian
-    windows multiply), so every step's moments come from that window, as
+    windows multiply), so every pass's moments come from that window, as
     :func:`effective_post_state` builds it for the last pass.
     """
     if count < 1:
@@ -108,9 +100,7 @@ def repeated_measurement(
     _, mean_n, var_n, coherence, final = measurement._sequential_posteriors(
         state, outcomes, delta_n
     )
-    columns = (outcomes.tolist(), mean_n.tolist(), var_n.tolist(), np.abs(coherence).tolist())
-    steps = list(map(TrajectoryStep, *columns))
-    return Trajectory(delta_n=delta_n, seed=seed, steps=steps, final_state=final)
+    return Trajectory(delta_n, seed, outcomes, mean_n, var_n, np.abs(coherence), final)
 
 
 def effective_post_state(

@@ -1,9 +1,9 @@
 """Acceptance suite: every headline number, checked at a pinned tolerance.
 
 Each criterion is a generator of ``(label, value, expected, tolerance[,
-mode])`` checks, registered once with ``@_criterion(name, group)``.  The
-registry stamps the name and group onto every check as a :class:`CheckRow`,
-fills :data:`CRITERIA` and derives :data:`GROUPS` from it.  A criterion
+mode])`` checks, registered once with ``@_criterion(name)``.  The registry
+stamps the name onto every check as a :class:`CheckRow` and fills
+:data:`CRITERIA`, whose names ``--only`` takes.  A criterion
 passes when all of its rows pass.  The CLI ``verify`` command prints one
 line per row and exits nonzero if anything fails; the pytest acceptance
 module asserts the same rows.  All randomized checks use fixed seeds, so a
@@ -41,7 +41,6 @@ class CheckRow:
     """One comparison: |value - expected| <= tolerance (or a one-sided bound)."""
 
     criterion: str
-    group: str
     label: str
     value: float
     expected: float
@@ -63,27 +62,24 @@ def format_row(row: CheckRow) -> str:
     status = "PASS" if row.passed else "FAIL"
     relation = {"abs": "~", "le": "<=", "ge": ">="}[row.mode]
     return (
-        f"{status}  [{row.group}] {row.label}: value={row.value:.10g} "
+        f"{status}  [{row.criterion}] {row.label}: value={row.value:.10g} "
         f"{relation} expected={row.expected:.10g} tol={row.tolerance:.3g}"
     )
 
 
-# Criterion name -> function returning its CheckRows, in run order.
+# Criterion name (for ``--only``) -> function returning its CheckRows, in run order.
 CRITERIA: dict[str, Callable[[], list[CheckRow]]] = {}
-# Group name (for ``--only``) -> the criterion names it runs.
-GROUPS: dict[str, list[str]] = {}
 
 
-def _criterion(name: str, group: str):
-    """Register a generator of checks as the criterion ``name`` in ``group``."""
+def _criterion(name: str):
+    """Register a generator of checks as the criterion ``name``."""
 
     def register(checks):
         @functools.wraps(checks)
         def criterion() -> list[CheckRow]:
-            return [CheckRow(name, group, *check) for check in checks()]
+            return [CheckRow(name, *check) for check in checks()]
 
         CRITERIA[name] = criterion
-        GROUPS.setdefault(group, []).append(name)
         return criterion
 
     return register
@@ -93,7 +89,7 @@ def _benchmark_state():
     return coherent_state(_BENCH, _BENCH_N_MAX)
 
 
-@_criterion("fringe-modulation", "fringe")
+@_criterion("fringe")
 def criterion_fringe_modulation():
     """Quadrature fringe modulation 2*q_bar at resolutions 0.4 and 0.3."""
     state = _benchmark_state()
@@ -105,7 +101,7 @@ def criterion_fringe_modulation():
         yield f"2*q_bar at dn={dn} vs quoted {quoted}", value, quoted, 0.002
 
 
-@_criterion("decoherence-factor", "decoherence")
+@_criterion("decoherence")
 def criterion_decoherence_factor():
     """Quadrature average-coherence factor at resolutions 0.3 and 0.2."""
     state = _benchmark_state()
@@ -117,7 +113,7 @@ def criterion_decoherence_factor():
         yield f"|avg coherence|/alpha at dn={dn} vs quoted {quoted}", value, quoted, 0.001
 
 
-@_criterion("likelihood-ratios", "ratios")
+@_criterion("ratios")
 def criterion_likelihood_ratios():
     """Total integer vs half-integer outcome likelihood from the exact kernel.
 
@@ -131,7 +127,7 @@ def criterion_likelihood_ratios():
         yield f"integer/half-integer likelihood at dn={dn}", value, expected, tol
 
 
-@_criterion("coherence-contrast", "contrast")
+@_criterion("contrast")
 def criterion_coherence_contrast():
     """Post-readout coherence at a half-integer over an integer outcome, dn=0.3."""
     state = _benchmark_state()
@@ -141,8 +137,8 @@ def criterion_coherence_contrast():
     yield "|a_f(9.5)| / |a_f(9.0)| at dn=0.3", ratio, 4.0, 0.5
 
 
-@_criterion("deep-quantum-coherence", "deep")
-def criterion_deep_quantum():
+@_criterion("deep")
+def criterion_deep_quantum_coherence():
     """Half-integer outcomes keep large coherence even at dn=0.2."""
     state = _benchmark_state()
     dn = 0.2
@@ -156,7 +152,7 @@ def criterion_deep_quantum():
     yield "|a_f(9.0)| below a tenth of classical average", a_int, 0.1 * classical_int, 0.0, "le"
 
 
-@_criterion("lowest-order-accuracy", "approx")
+@_criterion("approx")
 def criterion_lowest_order_accuracy():
     """Single-harmonic coherence-fringe accuracy thresholds, and the breakdown.
 
@@ -180,7 +176,7 @@ def criterion_lowest_order_accuracy():
     yield "regime warning raised below dn=0.2", 1.0 if flagged else 0.0, 1.0, 0.0
 
 
-@_criterion("correlation-maximum", "correlation")
+@_criterion("correlation")
 def criterion_correlation_maximum():
     """Location and value of the quantization/coherence covariance maximum."""
     target = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -194,7 +190,7 @@ def criterion_correlation_maximum():
            measurement.decoherence_factor(dn_star), reference, 1e-4)
 
 
-@_criterion("exact-factorization", "factorization")
+@_criterion("factorization")
 def criterion_exact_factorization():
     """Quadrature of Q(n_m) <a>_f(n_m) P(n_m) factorizes for arbitrary states."""
     rng = np.random.default_rng(_SEED)
@@ -213,7 +209,7 @@ def criterion_exact_factorization():
         yield f"max |quadrature - closed form| over 50 states at dn={dn}", worst, 0.0, 1e-8
 
 
-@_criterion("parity-identities", "parity")
+@_criterion("parity")
 def criterion_parity_identities():
     """Operator-ordering identities on random states."""
     rng = np.random.default_rng(_SEED + 1)
@@ -231,7 +227,7 @@ def criterion_parity_identities():
     yield "max ordering-demo deviation from (<a>, -<a>)", worst_demo, 0.0, 1e-10
 
 
-@_criterion("povm-completeness", "povm")
+@_criterion("povm")
 def criterion_povm_completeness():
     """Outcome densities integrate to one; conditional states stay normalized."""
     rng = np.random.default_rng(_SEED + 2)
@@ -251,7 +247,7 @@ def criterion_povm_completeness():
     yield "max |post-state norm - 1|", worst_norm, 0.0, 1e-12
 
 
-@_criterion("repeated-measurement", "repeat")
+@_criterion("repeat")
 def criterion_repeated_measurement():
     """Sequential readouts compose into one sharper readout; posteriors martingale."""
     state = _benchmark_state()
@@ -273,7 +269,7 @@ def criterion_repeated_measurement():
     yield "martingale max |z| over number bins (10^4 trajectories)", z_max, 3.0, 0.0, "le"
 
 
-@_criterion("phase-diffusion", "phase")
+@_criterion("phase")
 def criterion_phase_diffusion():
     """Back-action equals minimum-variance phase diffusion, MC and exactly."""
     for i, dn in enumerate((0.3, 0.5, 1.0)):
@@ -292,15 +288,9 @@ def criterion_phase_diffusion():
 
 
 def run_acceptance(only: str | None = None) -> list[CheckRow]:
-    """Run all (or one group of, or one) acceptance criteria and return their rows."""
+    """Run all acceptance criteria, or the one named ``only``, and return their rows."""
     if only is None:
-        names = list(CRITERIA)
-    elif only in GROUPS:
-        names = GROUPS[only]
-    elif only in CRITERIA:
-        names = [only]
-    else:
-        raise InvalidParam(
-            f"unknown group {only!r}; choose from {sorted(GROUPS)} or a criterion name"
-        )
-    return [row for name in names for row in CRITERIA[name]()]
+        return [row for criterion in CRITERIA.values() for row in criterion()]
+    if only not in CRITERIA:
+        raise InvalidParam(f"unknown criterion {only!r}; choose from {sorted(CRITERIA)}")
+    return CRITERIA[only]()

@@ -11,7 +11,12 @@ from qndsim import verify
 from qndsim.errors import InvalidParam
 
 
-@pytest.mark.parametrize("name", list(verify.CRITERIA))
+def function_id(name):
+    """Test id from the criterion's function: criterion_fringe_modulation -> fringe-modulation."""
+    return verify.CRITERIA[name].__name__.removeprefix("criterion_").replace("_", "-")
+
+
+@pytest.mark.parametrize("name", list(verify.CRITERIA), ids=function_id)
 def test_criterion(name):
     rows = verify.CRITERIA[name]()
     assert rows, f"criterion {name} produced no checks"
@@ -22,10 +27,11 @@ def test_criterion(name):
 
 
 def test_run_acceptance_filters_groups():
+    assert len(verify.CRITERIA) == 12
     rows = verify.run_acceptance(only="parity")
-    assert rows and all(row.group == "parity" for row in rows)
-    rows = verify.run_acceptance(only="parity-identities")
-    assert rows and all(row.criterion == "parity-identities" for row in rows)
+    assert rows and all(row.criterion == "parity" for row in rows)
+    with pytest.raises(InvalidParam):
+        verify.run_acceptance(only="parity-identities")
 
 
 def test_run_acceptance_rejects_unknown_group():

@@ -6,7 +6,6 @@ import pytest
 from qndsim import (
     ApproximationReport,
     CoherentParams,
-    FourierTruncation,
     InvalidParam,
     RegimeWarning,
     classical_coherence,
@@ -19,6 +18,7 @@ from qndsim import (
     quantization_sum,
 )
 from qndsim import approx, figures, measurement
+from qndsim.approx import _dropped_tail, _harmonics
 from qndsim.errors import ZeroProbability
 from qndsim.measurement import trapezoid
 
@@ -79,17 +79,15 @@ class TestQuantizationSum:
 class TestFourierTruncation:
     def test_dropped_tail_below_tolerance(self):
         for dn in (0.15, 0.3, 1.0):
-            trunc = FourierTruncation.for_resolution(dn)
-            assert trunc.dropped_tail_bound(dn) < 1e-14
-            if trunc.k_max:
+            k_max = _harmonics(dn)
+            assert _dropped_tail(dn, k_max) < 1e-14
+            if k_max:
                 # one fewer harmonic would violate the tolerance
-                assert FourierTruncation(trunc.k_max - 1).dropped_tail_bound(dn) >= 1e-14
+                assert _dropped_tail(dn, k_max - 1) >= 1e-14
 
     def test_invalid(self):
         with pytest.raises(InvalidParam):
-            FourierTruncation(-1)
-        with pytest.raises(InvalidParam):
-            FourierTruncation.for_resolution(0.0)
+            _harmonics(0.0)
 
 
 class TestClassicalProbability:

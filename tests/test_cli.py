@@ -7,6 +7,7 @@ import pytest
 from qndsim import CoherentParams, classical_coherence, coherent_state
 from qndsim import approx, cli, correlations, figures
 from qndsim.errors import InvalidParam
+from test_fock import run_limited
 
 
 def read_csv(path):
@@ -243,6 +244,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert "with delta_n = 0.01 falls between levels" in captured.err
         assert "outside" not in captured.err
+
+    def test_huge_alpha_refused_before_allocating(self):
+        child = run_limited("-m", "qndsim.cli", "figure", "1", "--alpha", "1e5")
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr == "error: a basis of 10000674305 levels exceeds 10000000 levels\n"
 
     def test_invalid_figure_id(self, capsys):
         assert cli.main(["figure", "9"]) == 2

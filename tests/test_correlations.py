@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qndsim import (
     CoherentParams,
     GridTooNarrow,
+    InvalidParam,
     MeasurementConfig,
     PureState,
     argmax_correlation_resolution,
@@ -78,9 +79,7 @@ def grid_statistics(grid, density, coherence, step):
 def test_aliasing_bounded_grid_matches_fine_grid(n_max, delta_n, kind, seed):
     """The adequate grid, trimmed to the state's support, against a dn/8 lattice over the basis."""
     state = make_state(kind, n_max, np.random.default_rng(seed))
-    fine = MeasurementConfig(
-        delta_n, -8 * delta_n, n_max + 8 * delta_n, 1 / math.ceil(8 / delta_n)
-    )
+    fine = MeasurementConfig(delta_n, n_max, math.ceil(8 / delta_n))
     grid = fine.grid()
     want = grid_statistics(grid, *_profiles(state, grid, delta_n), fine.grid_step)
     config = MeasurementConfig.adequate(delta_n, n_max)
@@ -197,8 +196,9 @@ class TestAverageQuantization:
 
     def test_grid_too_narrow(self):
         state = coherent_state(ALPHA3, 60)
-        config = MeasurementConfig(delta_n=0.3, grid_min=6.0, grid_max=12.0, grid_step=0.02)
-        with pytest.raises(GridTooNarrow):
+        # Levels 0..25 and 8 widths leave out 3.3e-7 of the Poisson(9) mass.
+        config = MeasurementConfig.adequate(0.3, 25)
+        with pytest.raises(GridTooNarrow, match="mass 0.99999967"):
             average_quantization(state, config)
 
 
@@ -361,6 +361,11 @@ class TestArgmax:
     def test_location_away_from_alpha_3(self, magnitude):
         dn_star = argmax_correlation_resolution(CoherentParams(magnitude, 0.7))
         assert abs(dn_star - PEAK_RESOLUTION) < 1e-4
+
+    def test_dark_field(self):
+        # The covariance is 0 at every resolution, so there is no maximum.
+        with pytest.raises(InvalidParam, match="bright field"):
+            argmax_correlation_resolution(CoherentParams(0.0))
 
     def test_both_factors_equal_at_peak(self):
         dn_star = argmax_correlation_resolution(ALPHA3)

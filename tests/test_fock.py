@@ -1,4 +1,9 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,31 @@ from qndsim import (
     random_state,
     variance_n,
 )
+from qndsim.fock import MAX_LEVELS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Address space of a child that runs a case which must refuse before it
+# allocates: a regression then fails with a MemoryError instead of taking
+# tens of GB.
+_CHILD_ADDRESS_SPACE = 3 << 30
+
+
+def run_limited(*argv):
+    """``python argv...`` in a child interpreter with a capped address space."""
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = _CHILD_ADDRESS_SPACE
+        if hard != resource.RLIM_INFINITY:
+            soft = min(soft, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120,
+    )
 
 
 def poisson_weight(lam, n):
@@ -120,6 +150,22 @@ class TestCoherentState:
         for mag in (0.5, 1.0, 3.0, 6.0):
             state = coherent_state(CoherentParams(mag), choose_truncation(CoherentParams(mag), 1e-12))
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
+
+    def test_refuses_a_basis_above_max_levels(self):
+        # alpha 1e5 asks for about 10^10 levels, 75 GB of amplitudes.
+        child = run_limited("-c", (
+            "from qndsim import CoherentParams, InvalidParam, coherent_state\n"
+            f"for magnitude, n_max in ((1e5, None), (3.0, {MAX_LEVELS})):\n"
+            "    try:\n"
+            "        coherent_state(CoherentParams(magnitude), n_max)\n"
+            "    except InvalidParam as exc:\n"
+            "        print(exc)\n"
+        ))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            f"a basis of 10000674305 levels exceeds {MAX_LEVELS} levels",
+            f"a basis of {MAX_LEVELS + 1} levels exceeds {MAX_LEVELS} levels",
+        ]
 
     def test_phase_enters_amplitudes(self):
         state = coherent_state(CoherentParams(2.0, 0.7), 40)

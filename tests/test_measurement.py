@@ -280,7 +280,7 @@ class TestAverageCoherence:
                 assert abs(value - target) < 1e-8
 
     def test_grid_too_narrow(self, alpha3_state):
-        config = MeasurementConfig(delta_n=0.3, grid_min=7.0, grid_max=11.0, grid_step=0.02)
+        config = MeasurementConfig.adequate(0.3, 11)
         with pytest.raises(GridTooNarrow):
             average_coherence(alpha3_state, config)
 
@@ -316,36 +316,35 @@ class TestEnsembleDephasingKernel:
 class TestMeasurementConfig:
     def test_validation(self):
         with pytest.raises(InvalidParam):
-            MeasurementConfig(delta_n=0.0, grid_min=0, grid_max=1, grid_step=0.1)
+            MeasurementConfig(delta_n=0.0, n_max=1, per_unit=10)
         with pytest.raises(InvalidParam):
-            MeasurementConfig(delta_n=1.0, grid_min=1, grid_max=0, grid_step=0.1)
-        with pytest.raises(InvalidParam):
-            MeasurementConfig(delta_n=1.0, grid_min=0, grid_max=1, grid_step=0.0)
+            MeasurementConfig(delta_n=1.0, n_max=-1, per_unit=10)
 
     def test_step_must_be_on_a_lattice(self):
-        assert MeasurementConfig(0.3, 6.0, 12.0, 0.02).per_unit == 50
-        assert MeasurementConfig(0.3, 6.0, 12.0, 1 / 7).per_unit == 7
-        for step in (0.03, 0.3, 0.02 * (1 + 1e-11), 2.0, 0.6):
+        assert MeasurementConfig(0.3, 12, 50).grid_step == 0.02
+        assert MeasurementConfig(0.3, 12, 7).grid_step == 1 / 7
+        for per_unit in (0, -3, 2.5, math.inf, math.nan):
             with pytest.raises(InvalidParam):
-                MeasurementConfig(delta_n=0.3, grid_min=6.0, grid_max=12.0, grid_step=step)
+                MeasurementConfig(delta_n=0.3, n_max=12, per_unit=per_unit)
 
     def test_grid_is_the_lattice_run_over_the_bounds(self):
-        config = MeasurementConfig(0.3, -0.15, 2.05, 0.1)
-        assert np.array_equal(config.grid(), np.arange(-2, 22) / 10)
+        # The basis 0..2 padded by 8 widths, 2.4, reaches -2.4 and 4.4.
+        config = MeasurementConfig(0.3, 2, 4)
+        assert np.array_equal(config.grid(), np.arange(-10, 19) / 4)
         adequate = MeasurementConfig.adequate(0.3, 60)
         assert adequate.per_unit == 6 and adequate.grid_step == 1 / 6
-        assert adequate.grid()[0] == adequate.grid_min == -15 / 6
-        assert adequate.grid()[-1] == adequate.grid_max == 375 / 6
+        assert adequate.grid()[0] == -15 / 6
+        assert adequate.grid()[-1] == 375 / 6
 
     def test_adequate_covers(self):
         config = MeasurementConfig.adequate(0.4, 60)
-        assert config.grid_min <= -8 * 0.4 and config.grid_max >= 60 + 8 * 0.4
         for dn in (0.05, 0.1, 0.4, 1.0, 3.0, 5.0, 50.0):
             h = MeasurementConfig.adequate(dn, 60).grid_step
             assert 2 * math.exp(-2 * math.pi**2 * dn**2 * (1 / h - 1) ** 2) <= 1e-16
         grid = config.grid()
-        assert grid[0] == pytest.approx(config.grid_min)
-        assert grid[-1] >= config.grid_max - config.grid_step
+        low, high = -8 * 0.4, 60 + 8 * 0.4
+        assert low - config.grid_step < grid[0] <= low
+        assert high <= grid[-1] < high + config.grid_step
 
 
 class TestPhaseNoise:

@@ -35,6 +35,11 @@ from test_kernel import dense_condition
 ALPHA3 = CoherentParams(3.0, 0.0)
 
 
+def passes(trajectory):
+    """Each pass's outcome, posterior mean and variance, and |<a>|."""
+    return zip(trajectory.outcomes, trajectory.mean_n, trajectory.var_n, trajectory.coherence_mag)
+
+
 @pytest.fixture(scope="module")
 def alpha3_state():
     return coherent_state(ALPHA3, 60)
@@ -130,17 +135,15 @@ class TestRepeatedMeasurement:
 
     def test_variance_narrows(self, alpha3_state):
         trajectory = repeated_measurement(alpha3_state, 0.3, 25, 13)
-        variances = [step.var_n for step in trajectory.steps]
-        assert variances[-1] < variances[0]
+        assert trajectory.var_n[-1] < trajectory.var_n[0]
         # One run's variance can rise on a pass, when an outcome reweights
         # the posterior; by the law of total variance its mean over runs
         # cannot.
         rng = np.random.default_rng(13)
         runs = 2000
-        table = np.array([
-            [step.var_n for step in repeated_measurement(alpha3_state, 0.3, 25, rng).steps]
-            for _ in range(runs)
-        ])
+        table = np.array(
+            [repeated_measurement(alpha3_state, 0.3, 25, rng).var_n for _ in range(runs)]
+        )
         rise = np.diff(table, axis=1)
         stderr = rise.std(axis=0, ddof=1) / math.sqrt(runs)
         assert np.all(rise.mean(axis=0) <= 3 * stderr)
@@ -209,11 +212,11 @@ def test_posteriors_take_subnormal_amplitudes(tiny):
     state = PureState(amps / np.linalg.norm(amps))
     trajectory = repeated_measurement(state, 1.0, 3, 3)
     current = state
-    for step in trajectory.steps:
-        record = dense_condition(current, step.n_m, 1.0)
+    for n_m, mean_n, _, coherence_mag in passes(trajectory):
+        record = dense_condition(current, n_m, 1.0)
         current = record.post_state
-        assert step.mean_n == pytest.approx(expectation_n(current), rel=1e-12)
-        assert step.coherence_mag == pytest.approx(abs(record.coherence), rel=1e-12)
+        assert mean_n == pytest.approx(expectation_n(current), rel=1e-12)
+        assert coherence_mag == pytest.approx(abs(record.coherence), rel=1e-12)
     assert fidelity(trajectory.final_state, current) >= 1 - 1e-12
     post = measure(state, 0.0, 1.0).post_state.amplitudes
     assert post[0] != 0.0
@@ -234,12 +237,12 @@ def test_trajectory_matches_sequential_conditioning(n_max, low_share, delta_n, c
     state = random_state(n_max, rng, min_level=int(low_share * n_max))
     trajectory = repeated_measurement(state, delta_n, count, seed)
     current = state
-    for step in trajectory.steps:
-        record = dense_condition(current, step.n_m, delta_n)
+    for n_m, mean_n, var_n, coherence_mag in passes(trajectory):
+        record = dense_condition(current, n_m, delta_n)
         current = record.post_state
-        assert step.mean_n == pytest.approx(expectation_n(current), rel=1e-10, abs=1e-10)
-        assert step.var_n == pytest.approx(variance_n(current), rel=1e-10, abs=1e-10)
-        assert step.coherence_mag == pytest.approx(abs(record.coherence), rel=1e-10, abs=1e-10)
+        assert mean_n == pytest.approx(expectation_n(current), rel=1e-10, abs=1e-10)
+        assert var_n == pytest.approx(variance_n(current), rel=1e-10, abs=1e-10)
+        assert coherence_mag == pytest.approx(abs(record.coherence), rel=1e-10, abs=1e-10)
     assert fidelity(trajectory.final_state, current) >= 1 - 1e-12
     if count == 1:
         assert trajectory.outcomes[0] == sample_outcome(state, delta_n, seed).n_m
@@ -258,15 +261,15 @@ def test_bright_long_trajectories_match_sequential_conditioning(
     trajectory = repeated_measurement(state, delta_n, count, seed)
     n = np.arange(n_max + 1)
     current = state
-    for step in trajectory.steps:
-        record = dense_condition(current, step.n_m, delta_n)
+    for n_m, mean_n, var_n, coherence_mag in passes(trajectory):
+        record = dense_condition(current, n_m, delta_n)
         current = record.post_state
         weight = current.probabilities()
         mean = weight @ n
-        assert step.mean_n == pytest.approx(mean, rel=1e-10, abs=1e-10)
+        assert mean_n == pytest.approx(mean, rel=1e-10, abs=1e-10)
         # Centered: sum n^2 p_n - mean^2 would lose 1e-8 to rounding at n = 10^4.
-        assert step.var_n == pytest.approx(weight @ (n - mean) ** 2, rel=1e-10, abs=1e-10)
-        assert step.coherence_mag == pytest.approx(abs(record.coherence), rel=1e-10, abs=1e-10)
+        assert var_n == pytest.approx(weight @ (n - mean) ** 2, rel=1e-10, abs=1e-10)
+        assert coherence_mag == pytest.approx(abs(record.coherence), rel=1e-10, abs=1e-10)
     assert fidelity(trajectory.final_state, current) >= 1 - 1e-12
 
 
@@ -303,9 +306,7 @@ def test_collapsed_moments_keep_their_precision():
     state = coherent_state(ALPHA3)
     trajectory = repeated_measurement(state, 0.3, 500, 9)
     ref_var, ref_coherence = centered_posterior_moments(state, trajectory.outcomes, 0.3)
-    var = np.array([step.var_n for step in trajectory.steps])
-    coherence = np.array([step.coherence_mag for step in trajectory.steps])
-    for value, ref in ((var, ref_var), (coherence, ref_coherence)):
+    for value, ref in ((trajectory.var_n, ref_var), (trajectory.coherence_mag, ref_coherence)):
         kept = ref >= 1e-250
         assert ref[kept].min() < 1e-240
         assert np.all(np.abs(value - ref)[kept] <= 1e-9 * ref[kept])
