@@ -217,7 +217,7 @@ def sample_table(
     """Sequential readout shots on a fresh coherent state, one row per draw."""
     params = params or _default_params()
     state = coherent_state(params)
-    trajectory = trajectories.repeated_measurement(state, delta_n, count, int(seed))
+    trajectory = trajectories.repeated_measurement(state, delta_n, count, seed)
     columns = {
         "step": range(count),
         "n_m": trajectory.outcomes,
@@ -225,4 +225,4 @@ def sample_table(
         "post_var_n": trajectory.var_n,
         "a_f_abs": trajectory.coherence_mag,
     }
-    return _table(params, columns, delta_n=delta_n, count=count, seed=int(seed))
+    return _table(params, columns, delta_n=delta_n, count=count, seed=trajectory.seed)

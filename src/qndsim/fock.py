@@ -3,8 +3,8 @@
 States are complex amplitude vectors indexed by photon number n = 0..n_max.
 All operations are pure functions; nothing here mutates its inputs, so
 everything is safe to call concurrently.  A state keeps what it derives from
-its read-only amplitudes (level moments, support) once computed; concurrent
-first calls compute the same values.
+its read-only amplitudes (level moments, support, sampling CDF) once
+computed; concurrent first calls compute the same values.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ DEFAULT_TAIL_TOL = 1e-12
 # end of a state's support (:meth:`PureState.support`).
 SUPPORT_TAIL = 1e-16
 
-# Largest basis coherent_state builds, in levels (about |alpha| 3 150); a
-# larger one is refused before anything is allocated.
+# Largest basis a state constructor builds, in levels (about |alpha| 3 150
+# for coherent_state); a larger one is refused before anything is allocated.
 MAX_LEVELS = 10**7
 
 # A tail below double-precision resolution of the state's unit norm changes
@@ -82,11 +82,12 @@ class PureState:
     downstream identities hold at machine precision.  Use
     :meth:`from_unnormalized` for arbitrary nonzero vectors.
 
-    The level moments and the support are derived once, on first use, and
-    kept with the state: the amplitudes are read-only, so they never go stale.
+    The level moments, the support and the sampling CDF are derived once, on
+    first use, and kept with the state: the amplitudes are read-only, so they
+    never go stale.
     """
 
-    __slots__ = ("amplitudes", "_moments", "_support")
+    __slots__ = ("amplitudes", "_moments", "_support", "_cdf")
 
     def __init__(self, amplitudes):
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -99,10 +100,24 @@ class PureState:
             raise InvalidParam(
                 f"vector norm {norm:.6g} is not 1; use PureState.from_unnormalized"
             )
-        amps = amps / norm
+        self._adopt(amps / norm)
+
+    def _adopt(self, amps: np.ndarray) -> None:
+        """Take ``amps``, a finite unit-norm complex vector, as the amplitudes."""
         amps.setflags(write=False)
         self.amplitudes = amps
-        self._moments = self._support = None
+        self._moments = self._support = self._cdf = None
+
+    @classmethod
+    def _unit(cls, amplitudes: np.ndarray) -> "PureState":
+        """State of ``amplitudes``, a finite complex vector of unit norm, taken over as is.
+
+        Skips the constructor's scans and rescaling, for vectors finite and
+        normalized by construction.
+        """
+        state = cls.__new__(cls)
+        state._adopt(amplitudes)
+        return state
 
     @classmethod
     def from_unnormalized(cls, amplitudes) -> "PureState":
@@ -135,6 +150,23 @@ class PureState:
             self._moments = (p, b)
         return self._moments
 
+    def level_cdf(self) -> np.ndarray:
+        """Cumulative photon-number distribution that level draws search.
+
+        Built as ``Generator.choice`` builds it from ``p = |c_n|^2 / sum |c_n|^2``:
+        the running sum of p, divided by its last entry, so a uniform deviate
+        u in [0, 1) picks the level ``cdf.searchsorted(u, side="right")`` that
+        ``choice`` would.  Computed on the first call; every call returns the
+        same read-only array.
+        """
+        if self._cdf is None:
+            probs = self.probabilities()
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            cdf.setflags(write=False)
+            self._cdf = cdf
+        return self._cdf
+
     def support(self) -> tuple[int, int]:
         """First and last levels that leave at most ``SUPPORT_TAIL`` of the mass beyond each end.
 
@@ -155,6 +187,12 @@ def _scan_support(p: np.ndarray) -> tuple[int, int]:
     return int(below), p.size - 1 - int(above)
 
 
+def _check_levels(n_max: int) -> None:
+    """Refuse a basis of more than ``MAX_LEVELS`` levels before it is allocated."""
+    if n_max >= MAX_LEVELS:
+        raise InvalidParam(f"a basis of {n_max + 1} levels exceeds {MAX_LEVELS} levels")
+
+
 def number_state(n: int, n_max: int | None = None) -> PureState:
     """The eigenstate |n> on a basis truncated at ``n_max`` (default n)."""
     n = int(n)
@@ -164,6 +202,7 @@ def number_state(n: int, n_max: int | None = None) -> PureState:
         n_max = n
     if n_max < n:
         raise InvalidParam("n_max must be at least n")
+    _check_levels(n_max)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[n] = 1.0
     return PureState(amps)
@@ -186,8 +225,7 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
     n_max = default_cutoff(params) if n_max is None else int(n_max)
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")
-    if n_max >= MAX_LEVELS:
-        raise InvalidParam(f"a basis of {n_max + 1} levels exceeds {MAX_LEVELS} levels")
+    _check_levels(n_max)
 
     lam = params.mean_photon_number
     n = np.arange(n_max + 1)
@@ -311,6 +349,7 @@ def random_state(
     """Haar-like random pure state, optionally with no weight below ``min_level``."""
     if min_level < 0 or min_level > n_max:
         raise InvalidParam("min_level must lie in [0, n_max]")
+    _check_levels(n_max)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     size = n_max + 1 - min_level
     amps[min_level:] = rng.standard_normal(size) + 1j * rng.standard_normal(size)

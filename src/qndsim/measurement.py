@@ -128,11 +128,13 @@ def _bands(centers: np.ndarray, widths, levels: int):
     chunk ends before the first outcome whose own band would be less than half
     as wide, so narrowing windows do not sweep cells they cannot reach.
     Yields the chunk's slice of outcomes, each one's first level, and the
-    offsets x = m - n from the band's levels to its outcome.
+    offsets x = m - n from the band's levels to its outcome.  A band that
+    covers the whole basis starts at level 0 for every outcome: its first
+    level is one entry shared by the chunk, and rows indexed by it broadcast.
     """
     start = 0
     while start < centers.size:
-        reach = _reach(widths[start])
+        reach = _reach(float(widths[start]))
         width = int(min(levels, 2.0 * reach + 1.0))
         stop = min(centers.size, start + max(1, _CHUNK_CELLS // width))
         # 2 (_BAND_WIDTHS w + 1/2) + 1 < width / 2 below this w; the first
@@ -142,9 +144,14 @@ def _bands(centers: np.ndarray, widths, levels: int):
             stop = start + int(np.argmax(widths[start:stop] < narrow))
         rows = slice(start, stop)
         block = centers[rows]
-        # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
-        first = np.fmin(np.fmax(np.ceil(block - reach), 0.0), levels - width).astype(np.intp)
-        yield rows, first, (block - first)[:, None] - np.arange(width)
+        if width == levels:
+            yield rows, np.zeros(1, dtype=np.intp), block[:, None] - np.arange(width, dtype=float)
+        else:
+            # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
+            edge = np.ceil(block - reach)
+            np.fmin(np.fmax(edge, 0.0, out=edge), levels - width, out=edge)
+            x = (block - edge)[:, None] - np.arange(width, dtype=float)
+            yield rows, edge.astype(np.intp), x
         start = rows.stop
 
 
@@ -233,10 +240,17 @@ def _band_profiles(
     return density[back], coherence[back]
 
 
+def _unit_rows(amps: np.ndarray) -> np.ndarray:
+    """Scale each row of a C-contiguous complex block to unit norm, in place."""
+    parts = amps.view(np.float64)
+    amps /= np.sqrt(np.add.reduce(parts * parts, axis=1, keepdims=True))
+    return amps
+
+
 def _sequential_posteriors(
     state: PureState, outcomes: np.ndarray, delta_n: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, PureState]:
-    """Posterior moments after each of a sequence of readouts, all at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Posterior moments after each readout of a block of records, all at once.
 
     Windows of width dn at outcomes x_1..x_j multiply into one window of
     width w_j = dn / sqrt(j) at their running mean m_j: after pass j the
@@ -249,8 +263,14 @@ def _sequential_posteriors(
     weights are tiny, e_j is lifted by a power of two before <a> is summed, so
     <a> keeps its digits where the products e_j(n) e_j(n+1) would underflow.
 
+    ``outcomes`` is one record, shape (count,), or a block of records at the
+    same resolution, shape (count, runs): column r is run r.  :func:`_bands`
+    walks the block row by row, every run's pass 1, then every run's pass 2,
+    and so on, so the window widths never grow.
+
     Returns each pass's density, the mean photon number, its variance and
-    <a> after each pass, and the conditional state after the last pass.
+    <a> after it, shaped like ``outcomes``, and the unit-norm conditional
+    amplitudes after the last pass, shaped (levels,) or (runs, levels).
 
     Raises
     ------
@@ -259,48 +279,77 @@ def _sequential_posteriors(
         outside the support, or the pass's window (width dn / sqrt(j)) falls between levels.
     """
     p, b = state.level_moments()
-    passes = np.arange(1, outcomes.size + 1)
+    count = outcomes.shape[0]
+    runs = outcomes.size // count
+    # Row i of the walk is pass i // runs + 1 of run i % runs.
+    passes = np.arange(1.0, count + 1.0)
+    if runs > 1:
+        passes = np.repeat(passes, runs)
     root = np.sqrt(passes)
-    neg_inv_4var = -passes / (4.0 * delta_n**2)
+    neg_inv_4var = passes / (-4.0 * delta_n**2)
     # (2 pi w_j^2)**-0.5 = sqrt(j) (2 pi dn^2)**-0.5, and the exponent is (-inv x) x:
     # pass 1 repeats _profiles's arithmetic, so measure's density is bit-equal to it.
     norm = (2.0 * math.pi * delta_n**2) ** -0.5 * root
-    density, mean, var = np.empty((3, outcomes.size))
-    coherence = np.empty(outcomes.size, dtype=np.complex128)
-    centers = np.cumsum(outcomes) / passes
+    centers = np.add.accumulate(outcomes).ravel()
+    centers /= passes
+    density, mean, var = np.empty(centers.size), np.empty(centers.size), np.empty(centers.size)
+    coherence = np.empty(centers.size, dtype=np.complex128)
+    final = np.zeros((runs, p.size), dtype=np.complex128)
+    last = centers.size - runs  # the first row of the last pass
+    width = None
     for rows, first, x in _bands(centers, delta_n / root, p.size):
-        offsets = np.arange(x.shape[1])
-        n = first[:, None] + offsets
-        p_band = p[n]
+        if x.shape[1] != width:
+            width = x.shape[1]
+            band_levels = np.arange(width)
+            offsets = band_levels.astype(float)
+            # A band that is the whole basis is one row of levels, shared by the chunk.
+            whole = width == p.size
+            if whole:
+                p_band, b_band = p[None], b[None, :-1]
+        if not whole:
+            n = first[:, None] + band_levels
+            p_band, b_band = p[n], b[n[:, :-1]]
         e = neg_inv_4var[rows, None] * x
         e *= x
         np.exp(e, out=e)
         total = np.einsum("ij,ij,ij->i", p_band, e, e)
-        density[rows] = norm[rows] * total
-        if not density[rows].min() >= DENSITY_FLOOR:  # also catches NaN
-            j = rows.start + int(np.argmin(density[rows] >= DENSITY_FLOOR))
+        band_density = np.multiply(norm[rows], total, out=density[rows])
+        if not np.minimum.reduce(band_density) >= DENSITY_FLOOR:  # also catches NaN
+            j = rows.start + int(np.argmin(band_density >= DENSITY_FLOOR))
             raise ZeroProbability(_underflow(state, centers[j : j + 1], delta_n / root[j]))
         weight = p_band * e
         weight *= e
-        peak = weight.max(axis=1, keepdims=True)
+        peak = np.maximum.reduce(weight, axis=1, keepdims=True)
         weight /= peak
-        scale = weight.sum(axis=1)
+        scale = np.add.reduce(weight, axis=1)
         shift = weight @ offsets / scale
-        mean[rows] = first + shift
+        np.add(first, shift, out=mean[rows])
         centered = offsets - shift[:, None]
-        var[rows] = np.einsum("ij,ij->i", weight * centered, centered) / scale
-        if peak.min() < _LIFT_BELOW:
+        np.divide(np.einsum("ij,ij->i", weight * centered, centered), scale, out=var[rows])
+        if np.minimum.reduce(peak, axis=None) < _LIFT_BELOW:
             # Lift each pass's e by the power of two >= 1 that brings its largest
             # weight near one: every term and the total scale exactly.
             lift = np.ldexp(1.0, -(np.frexp(peak)[1] // 2))
             e *= lift
             total = total * lift[:, 0] ** 2
         pair = e[:, :-1] * e[:, 1:]
-        coherence[rows] = np.einsum("ij,ij->i", b[n][:, :-1], pair) / total
-    final = np.zeros(p.size, dtype=np.complex128)
-    band = slice(first[-1], first[-1] + x.shape[1])
-    final[band] = state.amplitudes[band] * (e[-1] / math.sqrt(total[-1]))
-    return density, mean, var, coherence, PureState(final)
+        np.divide(np.einsum("ij,ij->i", b_band, pair), total, out=coherence[rows])
+        if rows.stop > last:
+            # Rows of the last pass: the amplitudes c_n e(n), scaled to unit norm.
+            tail = max(last - rows.start, 0)
+            ending = slice(rows.start + tail - last, rows.stop - last)
+            if whole:
+                _unit_rows(np.multiply(state.amplitudes, e[tail:], out=final[ending]))
+            else:
+                amps = _unit_rows(state.amplitudes[n[tail:]] * e[tail:])
+                runs_ending = range(ending.start, ending.stop)
+                for run, start, row in zip(runs_ending, first[tail:].tolist(), amps):
+                    final[run, start : start + width] = row
+    if outcomes.ndim == 1:
+        return density, mean, var, coherence, final[0]
+    shape = outcomes.shape
+    moments = (density, mean, var, coherence)
+    return (*(values.reshape(shape) for values in moments), final)
 
 
 def outcome_density(state: PureState, n_m, delta_n: float):
@@ -342,7 +391,7 @@ def measure(state: PureState, n_m: float, delta_n: float) -> OutcomeRecord:
     """
     delta_n = _check_delta_n(delta_n)
     density, _, _, coherence, post = _sequential_posteriors(state, _grid(n_m), delta_n)
-    return OutcomeRecord(float(n_m), density.item(), post, complex(coherence[0]))
+    return OutcomeRecord(float(n_m), density.item(), PureState._unit(post), complex(coherence[0]))
 
 
 def coherence_after(state: PureState, n_m, delta_n: float):

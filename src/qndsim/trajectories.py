@@ -18,6 +18,7 @@ coherence decays exactly as if Gaussian phase noise of variance
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,22 +30,34 @@ from .fock import CoherentParams, PureState, coherent_state, expectation_a
 from .measurement import OutcomeRecord
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers only, no floats or strings."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParam(f"{name} must be an integer, not {value!r}") from None
+
+
 def _as_generator(rng) -> tuple[np.random.Generator, int | None]:
     """Accept a seed or a Generator; return the generator and the seed if known."""
     if isinstance(rng, np.random.Generator):
         return rng, None
-    seed = int(rng)
+    seed = _integer(rng, "seed")
     if seed < 0:
         raise InvalidParam("seed must be non-negative")
     return np.random.default_rng(seed), seed
 
 
 def _draw_level(
-    state: PureState, gen: np.random.Generator, size: int | None = None
+    state: PureState, gen: np.random.Generator, size: int | tuple[int, ...] | None = None
 ) -> np.integer | np.ndarray:
-    """Draw a photon number (or ``size`` of them) with probability |c_n|^2."""
-    probs = state.probabilities()
-    return gen.choice(probs.size, size=size, p=probs / probs.sum())
+    """Draw a photon number (or an array of ``size`` of them) with probability |c_n|^2.
+
+    One uniform deviate per level searched in :meth:`PureState.level_cdf`:
+    the draws ``gen.choice(levels, size, p=|c_n|^2)`` makes, from the same
+    stream.
+    """
+    return state.level_cdf().searchsorted(gen.random(size), side="right")
 
 
 def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
@@ -61,13 +74,15 @@ def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One sequential readout record at fixed resolution, one array entry per pass.
+    """Sequential readout records at fixed resolution, one array entry per pass.
 
     ``outcomes`` holds the readout values; ``mean_n``, ``var_n`` and
     ``coherence_mag`` the mean photon number, its variance and |<a>| of the
-    conditional state after each pass.  ``seed`` is the integer seed when one
-    was supplied (None when the caller passed a live generator).
-    ``final_state`` is the conditional state after the last pass.
+    conditional state after each pass.  ``final_amplitudes`` holds the
+    read-only, unit-norm conditional amplitudes after the last pass.  One
+    record has arrays of shape (count,) and (levels,); a batch of ``runs``
+    records puts a leading runs axis on each.  ``seed`` is the integer seed
+    when one was supplied (None when the caller passed a live generator).
     """
 
     delta_n: float
@@ -76,11 +91,21 @@ class Trajectory:
     mean_n: np.ndarray
     var_n: np.ndarray
     coherence_mag: np.ndarray
-    final_state: PureState
+    final_amplitudes: np.ndarray
+
+    @property
+    def final_state(self) -> PureState:
+        """The conditional state after the last pass of a single record.
+
+        Each access wraps ``final_amplitudes`` in a new ``PureState``, without a copy.
+        """
+        if self.final_amplitudes.ndim != 1:
+            raise InvalidParam("a batch has one final state per run; read final_amplitudes")
+        return PureState._unit(self.final_amplitudes)
 
 
 def repeated_measurement(
-    state: PureState, delta_n: float, count: int, rng
+    state: PureState, delta_n: float, count: int, rng, runs: int | None = None
 ) -> Trajectory:
     """Apply ``count`` sequential readouts at resolution ``delta_n``.
 
@@ -91,16 +116,35 @@ def repeated_measurement(
     ``delta_n / sqrt(j)`` at the running mean of the first j outcomes (Gaussian
     windows multiply), so every pass's moments come from that window, as
     :func:`effective_post_state` builds it for the last pass.
+
+    ``runs`` makes that many independent records in one pass over the level
+    moments: ``runs`` levels are drawn first, then a (runs, count) block of
+    outcomes, and every array of the result gains a leading runs axis.
+    ``runs=1`` draws the same stream as the default single record and gives
+    the same values.
     """
+    count = _integer(count, "count")
     if count < 1:
         raise InvalidParam("count must be at least 1")
+    # One hidden level per record: a scalar, or a (runs, 1) column for a batch.
+    level_shape, shape = None, (count,)
+    if runs is not None:
+        runs = _integer(runs, "runs")
+        if runs < 1:
+            raise InvalidParam("runs must be at least 1")
+        level_shape, shape = (runs, 1), (runs, count)
     delta_n = measurement._check_delta_n(delta_n)
     gen, seed = _as_generator(rng)
-    outcomes = gen.normal(_draw_level(state, gen), delta_n, size=count)
+    # level + delta_n z is the value gen.normal(level, delta_n) draws, bit for
+    # bit, without its per-call broadcasting of loc and scale.
+    level = _draw_level(state, gen, level_shape)
+    outcomes = level + delta_n * gen.standard_normal(shape)
+    # The posterior pass takes a block as (count, runs): .T is a view both ways.
     _, mean_n, var_n, coherence, final = measurement._sequential_posteriors(
-        state, outcomes, delta_n
+        state, outcomes.T, delta_n
     )
-    return Trajectory(delta_n, seed, outcomes, mean_n, var_n, np.abs(coherence), final)
+    final.setflags(write=False)
+    return Trajectory(delta_n, seed, outcomes, mean_n.T, var_n.T, np.abs(coherence.T), final)
 
 
 def effective_post_state(
@@ -149,6 +193,7 @@ def phase_diffusion_equivalence(
     expectation.  Ratios are projections onto the initial field direction,
     normalized by its magnitude.
     """
+    samples = _integer(samples, "samples")
     if samples < 1000:
         raise InvalidParam("need at least 1000 samples for stable error bars")
     delta_n = measurement._check_delta_n(delta_n)

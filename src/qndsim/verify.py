@@ -259,10 +259,8 @@ def criterion_repeated_measurement():
     runs = 10_000
     bins = np.arange(6, 13)
     prior = state.probabilities()[bins]
-    samples = np.empty((runs, bins.size))
-    for i in range(runs):
-        final = trajectories.repeated_measurement(state, 1.0, 2, rng).final_state
-        samples[i] = final.probabilities()[bins]
+    batch = trajectories.repeated_measurement(state, 1.0, 2, rng, runs=runs)
+    samples = np.abs(batch.final_amplitudes[:, bins]) ** 2
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(runs)
     z_max = float(np.max(np.abs(samples.mean(axis=0) - prior) / stderr))
     yield "fidelity of 100-pass trajectory vs effective single readout", fid, 1.0, 1e-10

@@ -121,6 +121,12 @@ class TestSampleTable:
         assert a.rows == b.rows
         assert len(a.rows) == 5
 
+    def test_seed_must_be_an_integer(self):
+        # 2.5 ran as seed 2 and echoed seed=2 in the table's config.
+        with pytest.raises(InvalidParam, match="seed must be an integer"):
+            figures.sample_table(None, 0.3, 5, 2.5)
+        assert figures.sample_table(None, 0.3, 5, np.int64(2)).config["seed"] == 2
+
 
 class TestCliFiles:
     def test_csv_format(self, tmp_path):
@@ -320,6 +326,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed must be non-negative" in captured.err
+
+    def test_zero_count(self, capsys):
+        assert cli.main(["sample", "--dn", "0.3", "--count", "0", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: count must be at least 1\n"
 
     def test_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -123,6 +123,13 @@ class TestPureState:
         assert np.array_equal(p, state.probabilities())
         assert complex(b.sum()) == expectation_a(state)
         assert state.support() is state.support()
+        cdf = state.level_cdf()
+        assert state.level_cdf() is cdf
+        assert not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        assert np.allclose(cdf, np.cumsum(p), rtol=0.0, atol=1e-15)
 
 
 class TestCoherentState:
@@ -276,6 +283,26 @@ class TestExpectations:
         for _ in range(20):
             state = random_state(int(rng.integers(1, 50)), rng)
             assert expectation_parity_squared(state) == pytest.approx(1.0, abs=5e-14)
+
+    def test_number_and_random_states_refuse_a_basis_above_max_levels(self):
+        # Either call would ask for 10^10 levels, 149 GiB of amplitudes.
+        child = run_limited("-c", (
+            "import numpy as np\n"
+            "from qndsim import InvalidParam, number_state, random_state\n"
+            "for build in (lambda: number_state(0, 10**10),\n"
+            "              lambda: random_state(10**10, np.random.default_rng(1)),\n"
+            f"              lambda: number_state(0, {MAX_LEVELS})):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except InvalidParam as exc:\n"
+            "        print(exc)\n"
+        ))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            f"a basis of 10000000001 levels exceeds {MAX_LEVELS} levels",
+            f"a basis of 10000000001 levels exceeds {MAX_LEVELS} levels",
+            f"a basis of {MAX_LEVELS + 1} levels exceeds {MAX_LEVELS} levels",
+        ]
 
     def test_random_state_support(self):
         rng = np.random.default_rng(4)

@@ -29,6 +29,7 @@ from qndsim import (
     variance_n,
 )
 from qndsim.measurement import _sequential_posteriors, trapezoid
+from qndsim.trajectories import _draw_level
 
 from test_kernel import dense_condition
 
@@ -184,6 +185,74 @@ class TestRepeatedMeasurement:
         with pytest.raises(InvalidParam):
             repeated_measurement(alpha3_state, 0.5, 0, 1)
 
+    def test_seeded_stream_is_pinned(self, alpha3_state):
+        # The values Generator.choice's level draw gave; the cached CDF keeps them.
+        trajectory = repeated_measurement(alpha3_state, 0.5, 10, 999)
+        assert trajectory.outcomes[:4].tolist() == [
+            10.751682992526737, 9.974638454801973, 10.996884704125026, 11.263343360307507,
+        ]
+        assert trajectory.mean_n[:2].tolist() == [10.720603336491514, 10.213913578193196]
+
+    def test_one_run_batch_is_the_single_record(self, alpha3_state):
+        single = repeated_measurement(alpha3_state, 0.7, 6, 23)
+        batch = repeated_measurement(alpha3_state, 0.7, 6, 23, runs=1)
+        for name in ("outcomes", "mean_n", "var_n", "coherence_mag", "final_amplitudes"):
+            values = getattr(single, name)
+            assert getattr(batch, name).shape == (1, *values.shape)
+            assert np.array_equal(getattr(batch, name)[0], values)
+        assert batch.seed == single.seed == 23
+
+    @pytest.mark.parametrize(
+        "delta_n, count, runs", [(1.0, 2, 2000), (0.3, 7, 300), (0.05, 3, 200), (2.0, 40, 50)]
+    )
+    def test_batch_rows_match_single_records(self, alpha3_state, delta_n, count, runs):
+        batch = repeated_measurement(alpha3_state, delta_n, count, 41, runs=runs)
+        assert batch.outcomes.shape == batch.var_n.shape == (runs, count)
+        assert batch.final_amplitudes.shape == (runs, alpha3_state.n_max + 1)
+        for run in range(runs):
+            _, mean_n, var_n, coherence, final = _sequential_posteriors(
+                alpha3_state, batch.outcomes[run], delta_n
+            )
+            for value, single in (
+                (batch.mean_n[run], mean_n),
+                (batch.var_n[run], var_n),
+                (batch.coherence_mag[run], np.abs(coherence)),
+            ):
+                assert np.allclose(value, single, rtol=1e-13, atol=1e-13)
+            overlap = np.vdot(final, batch.final_amplitudes[run])
+            assert abs(overlap) ** 2 >= 1 - 1e-12
+
+    def test_batch_has_no_single_final_state(self, alpha3_state):
+        batch = repeated_measurement(alpha3_state, 1.0, 2, 3, runs=4)
+        assert not batch.final_amplitudes.flags.writeable
+        with pytest.raises(InvalidParam):
+            batch.final_state
+
+    @pytest.mark.parametrize("runs", [0, -2, 2.5, 2.0, "3"])
+    def test_invalid_runs(self, alpha3_state, runs):
+        with pytest.raises(InvalidParam):
+            repeated_measurement(alpha3_state, 1.0, 2, 1, runs=runs)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+    def test_count_must_be_an_integer(self, alpha3_state, count):
+        with pytest.raises(InvalidParam, match="count must be an integer"):
+            repeated_measurement(alpha3_state, 1.0, count, 1)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "7", np.float64(3.0)])
+    def test_seed_must_be_an_integer(self, alpha3_state, seed):
+        with pytest.raises(InvalidParam, match="seed must be an integer"):
+            repeated_measurement(alpha3_state, 1.0, 2, seed)
+        with pytest.raises(InvalidParam, match="seed must be an integer"):
+            sample_outcome(alpha3_state, 1.0, seed)
+
+    def test_numpy_integers_are_integers(self, alpha3_state):
+        typed = repeated_measurement(
+            alpha3_state, 1.0, np.int64(3), np.uint32(7), runs=np.int32(2)
+        )
+        plain = repeated_measurement(alpha3_state, 1.0, 3, 7, runs=2)
+        assert np.array_equal(typed.outcomes, plain.outcomes)
+        assert typed.seed == 7 and type(typed.seed) is int
+
     def test_passes_share_the_hidden_level(self, alpha3_state):
         # x_i = n + e_i with independent e_i: Cov(x_1, x_2) = Var(n), where
         # independent draws from the outcome density would give 0.
@@ -196,6 +265,25 @@ class TestRepeatedMeasurement:
         products = centered[:, 0] * centered[:, 1]
         stderr = products.std(ddof=1) / math.sqrt(runs)
         assert abs(products.mean() - variance_n(alpha3_state)) < 5 * stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(0, 400),
+    low_share=st.floats(0.0, 1.0),
+    size=st.sampled_from([None, 1, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_draws_are_generator_choice(n_max, low_share, size, seed):
+    """The CDF search draws what Generator.choice draws, from the same stream."""
+    state = random_state(n_max, np.random.default_rng(seed), min_level=int(low_share * n_max))
+    probs = state.probabilities()
+    searched, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = _draw_level(state, searched, size)
+    expected = chosen.choice(probs.size, size, p=probs / probs.sum())
+    assert np.shape(drawn) == np.shape(expected)
+    assert np.array_equal(drawn, expected)
+    assert searched.random() == chosen.random()
 
 
 def test_posteriors_refuse_an_outcome_off_the_support():
@@ -383,3 +471,8 @@ class TestPhaseDiffusionEquivalence:
     def test_sample_floor(self):
         with pytest.raises(InvalidParam):
             phase_diffusion_equivalence(ALPHA3, 0.5, 100, 1)
+
+    @pytest.mark.parametrize("samples", [1000.5, 2000.0, "2000"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(InvalidParam, match="samples must be an integer"):
+            phase_diffusion_equivalence(ALPHA3, 0.5, samples, 1)
