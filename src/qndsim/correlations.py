@@ -26,7 +26,7 @@ from .fock import (
     expectation_a,
     expectation_parity_squared,
 )
-from .measurement import MeasurementConfig, trapezoid
+from .measurement import MeasurementConfig
 
 # Resolutions on which |covariance| is unimodal, narrowed to _ARGMAX_TOL by the search.
 _ARGMAX_BRACKET = (0.1, 1.0)
@@ -45,8 +45,7 @@ def average_quantization(state: PureState, config: MeasurementConfig) -> float:
     average equals exp(-2 pi^2 delta_n^2) for every normalized state; the
     quadrature value is returned unassisted by that closed form.
     """
-    _, density, _, q_values = measurement._lattice_profiles(state, config)
-    return float(trapezoid(q_values * density, config.grid_step))
+    return measurement._quadratures(state, config)[1]
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,7 @@ def _correlation_report(
     params: CoherentParams, state: PureState, config: MeasurementConfig
 ) -> CorrelationReport:
     """:func:`quantization_coherence_correlation` on the already built ``state`` of ``params``."""
-    _, density, coherence, q_values = measurement._lattice_profiles(state, config)
-
-    q_bar = float(trapezoid(q_values * density, config.grid_step))
-    avg_coherence = complex(trapezoid(coherence, config.grid_step))
-    q_product = complex(trapezoid(q_values * coherence, config.grid_step))
+    _, q_bar, avg_coherence, q_product = measurement._quadratures(state, config)
     correlation = q_product - q_bar * avg_coherence
 
     dn = config.delta_n

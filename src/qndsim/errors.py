@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import operator
+
 
 class QndError(Exception):
     """Base class for all package-specific errors."""
@@ -7,6 +9,14 @@ class QndError(Exception):
 
 class InvalidParam(QndError, ValueError):
     """A parameter is outside its documented domain."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers only, no floats or strings."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParam(f"{name} must be an integer, not {value!r}") from None
 
 
 class TruncationTooSmall(QndError):

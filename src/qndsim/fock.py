@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .errors import InvalidParam, TruncationTooSmall
+from .errors import InvalidParam, TruncationTooSmall, _integer
 
 # Normalization slack accepted by the PureState constructor before it snaps
 # the vector to exactly unit norm.
@@ -187,22 +187,20 @@ def _scan_support(p: np.ndarray) -> tuple[int, int]:
     return int(below), p.size - 1 - int(above)
 
 
-def _check_levels(n_max: int) -> None:
-    """Refuse a basis of more than ``MAX_LEVELS`` levels before it is allocated."""
+def _check_levels(n_max: int) -> int:
+    """``n_max`` as an int, refused above ``MAX_LEVELS`` levels before a basis is allocated."""
+    n_max = _integer(n_max, "n_max")
     if n_max >= MAX_LEVELS:
         raise InvalidParam(f"a basis of {n_max + 1} levels exceeds {MAX_LEVELS} levels")
+    return n_max
 
 
 def number_state(n: int, n_max: int | None = None) -> PureState:
     """The eigenstate |n> on a basis truncated at ``n_max`` (default n)."""
-    n = int(n)
-    if n < 0:
-        raise InvalidParam("photon number must be non-negative")
-    if n_max is None:
-        n_max = n
-    if n_max < n:
-        raise InvalidParam("n_max must be at least n")
-    _check_levels(n_max)
+    n = _integer(n, "photon number")
+    n_max = _check_levels(n if n_max is None else n_max)
+    if not 0 <= n <= n_max:
+        raise InvalidParam("photon number must lie in [0, n_max]")
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[n] = 1.0
     return PureState(amps)
@@ -222,10 +220,9 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
     TruncationTooSmall
         If the Poisson mass beyond ``n_max`` is ``DEFAULT_TAIL_TOL`` or more.
     """
-    n_max = default_cutoff(params) if n_max is None else int(n_max)
+    n_max = _check_levels(default_cutoff(params) if n_max is None else n_max)
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")
-    _check_levels(n_max)
 
     lam = params.mean_photon_number
     n = np.arange(n_max + 1)
@@ -251,10 +248,10 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
     """Smallest cutoff leaving Poisson mass below ``tail_tol`` past it.
 
     The tail beyond a cutoff k is the regularized incomplete gamma function
-    ``pdtrc(k, |alpha|^2)``, accurate in relative terms however small, and the
-    same tail :func:`coherent_state` checks.  It falls as k grows, so the
-    cutoff is found by bisection in about log2(|alpha|^2 + 20 |alpha| + 200)
-    evaluations.
+    ``pdtrc(k, |alpha|^2)``, the same tail :func:`coherent_state` checks; past
+    |alpha| of about 1 556 it reads low (0.7% at 3 000), so the cutoff can
+    fall a few levels short.  The tail falls as k grows, so the cutoff is
+    found by bisection in about log2(|alpha|^2 + 20 |alpha| + 200) evaluations.
     """
     if not (0.0 < tail_tol < 1.0):
         raise InvalidParam("tail_tol must lie in (0, 1)")
@@ -347,9 +344,9 @@ def random_state(
     n_max: int, rng: np.random.Generator, min_level: int = 0
 ) -> PureState:
     """Haar-like random pure state, optionally with no weight below ``min_level``."""
-    if min_level < 0 or min_level > n_max:
+    n_max = _check_levels(n_max)
+    if not 0 <= _integer(min_level, "min_level") <= n_max:
         raise InvalidParam("min_level must lie in [0, n_max]")
-    _check_levels(n_max)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     size = n_max + 1 - min_level
     amps[min_level:] = rng.standard_normal(size) + 1j * rng.standard_normal(size)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow, InvalidParam, ToleranceWarning, ZeroProbability
+from .errors import GridTooNarrow, InvalidParam, ToleranceWarning, ZeroProbability, _integer
 from .fock import PureState
 
 # Densities below this are treated as a vanished outcome: renormalizing the
@@ -441,10 +441,9 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     the ratio isolates the periodic quantization contrast and is the same for
     every state.
     """
-    config = MeasurementConfig(delta_n, state.n_max, 2)
-    _, density, _, quantization = _lattice_profiles(state, config)
-    # Q is +1 on the integers (residue 0) and -1 on the half-integers.
-    return float(density[quantization > 0].sum() / density[quantization < 0].sum())
+    # Each sum is taken on its own: (mass + Q sum) / (mass - Q sum) would cancel.
+    j, density, _, _ = _lattice(state, MeasurementConfig(delta_n, state.n_max, 2))
+    return float(density[j % 2 == 0].sum() / density[j % 2 == 1].sum())
 
 
 def _lattice_floor(x: float, per_unit: int) -> int:
@@ -475,8 +474,8 @@ class MeasurementConfig:
 
     def __post_init__(self):
         _check_delta_n(self.delta_n)
-        if not (self.n_max >= 0 and self.per_unit >= 1 and float(self.per_unit).is_integer()):
-            raise InvalidParam("need n_max >= 0 and an integer per_unit >= 1")
+        if not (_integer(self.n_max, "n_max") >= 0 and _integer(self.per_unit, "per_unit") >= 1):
+            raise InvalidParam("need n_max >= 0 and per_unit >= 1")
 
     @property
     def grid_step(self) -> float:
@@ -531,21 +530,7 @@ def grid_profiles(
     above its upper end.  Beyond either end of that run lies less than 1e-15
     of the outcome probability: Gaussian tails past 8 widths, and the 1e-16
     the support leaves out.  Returns that run; quadratures on it take the
-    config's step.
-
-    Raises
-    ------
-    GridTooNarrow
-        If the probability mass captured by the returned grid falls short of
-        ``1 - QUAD_TOL``.
-    """
-    return _lattice_profiles(state, config)[:3]
-
-
-def _lattice_profiles(
-    state: PureState, config: MeasurementConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`grid_profiles` plus the quantization Q = cos(2 pi r/M) of each point.
+    config's step (:func:`_quadratures`).
 
     The grid point j/M = q + r/M has integer anchor q = j // M and residue
     r = j mod M, and its offset from the level n = q + s is
@@ -557,7 +542,21 @@ def _lattice_profiles(
     p_n and b_n of the levels q + s.  Row q, column r of a product is the
     point q + r/M.  Anchors are taken in chunks of about ``_CHUNK_CELLS``
     window cells.
+
+    Raises
+    ------
+    GridTooNarrow
+        If the probability mass captured by the returned grid falls short of
+        ``1 - QUAD_TOL``.
     """
+    j, density, coherence, _ = _lattice(state, config)
+    return j / config.per_unit, density, coherence
+
+
+def _lattice(
+    state: PureState, config: MeasurementConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """:func:`grid_profiles` with the run's indices j in place of j/M, and its checked mass."""
     per_unit, delta_n = config.per_unit, config.delta_n
     low, high = config._indices()
     first, last = state.support()
@@ -567,8 +566,7 @@ def _lattice_profiles(
 
     reach = int(_reach(delta_n))
     offsets = np.arange(-reach, reach + 2)
-    residues = np.arange(per_unit)
-    x = (residues[:, None] - per_unit * offsets) / per_unit
+    x = (np.arange(per_unit)[:, None] - per_unit * offsets) / per_unit
     e = np.exp(-1.0 / (4.0 * delta_n**2) * x * x)
     square = (e * e).T
     pair = (e[:, :-1] * e[:, 1:]).T
@@ -599,12 +597,25 @@ def _lattice_profiles(
     coherence = norm * (coherence[0].ravel()[run] + 1j * coherence[1].ravel()[run])
     mass = float(trapezoid(density, config.grid_step))
     if mass < 1.0 - QUAD_TOL:
-        raise GridTooNarrow(
-            f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g}"
-        )
-    j = np.arange(start, stop + 1)
-    quantization = np.cos(2.0 * math.pi * residues / per_unit)[j % per_unit]
-    return j / per_unit, density, coherence, quantization
+        raise GridTooNarrow(f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g}")
+    return np.arange(start, stop + 1), density, coherence, mass
+
+
+def _quadratures(
+    state: PureState, config: MeasurementConfig
+) -> tuple[float, float, complex, complex]:
+    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the run of :func:`grid_profiles`.
+
+    Every outcome average of the package is one of these sums; the quantization
+    Q = cos(2 pi r/M) of the point j/M is read from its residue r = j mod M.
+    Raises :class:`GridTooNarrow` as :func:`grid_profiles` does.
+    """
+    j, density, coherence, mass = _lattice(state, config)
+    per_unit, step = config.per_unit, config.grid_step
+    q_values = np.cos(2.0 * math.pi * np.arange(per_unit) / per_unit)[j % per_unit]
+    quantization = trapezoid(q_values * density, step)
+    average, product = trapezoid(coherence, step), trapezoid(q_values * coherence, step)
+    return mass, float(quantization), complex(average), complex(product)
 
 
 def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
@@ -618,8 +629,7 @@ def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
     GridTooNarrow
         As :func:`grid_profiles`.
     """
-    _, _, coherence = grid_profiles(state, config)
-    return complex(trapezoid(coherence, config.grid_step))
+    return _quadratures(state, config)[2]
 
 
 def decoherence_factor(delta_n: float) -> float:

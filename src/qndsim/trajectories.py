@@ -18,24 +18,15 @@ coherence decays exactly as if Gaussian phase noise of variance
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import measurement
-from .errors import InvalidParam
+from .errors import InvalidParam, _integer
 from .fock import CoherentParams, PureState, coherent_state, expectation_a
 from .measurement import OutcomeRecord
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers only, no floats or strings."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParam(f"{name} must be an integer, not {value!r}") from None
 
 
 def _as_generator(rng) -> tuple[np.random.Generator, int | None]:

@@ -202,10 +202,8 @@ def criterion_exact_factorization():
         worst = 0.0
         for _ in range(50):
             state = random_state(n_max, rng, min_level=min_level)
-            _, _, coherence, q_values = measurement._lattice_profiles(state, config)
-            product = measurement.trapezoid(q_values * coherence, config.grid_step)
-            target = -factor * expectation_a(state)
-            worst = max(worst, abs(product - target))
+            product = measurement._quadratures(state, config)[3]
+            worst = max(worst, abs(product + factor * expectation_a(state)))
         yield f"max |quadrature - closed form| over 50 states at dn={dn}", worst, 0.0, 1e-8
 
 
@@ -237,9 +235,7 @@ def criterion_povm_completeness():
         for _ in range(10):
             state = random_state(int(rng.integers(1, 64)), rng)
             config = measurement.MeasurementConfig.adequate(dn, state.n_max)
-            _, density, _ = measurement.grid_profiles(state, config)
-            mass = measurement.trapezoid(density, config.grid_step)
-            worst_mass = max(worst_mass, abs(mass - 1.0))
+            worst_mass = max(worst_mass, abs(measurement._quadratures(state, config)[0] - 1.0))
             outcome = rng.normal(expectation_n(state), dn)
             post = measurement.measure(state, outcome, dn).post_state
             worst_norm = max(worst_norm, abs(np.linalg.norm(post.amplitudes) - 1.0))

@@ -109,8 +109,12 @@ class TestPureState:
         assert state.n_max == 5
         assert state.amplitudes[5] == 1.0
         assert number_state(2, n_max=10).n_max == 10
-        with pytest.raises(InvalidParam):
-            number_state(3, n_max=1)
+        assert number_state(np.int64(2), np.int64(4)).n_max == 4
+        # A float or a string is refused, not truncated: 2.5 would be |2>.
+        for n, n_max in ((3, 1), (-1, None), (-1, 5), (2.5, None), (2.0, None),
+                         (2, 5.5), (2, math.inf), (2, "5")):
+            with pytest.raises(InvalidParam):
+                number_state(n, n_max)
 
     def test_level_moments_are_computed_once_and_read_only(self):
         state = coherent_state(CoherentParams(3.0, 0.4), 40)
@@ -152,6 +156,13 @@ class TestCoherentState:
     def test_truncation_error(self):
         with pytest.raises(TruncationTooSmall):
             coherent_state(CoherentParams(3.0), 15)
+
+    def test_cutoff_must_be_an_integer(self):
+        assert coherent_state(CoherentParams(3.0), np.int64(40)).n_max == 40
+        # 40.7 would cut the basis at 40.
+        for n_max in (40.7, 40.0, math.inf, math.nan, "40", -1):
+            with pytest.raises(InvalidParam):
+                coherent_state(CoherentParams(3.0), n_max)
 
     def test_normalized_within_1e12(self):
         for mag in (0.5, 1.0, 3.0, 6.0):
@@ -303,6 +314,13 @@ class TestExpectations:
             f"a basis of 10000000001 levels exceeds {MAX_LEVELS} levels",
             f"a basis of {MAX_LEVELS + 1} levels exceeds {MAX_LEVELS} levels",
         ]
+
+    def test_random_state_levels_must_be_integers(self):
+        rng = np.random.default_rng(4)
+        assert random_state(np.int64(5), rng, min_level=np.int64(2)).n_max == 5
+        for n_max, min_level in ((5.5, 0), (5.0, 0), (math.inf, 0), (5, 1.5), (5, 6), (5, -1)):
+            with pytest.raises(InvalidParam):
+                random_state(n_max, rng, min_level=min_level)
 
     def test_random_state_support(self):
         rng = np.random.default_rng(4)

@@ -23,6 +23,7 @@ from qndsim import (
     decoherence_factor,
     equivalent_phase_noise,
     expectation_a,
+    grid_profiles,
     infer_excess_noise,
     integer_half_integer_ratio,
     measure,
@@ -317,13 +318,16 @@ class TestMeasurementConfig:
     def test_validation(self):
         with pytest.raises(InvalidParam):
             MeasurementConfig(delta_n=0.0, n_max=1, per_unit=10)
-        with pytest.raises(InvalidParam):
-            MeasurementConfig(delta_n=1.0, n_max=-1, per_unit=10)
+        # A float n_max would build a config whose quadratures fail later.
+        for n_max in (-1, 37.0, 37.5, math.inf, math.nan):
+            with pytest.raises(InvalidParam):
+                MeasurementConfig(delta_n=1.0, n_max=n_max, per_unit=10)
+        assert MeasurementConfig(0.3, np.int64(37), np.int64(6)).grid_step == 1 / 6
 
     def test_step_must_be_on_a_lattice(self):
         assert MeasurementConfig(0.3, 12, 50).grid_step == 0.02
         assert MeasurementConfig(0.3, 12, 7).grid_step == 1 / 7
-        for per_unit in (0, -3, 2.5, math.inf, math.nan):
+        for per_unit in (0, -3, 2.5, 6.0, math.inf, math.nan, "6"):
             with pytest.raises(InvalidParam):
                 MeasurementConfig(delta_n=0.3, n_max=12, per_unit=per_unit)
 
@@ -406,6 +410,18 @@ class TestIntegerHalfIntegerRatio:
             assert integer_half_integer_ratio(alpha3_state, dn) == pytest.approx(
                 top / bottom, rel=1e-9
             )
+
+    @pytest.mark.parametrize("dn", [0.05, 0.07, 0.1, 0.2, 0.3, 0.4, 0.7, 1.0])
+    def test_matches_literal_lattice_sums(self, alpha3_state, dn):
+        # The density summed over the integer points of the M = 2 lattice and
+        # over its half-integer points, each on its own.  At small dn the
+        # half-integers carry about exp(-1/(8 dn^2)) of the mass (e^-50 at
+        # 0.05), below the rounding of mass - (Q sum), so that form would fail.
+        for state in (alpha3_state, number_state(4, 30)):
+            grid, density, _ = grid_profiles(state, MeasurementConfig(dn, state.n_max, 2))
+            integers = grid == np.round(grid)
+            literal = density[integers].sum() / density[~integers].sum()
+            assert integer_half_integer_ratio(state, dn) == pytest.approx(literal, rel=1e-14)
 
 
 # Every function that accepts a scalar or an array outcome, with the type a
