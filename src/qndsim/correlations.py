@@ -45,7 +45,7 @@ def average_quantization(state: PureState, config: MeasurementConfig) -> float:
     average equals exp(-2 pi^2 delta_n^2) for every normalized state; the
     quadrature value is returned unassisted by that closed form.
     """
-    return measurement._quadratures(state, config)[1]
+    return float(measurement._quadratures(state, [config])[1][0])
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,28 @@ def quantization_coherence_correlation(
     dephasing factor, and correlation = -2 q_bar times the dephased alpha)
     enter only as cross-checks recorded in ``analytic_deltas``.
     """
-    return _correlation_report(params, coherent_state(params, n_max), config)
+    return _correlation_reports(params, coherent_state(params, n_max), [config])[0]
+
+
+def _correlation_reports(
+    params: CoherentParams, state: PureState, configs
+) -> list[CorrelationReport]:
+    """One report per config on the built ``state`` of ``params``, from one quadrature pass."""
+    _, q_bars, averages, products = measurement._quadratures(state, configs)
+    return [
+        _correlation_report(params, config.delta_n, q_bar, average, product)
+        for config, q_bar, average, product in zip(
+            configs, q_bars.tolist(), averages.tolist(), products.tolist()
+        )
+    ]
 
 
 def _correlation_report(
-    params: CoherentParams, state: PureState, config: MeasurementConfig
+    params: CoherentParams, dn: float, q_bar: float, avg_coherence: complex, q_product: complex
 ) -> CorrelationReport:
-    """:func:`quantization_coherence_correlation` on the already built ``state`` of ``params``."""
-    _, q_bar, avg_coherence, q_product = measurement._quadratures(state, config)
+    """The report at resolution ``dn`` from its quadrature sums of Q P, <a>_f P and Q <a>_f P."""
     correlation = q_product - q_bar * avg_coherence
 
-    dn = config.delta_n
     q_bar_cf = approx.fringe_amplitude(dn)
     avg_cf = params.alpha * measurement.decoherence_factor(dn)
     corr_cf = -2.0 * q_bar_cf * avg_cf
@@ -117,7 +128,7 @@ def correlation_at(params: CoherentParams, delta_n: float) -> complex:
     """Convenience wrapper: the covariance at one resolution on an adequate grid."""
     state = coherent_state(params)
     config = MeasurementConfig.adequate(delta_n, state.n_max)
-    return _correlation_report(params, state, config).correlation
+    return _correlation_reports(params, state, [config])[0].correlation
 
 
 def argmax_correlation_resolution(params: CoherentParams) -> float:
@@ -132,7 +143,7 @@ def argmax_correlation_resolution(params: CoherentParams) -> float:
 
     def objective(dn: float) -> float:
         config = MeasurementConfig.adequate(dn, state.n_max)
-        return -abs(_correlation_report(params, state, config).correlation)
+        return -abs(_correlation_reports(params, state, [config])[0].correlation)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = _ARGMAX_BRACKET

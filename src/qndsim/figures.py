@@ -77,9 +77,9 @@ def _resolution_sweep(
     """Correlation columns at dn_min, dn_min + dn_step, ... up to dn_max.
 
     Returns the columns ``delta_n``, ``q_bar``, ``avg_coherence_factor`` and
-    ``c_over_alpha``, one quadrature per resolution, and the state they
-    average over.  The columns are normalized by |alpha|, so the field
-    must be bright.
+    ``c_over_alpha``, from one quadrature pass over every resolution, and the
+    state they average over.  The columns are normalized by |alpha|, so the
+    field must be bright.
     """
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
@@ -87,12 +87,8 @@ def _resolution_sweep(
         raise InvalidParam("resolution sweep requires a bright field")
     state = coherent_state(params)
     resolutions = _steps(dn_min, dn_max, dn_step).tolist()
-    reports = [
-        correlations._correlation_report(
-            params, state, measurement.MeasurementConfig.adequate(dn, state.n_max)
-        )
-        for dn in resolutions
-    ]
+    configs = [measurement.MeasurementConfig.adequate(dn, state.n_max) for dn in resolutions]
+    reports = correlations._correlation_reports(params, state, configs)
     columns = {
         "delta_n": resolutions,
         "q_bar": [r.q_bar for r in reports],

@@ -31,12 +31,16 @@ mean, so one pass gives every step of a trajectory its posterior, and
 outcome in the same way (:func:`_band_profiles`), so a sweep's probes at
 many resolutions are one pass too.  Quadratures over outcomes use the
 trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
-unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), evaluated
-only where the state has weight (:func:`grid_profiles`).  On a lattice the
-offset from a level to an outcome depends only on the outcome's residue
-r = j mod M and the level's distance from the integer anchor j // M, so a
-quadrature takes M exponentials per band offset and its band sums are two
-matrix products, on exact offsets.
+unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), over
+the run of points where the state has weight (:func:`grid_profiles`).  On a
+lattice the offset from a level to an outcome depends only on the outcome's
+residue r = j mod M and the level's distance from the integer anchor j // M,
+and so does every quadrature weight: a quadrature is a sum over M residues
+of M x W exponentials against the window's column sums over the run's
+anchors (:func:`_residue_totals`), and its cost does not grow with the
+support.  A resolution sweep is one batched pass, with configs that share M
+evaluated together (:func:`_quadratures`); the matrix-product evaluator of
+:func:`grid_profiles` serves profiles only.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -44,6 +48,7 @@ vectorized internally and safe to parallelize externally.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -442,8 +447,8 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     every state.
     """
     # Each sum is taken on its own: (mass + Q sum) / (mass - Q sum) would cancel.
-    j, density, _, _ = _lattice(state, MeasurementConfig(delta_n, state.n_max, 2))
-    return float(density[j % 2 == 0].sum() / density[j % 2 == 1].sum())
+    (_, _, totals), = _residue_totals(state, [MeasurementConfig(delta_n, state.n_max, 2)], 0.0)
+    return float(totals[0, 0, 0] / totals[0, 0, 1])
 
 
 def _lattice_floor(x: float, per_unit: int) -> int:
@@ -519,6 +524,65 @@ def trapezoid(values: np.ndarray, step: float):
     return step * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
+def _run(config: MeasurementConfig, support: tuple[int, int]) -> tuple[int, int]:
+    """Indices j of the first and last points j/M of the run that covers ``support``.
+
+    The run reaches from the last point at or below the support's lower end
+    padded by ``_PAD_WIDTHS`` = 8 widths to the first point at or above its
+    padded upper end, clipped to the config's grid.
+    """
+    per_unit, pad = config.per_unit, _PAD_WIDTHS * config.delta_n
+    low, high = config._indices()
+    first, last = support
+    start = min(max(_lattice_floor(first - pad, per_unit), low), high)
+    stop = max(min(-_lattice_floor(-(last + pad), per_unit), high), low)
+    return start, stop
+
+
+def _too_narrow(mass: float, delta_n: float) -> GridTooNarrow:
+    return GridTooNarrow(
+        f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g} at delta_n = {delta_n:g}"
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _offset_squares(per_unit: int, reach: int) -> np.ndarray:
+    """x^2 for x = (r - M s)/M in a read-only array: row s + reach, a unit axis, residue r.
+
+    Rows run over s = -reach..reach + 2.
+    """
+    # r - M s, counted up from s = reach + 2, r = 0, is one run of integers.
+    run = np.arange(-per_unit * (reach + 2), per_unit * (reach + 1)) ** 2 / per_unit**2
+    square = np.ascontiguousarray(run.reshape(-1, 1, per_unit)[::-1])
+    square.flags.writeable = False
+    return square
+
+
+@functools.lru_cache(maxsize=32)
+def _quantization(per_unit: int) -> np.ndarray:
+    """Rows 1 and Q = cos(2 pi r/M) per residue r, read-only."""
+    basis = np.cos(np.array([[0.0], [2.0 * math.pi / per_unit]]) * np.arange(per_unit))
+    basis.flags.writeable = False
+    return basis
+
+
+def _band_weights(per_unit: int, delta_n: list[float], reach: int) -> np.ndarray:
+    """Band weights from the points of the lattice j/M to the levels near them.
+
+    The point q + r/M lies x = (r - M s)/M from the level q + s, so x^2 is
+    one rounding of an exact integer ratio.  With e(x) = exp(-x^2 / (4 dn^2)),
+    returns the weights e(x)^2 of p and e(x) e(x - 1) of Re b and Im b in an
+    array of shape (2 R + 2, K, 3, M): row s + R for s = -R..R + 1, with
+    R = ``reach``; column k at the width ``delta_n[k]``; then the moment and
+    the residue r.  Every weight beyond a width's own band, s outside
+    -int(_reach(dn))..int(_reach(dn)) + 1, lies over 38.7 widths out and is
+    0.0, so a narrower band in a wider block adds exact zeros.
+    """
+    scale = np.array([-1.0 / (4.0 * dn**2) for dn in delta_n])[:, None]
+    e = np.exp(scale * _offset_squares(per_unit, reach))[..., None, :]
+    return e[:-1] * np.concatenate((e[:-1], e[1:], e[1:]), axis=2)
+
+
 def grid_profiles(
     state: PureState, config: MeasurementConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -529,19 +593,20 @@ def grid_profiles(
     from the last point at or below its lower end to the first point at or
     above its upper end.  Beyond either end of that run lies less than 1e-15
     of the outcome probability: Gaussian tails past 8 widths, and the 1e-16
-    the support leaves out.  Returns that run; quadratures on it take the
-    config's step (:func:`_quadratures`).
+    the support leaves out.
 
     The grid point j/M = q + r/M has integer anchor q = j // M and residue
     r = j mod M, and its offset from the level n = q + s is
-    x = (r - M s) / M, one rounding of an exact integer ratio.  Over the band
-    |x| <= ``_reach(dn)`` the exponentials e(x) = exp(-x^2 / (4 dn^2)) form an
-    M x W table E[r, s], and the band sums of :func:`_profiles` are the
-    matrix products P_win @ (E * E).T and B_win @ (E(x) E(x - 1)).T, where row
-    q of the (anchors x W) windows P_win and B_win holds the level moments
-    p_n and b_n of the levels q + s.  Row q, column r of a product is the
-    point q + r/M.  Anchors are taken in chunks of about ``_CHUNK_CELLS``
-    window cells.
+    x = (r - M s)/M.  Over the band |x| <= ``_reach(dn)`` the weights
+    e(x)^2 and e(x) e(x - 1), e(x) = exp(-x^2 / (4 dn^2)), form two W x M
+    tables (:func:`_band_weights`), and the band sums of :func:`_profiles`
+    are their matrix products with the (anchors x W) windows whose row q
+    holds the level moments p_n and b_n of the levels q + s.  Row q, column r
+    of a product is the point q + r/M.  Anchors are taken in chunks of about
+    ``_CHUNK_CELLS`` window cells.  This evaluator serves profiles only:
+    quadratures over the same run (:func:`_quadratures`) take the same tables
+    against column sums of the windows, summed by residue, and never build
+    the profiles.
 
     Raises
     ------
@@ -549,43 +614,28 @@ def grid_profiles(
         If the probability mass captured by the returned grid falls short of
         ``1 - QUAD_TOL``.
     """
-    j, density, coherence, _ = _lattice(state, config)
-    return j / config.per_unit, density, coherence
-
-
-def _lattice(
-    state: PureState, config: MeasurementConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """:func:`grid_profiles` with the run's indices j in place of j/M, and its checked mass."""
     per_unit, delta_n = config.per_unit, config.delta_n
-    low, high = config._indices()
-    first, last = state.support()
-    pad = _PAD_WIDTHS * delta_n
-    start = min(max(_lattice_floor(first - pad, per_unit), low), high)
-    stop = max(min(-_lattice_floor(-(last + pad), per_unit), high), low)
-
+    start, stop = _run(config, state.support())
     reach = int(_reach(delta_n))
-    offsets = np.arange(-reach, reach + 2)
-    x = (np.arange(per_unit)[:, None] - per_unit * offsets) / per_unit
-    e = np.exp(-1.0 / (4.0 * delta_n**2) * x * x)
-    square = (e * e).T
-    pair = (e[:, :-1] * e[:, 1:]).T
+    weights = _band_weights(per_unit, [delta_n], reach)[:, 0]
+    square, pair = weights[:, 0], weights[:-1, 1]
+    width = square.shape[0]
 
     # The level moments of levels anchor - reach .. anchor + reach + 1 for every
     # anchor, zero off the basis: p, Re b and Im b in one block of windows.
     q_first, q_last = start // per_unit, stop // per_unit
     base = q_first - reach
-    levels = np.zeros((3, q_last - q_first + offsets.size))
+    levels = np.zeros((3, q_last - q_first + width))
     p, b = state.level_moments()
     inside = slice(max(base, 0), min(q_last + reach + 2, p.size))
     into = slice(inside.start - base, inside.stop - base)
     levels[0, into], levels[1, into], levels[2, into] = p[inside], b.real[inside], b.imag[inside]
-    windows = _windows(levels, offsets.size)
+    windows = _windows(levels, width)
 
     anchors = q_last - q_first + 1
     density = np.empty((anchors, per_unit))
     coherence = np.empty((2, anchors, per_unit))
-    chunk = max(1, _CHUNK_CELLS // offsets.size)
+    chunk = max(1, _CHUNK_CELLS // width)
     for rows in range(0, anchors, chunk):
         block = np.ascontiguousarray(windows[:, rows : rows + chunk])
         np.matmul(block[0], square, out=density[rows : rows + chunk])
@@ -597,25 +647,123 @@ def _lattice(
     coherence = norm * (coherence[0].ravel()[run] + 1j * coherence[1].ravel()[run])
     mass = float(trapezoid(density, config.grid_step))
     if mass < 1.0 - QUAD_TOL:
-        raise GridTooNarrow(f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g}")
-    return np.arange(start, stop + 1), density, coherence, mass
+        raise _too_narrow(mass, delta_n)
+    return np.arange(start, stop + 1) / per_unit, density, coherence
 
 
-def _quadratures(
-    state: PureState, config: MeasurementConfig
-) -> tuple[float, float, complex, complex]:
+def _residue_totals(state: PureState, configs, end_trim: float):
+    """Sums of the profiles of :func:`grid_profiles` over each config's run, by residue.
+
+    Yields, for each block of configs that share M: their positions in
+    ``configs``, M, and T[k, m, r]: 1/M times the sum, over the points
+    j = q M + r of config k's run, of the density P (m = 0) and of the real
+    and imaginary parts of <a>_f P (m = 1, 2), with the run's first and last
+    point weighted ``1 - end_trim``.
+
+    The offset of a point from a level depends only on r and the level's
+    distance s from the anchor q (:func:`_band_weights`), so summed over the
+    run's anchors q_first..q_last, residue r takes sum_s E[s, r] C[s] with the
+    column sums C[s] = sum_q p_{q + s}.  Each C[s] is the pairwise total of the
+    moment less its tails below level q_first + s and above level q_last + s,
+    each tail a running sum from its own end of the basis: a difference of
+    two running sums would keep their rounding.  The first and last anchor's
+    residues outside the run, and ``end_trim`` of the run's end points, are
+    two rows of the levels q_first + s and q_last + s, subtracted with their
+    weights.  A block is taken in chunks of about ``_CHUNK_CELLS`` products;
+    narrower bands are padded with zero rows and the sums over s run in
+    order, so a config's totals are the same bits in any block.
+    """
+    p, b = state.level_moments()
+    size = p.size
+    support = state.support()
+    blocks: dict[int, list[int]] = {}
+    for k, config in enumerate(configs):
+        blocks.setdefault(config.per_unit, []).append(k)
+    runs, reach, margin = {}, {}, 1
+    for per_unit, members in blocks.items():
+        reach[per_unit] = [int(_reach(configs[k].delta_n)) for k in members]
+        runs[per_unit] = [_run(configs[k], support) for k in members]
+        most = max(reach[per_unit])
+        starts, stops = zip(*runs[per_unit])
+        margin = max(
+            margin, most + 1 - min(starts) // per_unit, max(stops) // per_unit + most + 3 - size
+        )
+    # Row n + margin of each block holds level n's moments (p, Re b, Im b):
+    # the moments, their totals less the running sums up from the bottom to
+    # level n, and their running sums down from the top to level n.  ``margin``
+    # zero levels on either side keep every band row's level in range.
+    width = size + 2 * margin
+    levels = np.zeros((3, width, 3))
+    levels[0, margin:-margin, 0] = p
+    levels[0, margin:-margin, 1:] = b.view(np.float64).reshape(size, 2)
+    np.add.accumulate(levels[0], axis=0, out=levels[1])
+    np.add.accumulate(levels[0, ::-1], axis=0, out=levels[2, ::-1])
+    b_total = np.add.reduce(b[:-1])  # summed as expectation_a sums it
+    total = np.array([np.add.reduce(p), b_total.real, b_total.imag])
+    np.subtract(total, levels[1], out=levels[1])
+    flat = levels.reshape(-1, 3)
+
+    for per_unit, members in blocks.items():
+        # A config's products: band rows x 3 kinds x 3 moments x M residues.
+        count = max(1, _CHUNK_CELLS // ((2 * max(reach[per_unit]) + 2) * 9 * per_unit))
+        for lo in range(0, len(members), count):
+            chunk = slice(lo, lo + count)
+            delta_n = [configs[k].delta_n for k in members[chunk]]
+            # (rows s, configs, moments, residues)
+            table = _band_weights(per_unit, delta_n, max(reach[per_unit][chunk]))
+            # Per config, the rows of ``flat`` at s = 0 of: the total less the
+            # running sum below level q_first + s, the levels q_first + s and
+            # q_last + s, and the running sum above q_last + s.  Per config and
+            # residue, the weights of the column sums and of the first and last
+            # anchor's rows, times the step and the window's normalization.
+            bounds, weights = [], []
+            for dn, (start, stop) in zip(delta_n, runs[per_unit][chunk]):
+                q_first, r_first = divmod(start, per_unit)
+                q_last, r_last = divmod(stop, per_unit)
+                bounds.append((width + q_first - 1, q_first, q_last, 2 * width + q_last + 1))
+                step = (2.0 * math.pi * dn**2) ** -0.5 / per_unit
+                trim = -end_trim * step
+                weights.append((
+                    [step] * per_unit,
+                    [-step] * r_first + [trim] + [0.0] * (per_unit - r_first - 1),
+                    [0.0] * r_last + [trim] + [-step] * (per_unit - r_last - 1),
+                ))
+            shift = margin - (table.shape[0] - 2) // 2
+            rows = np.arange(shift, shift + table.shape[0])[:, None, None] + np.array(bounds)
+            gathered = flat[rows]
+            columns = gathered[:, :, :3]
+            np.subtract(columns[:, :, 0], gathered[:, :, 3], out=columns[:, :, 0])
+            # (configs, kinds, moments, residues): column sums, first and last anchor.
+            sums = np.add.reduce(table[:, :, None] * columns[..., None], axis=0)
+            sums *= np.array(weights)[:, :, None]
+            yield members[chunk], per_unit, np.add.reduce(sums, axis=1)
+
+
+def _quadratures(state: PureState, configs) -> tuple[np.ndarray, ...]:
     """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the run of :func:`grid_profiles`.
 
-    Every outcome average of the package is one of these sums; the quantization
-    Q = cos(2 pi r/M) of the point j/M is read from its residue r = j mod M.
-    Raises :class:`GridTooNarrow` as :func:`grid_profiles` does.
+    Every outcome average of the package is one of these sums.  ``configs``
+    is a sequence of configs; returns the mass, the sum of Q P, and the
+    complex sums of <a>_f P and Q <a>_f P, one array entry per config.  The
+    quantization Q = cos(2 pi r/M) of the point j/M depends only on its
+    residue r = j mod M, so each sum is a weighted sum of the residue totals
+    of :func:`_residue_totals`: one pass for every config, batched by M.
+
+    Raises
+    ------
+    GridTooNarrow
+        If a config's mass falls short of ``1 - QUAD_TOL``; the message names
+        the first such config's ``delta_n``.
     """
-    j, density, coherence, mass = _lattice(state, config)
-    per_unit, step = config.per_unit, config.grid_step
-    q_values = np.cos(2.0 * math.pi * np.arange(per_unit) / per_unit)[j % per_unit]
-    quantization = trapezoid(q_values * density, step)
-    average, product = trapezoid(coherence, step), trapezoid(q_values * coherence, step)
-    return mass, float(quantization), complex(average), complex(product)
+    sums = np.empty((len(configs), 2, 3))
+    for members, per_unit, totals in _residue_totals(state, configs, 0.5):
+        sums[members] = np.add.reduce(totals[:, None] * _quantization(per_unit)[:, None], axis=-1)
+    mass = sums[:, 0, 0]
+    if np.fmin.reduce(mass) < 1.0 - QUAD_TOL:
+        k = int(np.argmax(mass < 1.0 - QUAD_TOL))
+        raise _too_narrow(float(mass[k]), configs[k].delta_n)
+    fields = sums[:, :, 1:].view(np.complex128)[:, :, 0]
+    return mass, sums[:, 1, 0], fields[:, 0], fields[:, 1]
 
 
 def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
@@ -629,7 +777,7 @@ def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
     GridTooNarrow
         As :func:`grid_profiles`.
     """
-    return _quadratures(state, config)[2]
+    return complex(_quadratures(state, [config])[2][0])
 
 
 def decoherence_factor(delta_n: float) -> float:

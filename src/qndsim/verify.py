@@ -202,7 +202,7 @@ def criterion_exact_factorization():
         worst = 0.0
         for _ in range(50):
             state = random_state(n_max, rng, min_level=min_level)
-            product = measurement._quadratures(state, config)[3]
+            product = measurement._quadratures(state, [config])[3][0]
             worst = max(worst, abs(product + factor * expectation_a(state)))
         yield f"max |quadrature - closed form| over 50 states at dn={dn}", worst, 0.0, 1e-8
 
@@ -235,7 +235,8 @@ def criterion_povm_completeness():
         for _ in range(10):
             state = random_state(int(rng.integers(1, 64)), rng)
             config = measurement.MeasurementConfig.adequate(dn, state.n_max)
-            worst_mass = max(worst_mass, abs(measurement._quadratures(state, config)[0] - 1.0))
+            mass = measurement._quadratures(state, [config])[0][0]
+            worst_mass = max(worst_mass, abs(mass - 1.0))
             outcome = rng.normal(expectation_n(state), dn)
             post = measurement.measure(state, outcome, dn).post_state
             worst_norm = max(worst_norm, abs(np.linalg.norm(post.amplitudes) - 1.0))

@@ -138,11 +138,33 @@ def test_analytic_deltas_over_the_scan(alpha):
     for phase in SCAN_PHASES:
         params = CoherentParams(alpha, phase)
         state = coherent_state(params)
-        for dn in SCAN_RESOLUTIONS:
-            config = MeasurementConfig.adequate(dn, state.n_max)
-            deltas = correlations._correlation_report(params, state, config).analytic_deltas
+        configs = [MeasurementConfig.adequate(dn, state.n_max) for dn in SCAN_RESOLUTIONS]
+        reports = correlations._correlation_reports(params, state, configs)
+        for dn, report in zip(SCAN_RESOLUTIONS, reports):
             for name, bound in SCAN_BOUNDS.items():
-                assert deltas[name] <= bound, (alpha, phase, dn, name, deltas[name])
+                delta = report.analytic_deltas[name]
+                assert delta <= bound, (alpha, phase, dn, name, delta)
+
+
+@pytest.mark.parametrize("alpha", (60.0, 80.0, 100.0))
+def test_quadrature_error_against_the_states_own_moments(alpha):
+    """The quadratures' own summation error, apart from the state's p_n error.
+
+    Against the closed forms of the state itself, <a> exp(-1/(8 dn^2)) with
+    the state's own <a>, the scan's averages are off by rounding alone; the
+    state's <a> misses alpha by up to 7.4e-12 at alpha 100, which is what fills
+    the scan's ``avg_coherence`` bound.
+    """
+    for phase in SCAN_PHASES:
+        params = CoherentParams(alpha, phase)
+        state = coherent_state(params)
+        configs = [MeasurementConfig.adequate(dn, state.n_max) for dn in SCAN_RESOLUTIONS]
+        target = expectation_a(state)
+        reports = correlations._correlation_reports(params, state, configs)
+        for dn, report in zip(SCAN_RESOLUTIONS, reports):
+            error = abs(report.avg_coherence - target * decoherence_factor(dn))
+            assert error <= 5e-14, (phase, dn, error)
+            assert abs(report.q_bar - fringe_amplitude(dn)) <= 1e-15, (phase, dn)
 
 
 class TestQuantization:

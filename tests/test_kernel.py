@@ -26,12 +26,16 @@ from scipy.special import gammaln
 
 from qndsim import (
     CoherentParams,
+    GridTooNarrow,
+    MeasurementConfig,
     PureState,
     ZeroProbability,
     coherence_after,
     coherent_state,
     fidelity,
+    grid_profiles,
     measure,
+    number_state,
     outcome_density,
     random_state,
 )
@@ -40,9 +44,13 @@ from qndsim.measurement import (
     _CHUNK_CELLS,
     DENSITY_FLOOR,
     _band_profiles,
+    _band_weights,
     _bands,
     _profiles,
+    _quadratures,
+    _reach,
     _windows,
+    trapezoid,
 )
 
 RTOL = 1e-12
@@ -313,3 +321,82 @@ def test_temporaries_follow_the_band_not_the_basis():
         tracemalloc.stop()
     assert peak < 16e6
     assert density.max() > 0.0
+
+
+def literal_quadratures(state, config):
+    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the profiles of ``grid_profiles``."""
+    grid, density, coherence = grid_profiles(state, config)
+    j = np.rint(grid * config.per_unit).astype(int)
+    q_values = np.cos(2.0 * math.pi * (j % config.per_unit) / config.per_unit)
+    step = config.grid_step
+    return (
+        trapezoid(density, step), trapezoid(q_values * density, step),
+        trapezoid(coherence, step), trapezoid(q_values * coherence, step),
+    )
+
+
+@pytest.mark.parametrize("per_unit", [1, 2, 3, 7, 16, 160])
+def test_band_weights_vanish_beyond_each_band(per_unit):
+    """Rows past a width's own band are 0.0, so padding a narrower band in a block adds zeros."""
+    for delta_n in np.linspace(0.0135, 5.0, 241):
+        reach = int(_reach(delta_n))
+        weights = _band_weights(per_unit, [delta_n], reach + 3)[:, 0]
+        s = np.arange(-reach - 3, reach + 5)
+        assert not weights[(s < -reach) | (s > reach + 1), 0].any()
+        assert not weights[(s < -reach) | (s > reach), 1:].any()
+        assert weights[(s >= -reach) & (s <= reach), :].any()
+
+
+@st.composite
+def lattice_batches(draw):
+    """A state and a batch of lattices over its basis: mixed M, any M up to 8/dn.
+
+    Bases as small as one level put the padded support beyond the lattice's
+    bounds at both ends, so the bounds clip the run; a second width on the
+    first lattice pads the narrower band in its block.
+    """
+    n_max = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "number", "coherent"]))
+    if kind == "number":
+        state = number_state(int(rng.integers(0, n_max + 1)), n_max)
+    else:
+        state = make_state("random" if kind == "random" else "poisson", n_max, rng)
+    configs = []
+    for _ in range(draw(st.integers(1, 5))):
+        delta_n = draw(st.floats(0.05, 5.0))
+        per_unit = draw(st.integers(1, math.ceil(8 / delta_n)))
+        configs.append(MeasurementConfig(delta_n, n_max, per_unit))
+    per_unit = configs[0].per_unit
+    delta_n = draw(st.floats(0.05, min(5.0, 8 / per_unit)))
+    configs.append(MeasurementConfig(delta_n, n_max, per_unit))
+    return state, draw(st.permutations(configs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=lattice_batches())
+def test_batched_quadratures_match_the_literal_sums(batch):
+    """One residue pass over a batch against each config's literal trapezoid sums, and alone."""
+    state, configs = batch
+    mass, q_sum, average, product = _quadratures(state, configs)
+    p, b = state.level_moments()
+    scale = np.abs(b).sum()
+    for k, config in enumerate(configs):
+        want = literal_quadratures(state, config)
+        assert abs(mass[k] - want[0]) <= 1e-14 * want[0]
+        assert abs(q_sum[k] - want[1]) <= 1e-14 * want[0]
+        assert abs(average[k] - want[2]) <= 1e-14 * scale
+        assert abs(product[k] - want[3]) <= 1e-14 * scale
+        alone = _quadratures(state, [config])
+        for got, one in zip((mass, q_sum, average, product), alone):
+            assert got[k : k + 1].tobytes() == one.tobytes()
+
+
+def test_a_batch_names_its_too_narrow_config():
+    # Levels 0..25 and 8 widths leave out 3.3e-7 of the Poisson(9) mass at dn 0.3.
+    state = coherent_state(CoherentParams(3.0), 60)
+    configs = [
+        MeasurementConfig.adequate(dn, n_max) for dn, n_max in ((0.5, 60), (0.3, 25), (0.4, 60))
+    ]
+    with pytest.raises(GridTooNarrow, match=r"mass 0\.99999967\d* < 1 - 1e-08 at delta_n = 0\.3$"):
+        _quadratures(state, configs)
