@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 I/O error.  Output files are byte-identical for identical arguments:
 CSV uses ``#``-prefixed header lines and 12 significant digits; JSON is a
 single object with ``config``, ``columns``, ``rows``, and ``version`` keys.
+A JSON table is one ``json.dumps``; CSV rows take one ``%`` format each and
+are written 4 096 at a time, so the per-value work runs in C.
 """
 
 from __future__ import annotations
@@ -26,26 +28,28 @@ from .figures import Table
 from .fock import CoherentParams
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.12g}"
+# CSV rows per write: the text held at once stays small beside the table.
+_CSV_CHUNK = 4096
 
 
 def _config_echo(config: dict) -> str:
     parts = []
     for key in sorted(config):
         value = config[key]
-        parts.append(f"{key}={_format_float(value) if isinstance(value, float) else value}")
+        parts.append(f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}")
     return " ".join(parts)
 
 
 def write_csv(handle, table: Table, title: str) -> None:
-    handle.write(f"# qnd {title}\n")
-    handle.write(f"# version: {__version__}\n")
-    handle.write(f"# config: {_config_echo(table.config)}\n")
-    handle.write(f"# columns: {','.join(table.columns)}\n")
-    handle.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        handle.write(",".join(_format_float(v) for v in row) + "\n")
+    names = ",".join(table.columns)
+    line = ",".join(["%.12g"] * len(table.columns)) + "\n"
+    handle.write(
+        f"# qnd {title}\n# version: {__version__}\n"
+        f"# config: {_config_echo(table.config)}\n# columns: {names}\n{names}\n"
+    )
+    rows = table.rows
+    for start in range(0, len(rows), _CSV_CHUNK):
+        handle.write("".join([line % tuple(row) for row in rows[start : start + _CSV_CHUNK]]))
 
 
 def write_json(handle, table: Table, title: str) -> None:
@@ -55,7 +59,7 @@ def write_json(handle, table: Table, title: str) -> None:
         "rows": table.rows,
         "version": __version__,
     }
-    json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+    handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     handle.write("\n")
 
 

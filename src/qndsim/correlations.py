@@ -86,25 +86,28 @@ def quantization_coherence_correlation(
     return _correlation_reports(params, coherent_state(params, n_max), [config])[0]
 
 
+def _covariances(state: PureState, configs) -> tuple[np.ndarray, ...]:
+    """q_bar, the averages of <a>_f and Q <a>_f, and their covariance, per config, in one pass."""
+    _, q_bars, averages, products = measurement._quadratures(state, configs)
+    return q_bars, averages, products, products - q_bars * averages
+
+
 def _correlation_reports(
     params: CoherentParams, state: PureState, configs
 ) -> list[CorrelationReport]:
     """One report per config on the built ``state`` of ``params``, from one quadrature pass."""
-    _, q_bars, averages, products = measurement._quadratures(state, configs)
+    columns = [column.tolist() for column in _covariances(state, configs)]
     return [
-        _correlation_report(params, config.delta_n, q_bar, average, product)
-        for config, q_bar, average, product in zip(
-            configs, q_bars.tolist(), averages.tolist(), products.tolist()
-        )
+        _correlation_report(params, config.delta_n, *sums)
+        for config, *sums in zip(configs, *columns)
     ]
 
 
 def _correlation_report(
-    params: CoherentParams, dn: float, q_bar: float, avg_coherence: complex, q_product: complex
+    params: CoherentParams, dn: float, q_bar: float,
+    avg_coherence: complex, q_product: complex, correlation: complex,
 ) -> CorrelationReport:
-    """The report at resolution ``dn`` from its quadrature sums of Q P, <a>_f P and Q <a>_f P."""
-    correlation = q_product - q_bar * avg_coherence
-
+    """The report at resolution ``dn`` from its averages and covariance (:func:`_covariances`)."""
     q_bar_cf = approx.fringe_amplitude(dn)
     avg_cf = params.alpha * measurement.decoherence_factor(dn)
     corr_cf = -2.0 * q_bar_cf * avg_cf

@@ -56,7 +56,7 @@ def _table(params: CoherentParams, columns: dict, **config) -> Table:
     """Rows of floats from equal-length named columns; echoes the field too."""
     return Table(
         columns=list(columns),
-        rows=[list(map(float, row)) for row in zip(*columns.values())],
+        rows=np.column_stack(list(columns.values())).tolist(),
         config={**config, "alpha": params.magnitude, "phase": params.phase},
     )
 
@@ -88,12 +88,13 @@ def _resolution_sweep(
     state = coherent_state(params)
     resolutions = _steps(dn_min, dn_max, dn_step).tolist()
     configs = [measurement.MeasurementConfig.adequate(dn, state.n_max) for dn in resolutions]
-    reports = correlations._correlation_reports(params, state, configs)
+    q_bar, average, _, correlation = correlations._covariances(state, configs)
+    # hypot is bit-equal to abs() of a Python complex; numpy's complex abs is not.
     columns = {
         "delta_n": resolutions,
-        "q_bar": [r.q_bar for r in reports],
-        "avg_coherence_factor": [abs(r.avg_coherence) / params.magnitude for r in reports],
-        "c_over_alpha": [abs(r.correlation) / params.magnitude for r in reports],
+        "q_bar": q_bar,
+        "avg_coherence_factor": np.hypot(average.real, average.imag) / params.magnitude,
+        "c_over_alpha": np.hypot(correlation.real, correlation.imag) / params.magnitude,
     }
     return columns, state
 
@@ -136,7 +137,7 @@ def figure_table(
     if figure_id == 5:
         sweep, _ = _resolution_sweep(params, dn_min, dn_max, dn_step)
         columns = {key: sweep[key] for key in ("delta_n", "c_over_alpha", "q_bar")}
-        columns["decoherence_factor"] = map(measurement.decoherence_factor, sweep["delta_n"])
+        columns["decoherence_factor"] = list(map(measurement.decoherence_factor, sweep["delta_n"]))
         return _table(params, columns, figure=5, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)
 
     dn = delta_n if delta_n is not None else PROFILE_RESOLUTIONS[figure_id]
@@ -215,7 +216,7 @@ def sample_table(
     state = coherent_state(params)
     trajectory = trajectories.repeated_measurement(state, delta_n, count, seed)
     columns = {
-        "step": range(count),
+        "step": np.arange(count),
         "n_m": trajectory.outcomes,
         "post_mean_n": trajectory.mean_n,
         "post_var_n": trajectory.var_n,

@@ -1,11 +1,14 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qndsim import CoherentParams, classical_coherence, coherent_state
-from qndsim import approx, cli, correlations, figures
+from qndsim import CoherentParams, MeasurementConfig, classical_coherence, coherent_state
+from qndsim import __version__, approx, cli, correlations, figures
 from qndsim.errors import InvalidParam
 from test_fock import run_limited
 
@@ -113,6 +116,24 @@ class TestSweepTable:
         assert len(figures.sweep_table(None, 0.25, 0.35, 0.05).rows) == 3
         assert len(built) == 1
 
+    @pytest.mark.parametrize("alpha", [3.0, 30.0, 100.0])
+    def test_columns_equal_correlation_reports(self, alpha):
+        params = CoherentParams(alpha, 1.234)
+        n_max = coherent_state(params).n_max
+        sweep = figures.sweep_table(params, 0.2, 1.0, 0.2)
+        figure = figures.figure_table(5, params, dn_min=0.2, dn_max=1.0, dn_step=0.2)
+        assert len(sweep.rows) == 5
+        for table in (sweep, figure):
+            for row in table.rows:
+                cell = dict(zip(table.columns, row))
+                report = correlations.quantization_coherence_correlation(
+                    params, MeasurementConfig.adequate(cell["delta_n"], n_max)
+                )
+                assert cell["q_bar"] == report.q_bar
+                assert cell["c_over_alpha"] == abs(report.correlation) / alpha
+                if "avg_coherence_factor" in cell:
+                    assert cell["avg_coherence_factor"] == abs(report.avg_coherence) / alpha
+
 
 class TestSampleTable:
     def test_deterministic(self):
@@ -170,6 +191,73 @@ class TestCliFiles:
         cli.main(args + ["--out", str(first)])
         cli.main(args + ["--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+# Table cells: any double, with the ones whose text is easy to get wrong
+# (nan, infinities, signed zero, subnormals, the largest magnitudes and
+# integers stored as floats) drawn often.
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e308, -1.7e308]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 8))
+    count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 50)))
+    rows = draw(st.lists(
+        st.lists(_CELLS, min_size=width, max_size=width), min_size=count, max_size=count
+    ))
+    config = {
+        "alpha": draw(st.floats(0.0, 1e4)), "phase": draw(_CELLS), "seed": draw(st.integers())
+    }
+    return figures.Table(columns=[f"c{i}" for i in range(width)], rows=rows, config=config)
+
+
+class TestWriterBytes:
+    """The writers print each value as the per-value formatting did."""
+
+    @settings(deadline=None)
+    @given(_tables(), st.sampled_from(["figure 5", "sweep", "sample"]))
+    def test_csv(self, table, title):
+        handle = io.StringIO()
+        cli.write_csv(handle, table, title)
+        header = [
+            f"# qnd {title}",
+            f"# version: {__version__}",
+            f"# config: {cli._config_echo(table.config)}",
+            f"# columns: {','.join(table.columns)}",
+            ",".join(table.columns),
+        ]
+        body = [",".join(f"{v:.12g}" for v in row) for row in table.rows]
+        assert handle.getvalue() == "".join(line + "\n" for line in header + body)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._CSV_CHUNK + 3])
+    def test_csv_rows_across_writes(self, extra):
+        count = cli._CSV_CHUNK + extra
+        rows = [[k / 7.0, -float(k)] for k in range(count)]
+        table = figures.Table(columns=["x", "y"], rows=rows, config={"alpha": 3.0})
+        handle = io.StringIO()
+        cli.write_csv(handle, table, "figure 1")
+        lines = handle.getvalue().splitlines()[5:]
+        assert lines == [f"{x:.12g},{y:.12g}" for x, y in rows]
+
+    @settings(deadline=None)
+    @given(_tables(), st.sampled_from(["figure 5", "sweep", "sample"]))
+    def test_json(self, table, title):
+        handle = io.StringIO()
+        cli.write_json(handle, table, title)
+        payload = {
+            "config": {"command": title, **table.config},
+            "columns": table.columns,
+            "rows": table.rows,
+            "version": __version__,
+        }
+        expected = io.StringIO()
+        json.dump(payload, expected, sort_keys=True, separators=(",", ":"))
+        assert handle.getvalue() == expected.getvalue() + "\n"
 
 
 class TestRangeEnds:
@@ -255,7 +343,16 @@ class TestExitCodes:
         child = run_limited("-m", "qndsim.cli", "figure", "1", "--alpha", "1e5")
         assert child.returncode == 2
         assert child.stdout == ""
-        assert child.stderr == "error: a basis of 10000674305 levels exceeds 10000000 levels\n"
+        assert child.stderr == "error: a basis of 10000703457 levels exceeds 10000000 levels\n"
+
+    def test_mean_past_the_summed_range_refused(self):
+        # The cutoff of alpha 1e8 would take 5e8 Poisson terms to sum.
+        child = run_limited("-m", "qndsim.cli", "figure", "1", "--alpha", "1e8")
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr == (
+            "error: |alpha|^2 = 1e+16 lies above 1e+12, the largest mean whose cutoff is summed\n"
+        )
 
     def test_invalid_figure_id(self, capsys):
         assert cli.main(["figure", "9"]) == 2

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from qndsim import (
     CoherentParams,
@@ -170,10 +171,12 @@ class TestCoherentState:
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
 
     def test_refuses_a_basis_above_max_levels(self):
-        # alpha 1e5 asks for about 10^10 levels, 75 GB of amplitudes.
+        # alpha 1e5 asks for about 10^10 levels, 75 GB of amplitudes; the
+        # cutoffs of alpha 1e5 and 1e6 are summed in bounded memory, and a
+        # mean past the summed range is refused before any summing.
         child = run_limited("-c", (
             "from qndsim import CoherentParams, InvalidParam, coherent_state\n"
-            f"for magnitude, n_max in ((1e5, None), (3.0, {MAX_LEVELS})):\n"
+            f"for magnitude, n_max in ((1e5, None), (1e6, None), (1e8, None), (3.0, {MAX_LEVELS})):\n"
             "    try:\n"
             "        coherent_state(CoherentParams(magnitude), n_max)\n"
             "    except InvalidParam as exc:\n"
@@ -181,7 +184,9 @@ class TestCoherentState:
         ))
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines() == [
-            f"a basis of 10000674305 levels exceeds {MAX_LEVELS} levels",
+            f"a basis of 10000703457 levels exceeds {MAX_LEVELS} levels",
+            f"a basis of 1000007034493 levels exceeds {MAX_LEVELS} levels",
+            "|alpha|^2 = 1e+16 lies above 1e+12, the largest mean whose cutoff is summed",
             f"a basis of {MAX_LEVELS + 1} levels exceeds {MAX_LEVELS} levels",
         ]
 
@@ -218,6 +223,31 @@ class TestChooseTruncation:
             lam = mag * mag
             n_max = choose_truncation(CoherentParams(mag), 1e-12)
             assert lam + 5 * mag < n_max < lam + 10 * mag
+
+    def test_certified_where_pdtrc_reads_low(self):
+        # 30-digit sums of the Poisson terms put the tail beyond pdtrc's
+        # cutoff above 1e-12: 1.0000005e-12 beyond 1 399 525 at alpha 1179.5,
+        # 1.00486e-12 beyond 9 021 109 at alpha 3000, where pdtrc reads 0.99999e-12
+        # and 0.99807e-12; the summed cutoffs are the smallest that hold.
+        assert choose_truncation(CoherentParams(1179.5), 1e-12) == 1_399_526
+        assert choose_truncation(CoherentParams(3000.0), 1e-12) == 9_021_112
+        # Where pdtrc holds, the cutoffs agree.
+        assert choose_truncation(CoherentParams(1556.0), 1e-12) == 2_432_090
+
+    @pytest.mark.parametrize("mag", [0.5, 3.0, 25.0, 100.0])
+    def test_matches_pdtrc_where_it_holds(self, mag):
+        # pdtrc drifts only past alpha of about 1 000; the cutoff is the
+        # smallest k whose tail is below the tolerance.
+        lam = mag * mag
+        for tol in (1e-15, 1e-12, 1e-6, 0.5):
+            k = choose_truncation(CoherentParams(mag), tol)
+            assert pdtrc(k, lam) < tol
+            assert k == 0 or pdtrc(k - 1, lam) >= tol
+
+    def test_refuses_means_past_the_summed_range(self):
+        assert choose_truncation(CoherentParams(1e6), 0.5) == 1_000_000_000_000
+        with pytest.raises(InvalidParam, match="largest mean whose cutoff is summed"):
+            choose_truncation(CoherentParams(1.0000001e6), 1e-12)
 
     def test_default_cutoff_accepted_by_coherent_state(self):
         # coherent_state checks the same tail, so it never rejects the cutoff
