@@ -130,8 +130,7 @@ def _correlation_report(
 def correlation_at(params: CoherentParams, delta_n: float) -> complex:
     """Convenience wrapper: the covariance at one resolution on an adequate grid."""
     state = coherent_state(params)
-    config = MeasurementConfig.adequate(delta_n, state.n_max)
-    return _correlation_reports(params, state, [config])[0].correlation
+    return _covariances(state, [MeasurementConfig.adequate(delta_n, state.n_max)])[3].item()
 
 
 def argmax_correlation_resolution(params: CoherentParams) -> float:
@@ -145,8 +144,7 @@ def argmax_correlation_resolution(params: CoherentParams) -> float:
     state = coherent_state(params)
 
     def objective(dn: float) -> float:
-        config = MeasurementConfig.adequate(dn, state.n_max)
-        return -abs(_correlation_reports(params, state, [config])[0].correlation)
+        return -abs(_covariances(state, [MeasurementConfig.adequate(dn, state.n_max)])[3].item())
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = _ARGMAX_BRACKET

@@ -10,13 +10,12 @@ only rotates them globally.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import approx, correlations, measurement, trajectories
-from .errors import InvalidParam, RegimeWarning
+from .errors import InvalidParam
 from .fock import CoherentParams, PureState, coherent_state
 
 # Readout resolutions of the four fringe-profile tables.
@@ -153,25 +152,26 @@ def figure_table(
     grid = _steps(grid_min, grid_max, grid_step)
 
     p_exact, coherence = measurement._profiles(state, grid, dn)
-    if np.any(p_exact < measurement.DENSITY_FLOOR):
+    vanished = ~(p_exact >= measurement.DENSITY_FLOOR)  # also catches NaN
+    if vanished.any():
         raise InvalidParam(measurement._underflow(
-            state, grid[p_exact < measurement.DENSITY_FLOOR], dn,
+            state, grid[vanished], dn,
             f"outcome grid [{grid_min:g}, {grid_max:g}] reaches outside the state's "
             f"support around <n> = {params.mean_photon_number:g}",
         ))
     a_exact = np.abs(coherence / p_exact)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        approximate = approx.lowest_order(params, dn, grid)
+    if params.magnitude == 0.0:
+        raise InvalidParam("lowest-order fringes require a bright field")
     class_p = approx.classical_probability(params.mean_photon_number, grid)
-    class_a = np.abs(approx.classical_coherence(params, dn, grid))
+    class_a = approx._classical_coherences(params, [dn], grid)
+    fringe = approx._fringes(class_p, class_a, approx._modulation([dn], grid))
     fringe_p, fringe_a = _FRINGE_DASHED[figure_id]
     columns = {
         "n_m": grid,
         "p_exact": p_exact,
-        "p_approx": approximate.probability if fringe_p else class_p,
+        "p_approx": fringe.probability[0] if fringe_p else class_p,
         "a_f_exact": a_exact,
-        "a_f_dashed": np.abs(approximate.coherence) if fringe_a else class_a,
+        "a_f_dashed": np.abs((fringe.coherence if fringe_a else class_a)[0]),
     }
     if figure_id in _NORMALIZED_IDS:
         anchor = float(math.floor(params.mean_photon_number))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln
 
 from .errors import InvalidParam, TruncationTooSmall, _integer
 
@@ -222,13 +222,20 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
     Raises
     ------
     InvalidParam
-        If the basis would hold more than ``MAX_LEVELS`` levels.
+        If ``n_max`` is not a non-negative integer, if the basis would hold
+        more than ``MAX_LEVELS`` levels, or from :func:`choose_truncation`.
     TruncationTooSmall
-        If the Poisson mass beyond ``n_max`` is ``DEFAULT_TAIL_TOL`` or more.
+        If ``n_max`` lies below ``choose_truncation(params, DEFAULT_TAIL_TOL)``,
+        checked before the basis is allocated.
     """
-    n_max = _check_levels(default_cutoff(params) if n_max is None else n_max)
+    explicit = n_max is not None
+    n_max = _check_levels(n_max if explicit else default_cutoff(params))
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")
+    if explicit and n_max < (certified := choose_truncation(params, DEFAULT_TAIL_TOL)):
+        raise TruncationTooSmall(
+            f"n_max={n_max} lies below {certified}, the cutoff certified to {DEFAULT_TAIL_TOL:g}"
+        )
 
     lam = params.mean_photon_number
     n = np.arange(n_max + 1)
@@ -236,14 +243,7 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
         weights = np.zeros(n_max + 1)
         weights[0] = 1.0
     else:
-        log_w = -lam + n * math.log(lam) - gammaln(n + 1.0)
-        weights = np.exp(log_w)
-
-    tail = float(pdtrc(n_max, lam))
-    if tail >= DEFAULT_TAIL_TOL:
-        raise TruncationTooSmall(
-            f"mass {tail:.3e} beyond n_max={n_max} exceeds {DEFAULT_TAIL_TOL:.3e}"
-        )
+        weights = np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
 
     amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
     amps /= np.linalg.norm(amps)
@@ -253,13 +253,13 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
 def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
     """Smallest cutoff leaving Poisson mass below ``tail_tol`` past it.
 
-    The tails are summed from the Poisson terms in one top-down pass.  It
-    starts at a level whose tail is below 1e-17 ``tail_tol``, steps down by
+    A cutoff of 0 is read off the tail beyond level 0, 1 - exp(-|alpha|^2);
+    larger ones off one top-down pass of summed Poisson terms.  It starts at
+    a level whose tail is below 1e-17 ``tail_tol``, steps down by
     p_{n-1} = p_n n / |alpha|^2 in chunks, each started afresh from
     :func:`_log_poisson`, and stops at the first tail that reaches
-    ``tail_tol``.  (``scipy.special.pdtrc`` reads these tails low at bright
-    fields, 0.7% at |alpha| 3 000, and a cutoff bisected on it fell short
-    from |alpha| 1 179.5 up.)  Means above ``_MAX_SUMMED_MEAN`` are refused.
+    ``tail_tol``.  (SciPy's Poisson survival function reads these tails up to
+    0.7% low at bright fields.)  Means above ``_MAX_SUMMED_MEAN`` are refused.
     """
     if not (0.0 < tail_tol < 1.0):
         raise InvalidParam("tail_tol must lie in (0, 1)")
@@ -268,7 +268,7 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
             f"tail_tol below {_MIN_CERTIFIABLE_TAIL:g} cannot be certified in double precision"
         )
     lam = params.mean_photon_number
-    if lam == 0.0:
+    if -math.expm1(-lam) < tail_tol:
         return 0
     if lam > _MAX_SUMMED_MEAN:
         raise InvalidParam(

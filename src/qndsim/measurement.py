@@ -412,8 +412,9 @@ def coherence_after(state: PureState, n_m, delta_n: float):
     delta_n = _check_delta_n(delta_n)
     grid = _grid(n_m)
     density, coherence = _profiles(state, grid, delta_n)
-    if np.any(density < DENSITY_FLOOR):
-        raise ZeroProbability(_underflow(state, grid[density < DENSITY_FLOOR], delta_n))
+    vanished = ~(density >= DENSITY_FLOOR)  # also catches NaN
+    if vanished.any():
+        raise ZeroProbability(_underflow(state, grid[vanished], delta_n))
     return _scalar_or_array(n_m, coherence / density)
 
 

@@ -3,6 +3,8 @@ import os
 import resource
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +157,36 @@ class TestCoherentState:
         )
 
     def test_truncation_error(self):
-        with pytest.raises(TruncationTooSmall):
+        with pytest.raises(TruncationTooSmall, match="n_max=15 lies below 37, the cutoff certified"):
             coherent_state(CoherentParams(3.0), 15)
+
+    @pytest.mark.parametrize("magnitude, cutoff", [
+        (1179.5, 1_399_526), (1208.5, 1_468_982), (1527.5, 2_344_010),
+    ])
+    def test_summed_cutoff_refuses_a_level_short(self, magnitude, cutoff):
+        # A cutoff one level short of the summed one leaves a tail just above
+        # 1e-12 (1.0000005e-12 beyond 1 399 525 at alpha 1179.5), which
+        # scipy's pdtrc reads just below it.  The refusal costs one summed
+        # pass, not a basis of 1.4-2.3 million levels.
+        params = CoherentParams(magnitude)
+        assert choose_truncation(params, 1e-12) == cutoff
+        start = time.perf_counter()
+        with pytest.raises(TruncationTooSmall, match=f"n_max={cutoff - 1} lies below {cutoff},"):
+            coherent_state(params, cutoff - 1)
+        assert time.perf_counter() - start < 0.05
+
+    def test_refuses_before_allocating_the_basis(self):
+        # The basis of alpha 1556 holds 2.4 million levels (39 MB of
+        # amplitudes); the summed pass takes chunks of 12 456 terms.
+        params = CoherentParams(1556.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationTooSmall, match="lies below 2432090,"):
+                coherent_state(params, 2_432_089)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_cutoff_must_be_an_integer(self):
         assert coherent_state(CoherentParams(3.0), np.int64(40)).n_max == 40
@@ -166,7 +196,8 @@ class TestCoherentState:
                 coherent_state(CoherentParams(3.0), n_max)
 
     def test_normalized_within_1e12(self):
-        for mag in (0.5, 1.0, 3.0, 6.0):
+        # The explicit cutoff at 1179.5 is the summed one, a level above pdtrc's.
+        for mag in (0.5, 1.0, 3.0, 6.0, 1179.5):
             state = coherent_state(CoherentParams(mag), choose_truncation(CoherentParams(mag), 1e-12))
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
 
@@ -200,6 +231,13 @@ class TestCoherentState:
 class TestChooseTruncation:
     def test_vacuum(self):
         assert choose_truncation(CoherentParams(0.0), 1e-12) == 0
+        # Near the vacuum the cutoff 0 comes from 1 - exp(-lam): at lam 5.9e-322
+        # a pass would divide levels by lam and overflow, and at lam 1.0000005e-6
+        # the tail beyond 0 is 0.99999999999999793e-6 (mpmath), which a summed
+        # pass rounded up to the tolerance.
+        assert choose_truncation(CoherentParams(2.4364924351503262e-161), 1e-12) == 0
+        assert choose_truncation(CoherentParams(0.0010000002500001343), 1e-6) == 0
+        assert choose_truncation(CoherentParams(0.0010000002500001343), 1e-7) == 1
 
     def test_matches_cumulative_oracle(self):
         params = CoherentParams(3.0)
@@ -248,6 +286,9 @@ class TestChooseTruncation:
         assert choose_truncation(CoherentParams(1e6), 0.5) == 1_000_000_000_000
         with pytest.raises(InvalidParam, match="largest mean whose cutoff is summed"):
             choose_truncation(CoherentParams(1.0000001e6), 1e-12)
+        # An explicit cutoff is checked against the same pass.
+        with pytest.raises(InvalidParam, match="largest mean whose cutoff is summed"):
+            coherent_state(CoherentParams(1e8), 1000)
 
     def test_default_cutoff_accepted_by_coherent_state(self):
         # coherent_state checks the same tail, so it never rejects the cutoff

@@ -257,6 +257,14 @@ def test_vanished_density_names_its_cause(readout):
         readout(state, 60.0, 0.012)
 
 
+@pytest.mark.parametrize("n_m", [math.nan, np.array([9.0, math.nan])])
+def test_nan_outcome_vanishes_like_an_underflow(n_m):
+    # A NaN density fails the floor test, as it does in measure.
+    state = coherent_state(ALPHA3)
+    with pytest.raises(ZeroProbability, match="^an outcome lies far outside the state's support$"):
+        coherence_after(state, n_m, 0.3)
+
+
 class TestAverageCoherence:
     def test_vacuum_zero(self):
         config = MeasurementConfig.adequate(0.5, 0)
