@@ -17,8 +17,10 @@ Error reports compare these closed forms with the exact kernel at the
 integer and half-integer outcomes nearest the mean intensity.  A report
 over many resolutions (:func:`_error_columns`, behind the sweep table) takes
 all of its probes in one kernel pass, with one window width per probe, and
-evaluates the closed forms one row per resolution; :func:`error_report` is
-its one-resolution case.
+evaluates the closed forms as arrays, one row per resolution: every
+per-resolution exponential and power is taken as Python takes it on a
+float (:func:`measurement._libm`), so each row has the one-resolution bits.
+:func:`error_report` is its one-resolution case.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,18 @@ LOWEST_ORDER_MIN_DELTA_N = 0.2
 # half-line truncation of the physical number comb.
 _BOUNDARY_SIGMAS = 5.0
 
+# 2 pi^2, the rate of the comb's harmonics: exp(-2 pi^2 dn^2 k^2).
+_HARMONIC_RATE = 2.0 * math.pi**2
+
+# The dropped tail of :func:`_dropped_tail` sums at most this many harmonics
+# and stops at the first one below _LAST_TERM.
+_TAIL_TERMS = 65
+_LAST_TERM = 1e-30
+
+# sqrt(ln(1/_LAST_TERM)) - sqrt(ln(1/SERIES_TOL)): over sqrt(2 pi^2 dn^2), how
+# many harmonics past the first dropped one a tail runs before its last term.
+_TAIL_SPAN = math.sqrt(math.log(1.0 / _LAST_TERM)) - math.sqrt(math.log(1.0 / SERIES_TOL))
+
 
 def fringe_amplitude(delta_n: float, k: int = 1) -> float:
     """Harmonic coefficient exp(-2 pi^2 delta_n^2 k^2) of the quantization comb."""
@@ -52,24 +65,78 @@ def fringe_amplitude(delta_n: float, k: int = 1) -> float:
 
 
 def _harmonics(delta_n: float) -> int:
-    """Fewest harmonics k_max whose dropped tail stays below ``SERIES_TOL``."""
+    """Fewest harmonics k_max whose dropped tail (:func:`_dropped_tail`) is below ``SERIES_TOL``."""
     delta_n = measurement._check_delta_n(delta_n)
-    limit = math.log(1.0 / SERIES_TOL) / (2.0 * math.pi**2 * delta_n**2)
-    k_max = int(math.floor(math.sqrt(limit)))
-    while _dropped_tail(delta_n, k_max) >= SERIES_TOL:
-        k_max += 1
-    return k_max
+    return int(_harmonic_counts(_squares([delta_n]))[0])
 
 
 def _dropped_tail(delta_n: float, k_max: int) -> float:
     """Upper bound on twice the summed coefficients beyond ``k_max``."""
     total = 0.0
-    for k in range(k_max + 1, k_max + 66):
+    for k in range(k_max + 1, k_max + _TAIL_TERMS + 1):
         term = fringe_amplitude(delta_n, k)
         total += term
-        if term < 1e-30:
+        if term < _LAST_TERM:
             break
     return 2.0 * total
+
+
+def _squares(resolutions) -> np.ndarray:
+    """dn**2 of each resolution, rounded as Python rounds it (:func:`measurement._libm`)."""
+    return measurement._libm(pow, np.asarray(resolutions, dtype=float), 2)
+
+
+def _amplitudes(var: np.ndarray, harmonics: np.ndarray, kept=None) -> np.ndarray:
+    """:func:`fringe_amplitude` at squared widths ``var`` (rows) and ``harmonics`` (columns).
+
+    Bit for bit: the exponent is the float expression's own roundings and
+    the exponential Python's (:func:`measurement._libm`).  Entries outside
+    the mask ``kept``, if one is given, are 0.
+    """
+    exponents = (-_HARMONIC_RATE * var)[:, None] * harmonics * harmonics
+    if kept is None:
+        return measurement._libm(math.exp, exponents.ravel()).reshape(exponents.shape)
+    amplitudes = np.zeros(exponents.shape)
+    amplitudes[kept] = measurement._libm(math.exp, exponents[kept])
+    return amplitudes
+
+
+def _harmonic_counts(var: np.ndarray) -> np.ndarray:
+    """The k_max of :func:`_harmonics` at each squared width ``var`` (:func:`_squares`).
+
+    Starts from floor(sqrt(ln(1/SERIES_TOL) / (2 pi^2 dn^2))), as
+    :func:`_harmonics` does, and adds a harmonic to each width whose
+    dropped tail (:func:`_tails_reach`) still reaches ``SERIES_TOL``.
+    """
+    rate = _HARMONIC_RATE * var
+    k_max = np.floor(np.sqrt(math.log(1.0 / SERIES_TOL) / rate))
+    # A tail from k_0 + 1 ends by sqrt(ln(1/_LAST_TERM) / rate) + 2, at most
+    # _TAIL_SPAN / sqrt(rate) + 3 harmonics on, and sooner from later starts.
+    count = min(int(_TAIL_SPAN / math.sqrt(float(np.minimum.reduce(rate)))) + 4, _TAIL_TERMS)
+    beyond = _tails_reach(var, k_max + 1.0, count)
+    while beyond.any():
+        pending = np.flatnonzero(beyond)
+        k_max[pending] += 1.0
+        beyond[pending] = _tails_reach(var[pending], k_max[pending] + 1.0, count)
+    return k_max.astype(np.intp)
+
+
+def _tails_reach(var: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """Whether :func:`_dropped_tail` from each harmonic ``first`` on reaches ``SERIES_TOL``.
+
+    Sums each tail as that loop does: the harmonics in order, through the
+    first below ``_LAST_TERM`` and at most ``_TAIL_TERMS`` of them, with
+    the same exponentials.  Each width takes ``count`` harmonics, enough to
+    reach that one, zeros after it, and is summed down the harmonic axis
+    one term at a time.
+    """
+    # (harmonic, width): a width's terms run down its column.
+    terms = _amplitudes(var, first[:, None] + np.arange(count)).T
+    ended = np.logical_or.accumulate(terms < _LAST_TERM, axis=0)
+    terms[1:][ended[:-1]] = 0.0
+    # accumulate adds in order whatever the layout; reduce need not.  Twice
+    # a float is exact, so 2 tail >= SERIES_TOL is tail >= SERIES_TOL / 2.
+    return np.add.accumulate(terms, axis=0)[-1] >= 0.5 * SERIES_TOL
 
 
 def quantization_sum(n_m, delta_n: float):
@@ -81,24 +148,23 @@ def quantization_sum(n_m, delta_n: float):
     truncation tolerance.  Accepts scalar or array ``n_m``.
     """
     delta_n = measurement._check_delta_n(delta_n)
-    value = _quantization_sums(measurement._grid(n_m), [delta_n])[0]
+    value = _quantization_sums(measurement._grid(n_m), _squares([delta_n]))[0]
     return measurement._scalar_or_array(n_m, value)
 
 
-def _quantization_sums(grid: np.ndarray, resolutions) -> np.ndarray:
-    """:func:`quantization_sum` on ``grid``, one row per resolution.
+def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """:func:`quantization_sum` on ``grid``, one row per squared width ``var`` (:func:`_squares`).
 
     Each row adds its harmonics k = 1..k_max in increasing k; a row's zero
     amplitudes beyond its k_max add 2 * 0 * cos = +-0, which leaves the sum's
     bits as they are.
     """
-    k_max = [_harmonics(dn) for dn in resolutions]
-    amplitudes = np.zeros((len(k_max), max(k_max) + 1))
-    for row, (dn, top) in enumerate(zip(resolutions, k_max)):
-        amplitudes[row, 1 : top + 1] = [fringe_amplitude(dn, k) for k in range(1, top + 1)]
-    value = np.ones((len(k_max), grid.size))
-    for k in range(1, amplitudes.shape[1]):
-        value += 2.0 * amplitudes[:, k, None] * np.cos(2.0 * math.pi * k * grid)
+    k_max = _harmonic_counts(var)
+    harmonics = np.arange(1.0, k_max.max() + 1.0)
+    amplitudes = _amplitudes(var, harmonics, harmonics <= k_max[:, None])
+    value = np.ones((var.size, grid.size))
+    for k in range(1, harmonics.size + 1):
+        value += 2.0 * amplitudes[:, k - 1, None] * np.cos(2.0 * math.pi * k * grid)
     return value
 
 
@@ -127,7 +193,7 @@ def _classical_coherences(params: CoherentParams, resolutions, grid: np.ndarray)
     """:func:`classical_coherence` on ``grid``, one row per resolution."""
     if np.any(grid < -0.5):
         raise InvalidParam("n_m must be at least -1/2")
-    factors = np.array([measurement.decoherence_factor(dn) for dn in resolutions])
+    factors = measurement._decoherence_factors(np.asarray(resolutions, dtype=float))
     phase = complex(math.cos(params.phase), -math.sin(params.phase))
     return phase * np.sqrt(grid + 0.5) * factors[:, None]
 
@@ -158,14 +224,14 @@ def lowest_order(params: CoherentParams, delta_n: float, n_m) -> LowestOrder:
     fringes = _fringes(
         classical_probability(params.mean_photon_number, grid),
         _classical_coherences(params, [delta_n], grid),
-        _modulation([delta_n], grid),
+        _modulation(_squares([delta_n]), grid),
     )
     return LowestOrder(*(measurement._scalar_or_array(n_m, value[0]) for value in fringes))
 
 
-def _modulation(resolutions, grid: np.ndarray) -> np.ndarray:
-    """Single-harmonic fringe 2 q cos(2 pi n_m) on ``grid``, one row per resolution."""
-    q = np.array([fringe_amplitude(dn) for dn in resolutions])
+def _modulation(var: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Single-harmonic fringe 2 q cos(2 pi n_m) on ``grid``, one row per squared width ``var``."""
+    q = measurement._libm(math.exp, -_HARMONIC_RATE * var)
     return 2.0 * q[:, None] * np.cos(2.0 * math.pi * grid)
 
 
@@ -205,6 +271,27 @@ class ApproximationReport:
     boundary_flag: bool
 
 
+class _ErrorColumns(NamedTuple):
+    """:class:`ApproximationReport`'s fields as arrays: a row per resolution, a column per probe.
+
+    ``probe_points`` and ``classical_probability`` do not depend on the
+    resolution and hold the two probes' values only.
+    """
+
+    delta_n: np.ndarray
+    probe_points: np.ndarray
+    exact_probability: np.ndarray
+    lowest_order_probability: np.ndarray
+    classical_probability: np.ndarray
+    exact_coherence: np.ndarray
+    lowest_order_coherence: np.ndarray
+    classical_coherence: np.ndarray
+    max_probability_error: np.ndarray
+    max_coherence_error: np.ndarray
+    max_fringe_truncation_error: np.ndarray
+    boundary_flag: np.ndarray
+
+
 def error_report(
     params: CoherentParams, delta_n: float, n_max: int | None = None
 ) -> ApproximationReport:
@@ -225,19 +312,26 @@ def error_report(
     delta_n = measurement._check_delta_n(delta_n)
     if params.magnitude == 0.0:
         raise InvalidParam("error report requires a bright field")
-    return _error_columns(params, coherent_state(params, n_max), [delta_n])[0]
+    (_, probes, exact_p, lowest_p, class_p, exact_a, lowest_a, class_a, *errors, flag) = (
+        _error_columns(params, coherent_state(params, n_max), [delta_n])
+    )
+    return ApproximationReport(
+        delta_n, tuple(probes.tolist()), tuple(exact_p[0].tolist()), tuple(lowest_p[0].tolist()),
+        tuple(class_p.tolist()), tuple(exact_a[0].tolist()), tuple(lowest_a[0].tolist()),
+        tuple(class_a[0].tolist()), *(error.item() for error in errors), flag.item(),
+    )
 
 
-def _error_columns(
-    params: CoherentParams, state: PureState, resolutions
-) -> list[ApproximationReport]:
-    """:func:`error_report` at each of ``resolutions``, one report each, on the built ``state``.
+def _error_columns(params: CoherentParams, state: PureState, resolutions) -> _ErrorColumns:
+    """:func:`error_report` at each of ``resolutions`` on the built ``state``, as columns.
 
     ``params`` must be bright.  The two probes at every resolution go
     through one kernel pass, with one window width per probe, and the closed
-    forms are evaluated one row per resolution with the one-resolution
-    arithmetic; a report differs from the one-resolution report at most by
-    the kernel's summation order within a band.
+    forms are array expressions over the resolutions whose exponentials and
+    powers round as the one-resolution floats do.  A row differs from the
+    one-resolution report at most by the kernel's summation order within a
+    band: the exact values and the two errors built on them by under 1e-14
+    relative, the closed forms and ``max_fringe_truncation_error`` not at all.
 
     Raises
     ------
@@ -264,37 +358,22 @@ def _error_columns(
         )
     exact_a = coherence.reshape(-1, 2) / exact_p
 
-    dns = resolutions.tolist()
-    modulation = _modulation(dns, probes)
+    var = _squares(resolutions)
+    modulation = _modulation(var, probes)
     class_p = classical_probability(params.mean_photon_number, probes)
-    class_a = _classical_coherences(params, dns, probes)
+    class_a = _classical_coherences(params, resolutions, probes)
     approx = _fringes(class_p, class_a, modulation)
 
     p_err = np.max(np.abs(approx.probability - exact_p) / exact_p, axis=1)
     a_err = np.max(np.abs(np.abs(approx.coherence) - np.abs(exact_a)) / np.abs(exact_a), axis=1)
 
     # Truncation component alone: single-harmonic fringe vs the full series.
-    sums = _quantization_sums(np.concatenate([probes + 0.5, probes]), dns)
+    sums = _quantization_sums(np.concatenate([probes + 0.5, probes]), var)
     full_fringe = sums[:, :2] / sums[:, 2:]
     truncated_fringe = (1.0 - modulation) / (1.0 + modulation)
     fringe_err = np.max(np.abs(truncated_fringe - full_fringe) / np.abs(full_fringe), axis=1)
 
-    def pairs(values: np.ndarray):
-        return map(tuple, values.tolist())
-
-    # In the order of ApproximationReport's fields.
-    rows = zip(
-        dns,
-        repeat(tuple(probes.tolist())),
-        pairs(exact_p),
-        pairs(approx.probability),
-        repeat(tuple(class_p.tolist())),
-        pairs(exact_a),
-        pairs(approx.coherence),
-        pairs(class_a),
-        p_err.tolist(),
-        a_err.tolist(),
-        fringe_err.tolist(),
-        (probes[0] < _BOUNDARY_SIGMAS * resolutions).tolist(),
+    return _ErrorColumns(
+        resolutions, probes, exact_p, approx.probability, class_p, exact_a, approx.coherence,
+        class_a, p_err, a_err, fringe_err, probes[0] < _BOUNDARY_SIGMAS * resolutions,
     )
-    return [ApproximationReport(*row) for row in rows]

@@ -18,6 +18,7 @@ are written 4 096 at a time, so the per-value work runs in C.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -92,7 +93,9 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qnd`` argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qnd",
         description="Variable-resolution photon-number readout statistics",

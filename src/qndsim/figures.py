@@ -76,18 +76,19 @@ def _resolution_sweep(
     """Correlation columns at dn_min, dn_min + dn_step, ... up to dn_max.
 
     Returns the columns ``delta_n``, ``q_bar``, ``avg_coherence_factor`` and
-    ``c_over_alpha``, from one quadrature pass over every resolution, and the
-    state they average over.  The columns are normalized by |alpha|, so the
-    field must be bright.
+    ``c_over_alpha`` as arrays, from one quadrature pass over every
+    resolution's lattice (no config object per resolution), and the state
+    they average over.  The columns are normalized by |alpha|, so the field
+    must be bright.
     """
     if not (0 < dn_min < dn_max) or dn_step <= 0:
         raise InvalidParam("need 0 < dn_min < dn_max and a positive step")
     if params.magnitude == 0.0:
         raise InvalidParam("resolution sweep requires a bright field")
     state = coherent_state(params)
-    resolutions = _steps(dn_min, dn_max, dn_step).tolist()
-    configs = [measurement.MeasurementConfig.adequate(dn, state.n_max) for dn in resolutions]
-    q_bar, average, _, correlation = correlations._covariances(state, configs)
+    resolutions = _steps(dn_min, dn_max, dn_step)
+    lattices = measurement._adequate_lattices(resolutions, state.n_max)
+    q_bar, average, _, correlation = correlations._covariances(state, lattices)
     # hypot is bit-equal to abs() of a Python complex; numpy's complex abs is not.
     columns = {
         "delta_n": resolutions,
@@ -136,7 +137,7 @@ def figure_table(
     if figure_id == 5:
         sweep, _ = _resolution_sweep(params, dn_min, dn_max, dn_step)
         columns = {key: sweep[key] for key in ("delta_n", "c_over_alpha", "q_bar")}
-        columns["decoherence_factor"] = list(map(measurement.decoherence_factor, sweep["delta_n"]))
+        columns["decoherence_factor"] = measurement._decoherence_factors(sweep["delta_n"])
         return _table(params, columns, figure=5, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)
 
     dn = delta_n if delta_n is not None else PROFILE_RESOLUTIONS[figure_id]
@@ -164,7 +165,7 @@ def figure_table(
         raise InvalidParam("lowest-order fringes require a bright field")
     class_p = approx.classical_probability(params.mean_photon_number, grid)
     class_a = approx._classical_coherences(params, [dn], grid)
-    fringe = approx._fringes(class_p, class_a, approx._modulation([dn], grid))
+    fringe = approx._fringes(class_p, class_a, approx._modulation(approx._squares([dn]), grid))
     fringe_p, fringe_a = _FRINGE_DASHED[figure_id]
     columns = {
         "n_m": grid,
@@ -199,9 +200,9 @@ def sweep_table(
     """
     params = params or _default_params()
     columns, state = _resolution_sweep(params, dn_min, dn_max, dn_step)
-    reports = approx._error_columns(params, state, columns["delta_n"])
-    columns["coh_err_vs_exact"] = [report.max_coherence_error for report in reports]
-    columns["coh_err_truncation"] = [report.max_fringe_truncation_error for report in reports]
+    errors = approx._error_columns(params, state, columns["delta_n"])
+    columns["coh_err_vs_exact"] = errors.max_coherence_error
+    columns["coh_err_truncation"] = errors.max_fringe_truncation_error
     return _table(params, columns, dn_min=dn_min, dn_max=dn_max, dn_step=dn_step)
 
 

@@ -226,16 +226,20 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
         more than ``MAX_LEVELS`` levels, or from :func:`choose_truncation`.
     TruncationTooSmall
         If ``n_max`` lies below ``choose_truncation(params, DEFAULT_TAIL_TOL)``,
-        checked before the basis is allocated.
+        checked before the basis is allocated.  A cutoff at or above the
+        level the summed pass starts from is certified without the pass.
     """
     explicit = n_max is not None
     n_max = _check_levels(n_max if explicit else default_cutoff(params))
     if n_max < 0:
         raise InvalidParam("n_max must be non-negative")
-    if explicit and n_max < (certified := choose_truncation(params, DEFAULT_TAIL_TOL)):
-        raise TruncationTooSmall(
-            f"n_max={n_max} lies below {certified}, the cutoff certified to {DEFAULT_TAIL_TOL:g}"
-        )
+    if explicit:
+        lam, top = _pass_start(params, DEFAULT_TAIL_TOL)
+        if n_max < top and n_max < (certified := _summed_cutoff(lam, DEFAULT_TAIL_TOL, top)):
+            raise TruncationTooSmall(
+                f"n_max={n_max} lies below {certified}, "
+                f"the cutoff certified to {DEFAULT_TAIL_TOL:g}"
+            )
 
     lam = params.mean_photon_number
     n = np.arange(n_max + 1)
@@ -247,7 +251,8 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
 
     amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
     amps /= np.linalg.norm(amps)
-    return PureState(amps)
+    # The constructor's rescaling, without its scans: the weights are finite.
+    return PureState._unit(amps / float(np.linalg.norm(amps)))
 
 
 def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
@@ -261,6 +266,17 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
     ``tail_tol``.  (SciPy's Poisson survival function reads these tails up to
     0.7% low at bright fields.)  Means above ``_MAX_SUMMED_MEAN`` are refused.
     """
+    lam, top = _pass_start(params, tail_tol)
+    return _summed_cutoff(lam, tail_tol, top)
+
+
+def _pass_start(params: CoherentParams, tail_tol: float) -> tuple[float, int]:
+    """The mean |alpha|^2 and the level ``top`` that :func:`choose_truncation`'s pass starts from.
+
+    The Poisson mass beyond ``top`` lies below 1e-17 ``tail_tol``, so every
+    cutoff at or above it is certified, and the summed cutoff never exceeds
+    it.  ``top`` is 0 where the tail beyond level 0 is below ``tail_tol``.
+    """
     if not (0.0 < tail_tol < 1.0):
         raise InvalidParam("tail_tol must lie in (0, 1)")
     if tail_tol < _MIN_CERTIFIABLE_TAIL:
@@ -269,7 +285,7 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
         )
     lam = params.mean_photon_number
     if -math.expm1(-lam) < tail_tol:
-        return 0
+        return lam, 0
     if lam > _MAX_SUMMED_MEAN:
         raise InvalidParam(
             f"|alpha|^2 = {lam:g} lies above {_MAX_SUMMED_MEAN:g}, "
@@ -283,6 +299,14 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
     top, step = math.floor(lam + 10.0 * math.sqrt(lam)) + 1, math.isqrt(math.floor(lam)) + 1
     while _log_poisson(top + 1, lam) - math.log1p(-lam / (top + 2)) > log_left_off:
         top += step
+    return lam, top
+
+
+def _summed_cutoff(lam: float, tail_tol: float, top: int) -> int:
+    """The pass of :func:`choose_truncation`, from the level ``top`` of :func:`_pass_start` down."""
+    if top == 0:
+        return 0
+    step = math.isqrt(math.floor(lam)) + 1
     # The cutoff lies about 5 step below the start, so chunks of 8 step
     # mostly find it in the first.
     tail, chunk = 0.0, min(8 * step, _TAIL_CHUNK)

@@ -38,8 +38,14 @@ residue r = j mod M and the level's distance from the integer anchor j // M,
 and so does every quadrature weight: a quadrature is a sum over M residues
 of M x W exponentials against the window's column sums over the run's
 anchors (:func:`_residue_totals`), and its cost does not grow with the
-support.  A resolution sweep is one batched pass, with configs that share M
-evaluated together (:func:`_quadratures`); the matrix-product evaluator of
+support.  A resolution sweep is one pass over arrays (:func:`_quadratures`):
+its widths, lattice steps and run bounds are arrays over the configs, never
+a Python object or loop per config, and every array puts the configs on its
+innermost axis.  Configs that share M are taken together, in chunks of about
+``_RESIDUE_CELLS`` band cells (band row, residue, config), each cell carrying
+3 kinds x 3 moments of products.  The sums over band rows run one row at a
+time, so a config's totals are the same bits alone or in any batch; one
+config is the batch of one.  The matrix-product evaluator of
 :func:`grid_profiles` serves profiles only.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
@@ -49,9 +55,11 @@ vectorized internally and safe to parallelize externally.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +98,21 @@ _BAND_WIDTHS = 38.7
 # terms below 1e-157 of the total can underflow.
 _LIFT_BELOW = 1e-150
 
+# Rows of a run's anchors (first, last) that the level table's bounds and the
+# weights' sides are read from, per bound and per kind.
+_BOUND_ANCHORS = np.array([0, 0, 1, 1])
+_SIDE_ANCHORS = np.array([0, 0, 1])
+_KINDS = np.arange(3)[:, None]
+
 # Kernel cells (outcome, level) evaluated at once.  Bounds each chunk's
 # temporaries to a few MB whatever the grid size, band width or basis size.
 _CHUNK_CELLS = 65536
+
+# Band cells (band row, residue, config) in a chunk of the residue pass.
+# Each carries 3 kinds x 3 moments of products, so a chunk's products take
+# about 1.2 MB: freed, that stays with the allocator for the next chunk,
+# where 4.7 MB went back to the system and was faulted in afresh each time.
+_RESIDUE_CELLS = _CHUNK_CELLS // 4
 
 
 def _check_delta_n(delta_n: float, allow_inf: bool = False) -> float:
@@ -177,9 +197,29 @@ def _windows(values: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def _window_constants(delta_n: float) -> tuple[float, float]:
-    """1/(4 dn^2) and the normalization N = (2 pi dn^2)**-0.5 of a window of width dn."""
-    return 1.0 / (4.0 * delta_n**2), (2.0 * math.pi * delta_n**2) ** -0.5
+def _libm(function, values: np.ndarray, *args) -> np.ndarray:
+    """``function(v, *args)`` for each entry v of the 1-D ``values``, as Python computes it.
+
+    numpy's vectorized exp and pow round about one result in twenty
+    differently from the C library that Python's ``math.exp`` and ``**``
+    call, and even ``v**2`` is not always ``v * v``; mapped through the
+    Python call, each entry of an array gets the bits a float would.
+    """
+    calls = map(function, values.tolist(), *map(itertools.repeat, args))
+    return np.fromiter(calls, float, values.size)
+
+
+def _window_constants(delta_n):
+    """Exponent scale -1/(4 dn^2) and normalization N = (2 pi dn^2)**-0.5 of a window of width dn.
+
+    ``delta_n`` is a float or a 1-D array of widths; each entry of an array
+    is bit-equal to the float's value (:func:`_libm`).  The scale is
+    -0.25 / dn^2: 4 dn^2 is exact, so that is the rounding of -1/(4 dn^2).
+    """
+    if np.ndim(delta_n) == 0:
+        return -0.25 / delta_n**2, (2.0 * math.pi * delta_n**2) ** -0.5
+    var = _libm(pow, delta_n, 2)
+    return np.divide(-0.25, var), _libm(pow, 2.0 * math.pi * var, -0.5)
 
 
 def _profiles(
@@ -219,13 +259,12 @@ def _band_profiles(
     p, b = state.level_moments()
     if np.ndim(delta_n) == 0:
         order, centers, widths = None, n_m, np.full(n_m.size, delta_n)
-        inv_4var, norm = _window_constants(delta_n)
-        scale = -inv_4var
+        scale, norm = _window_constants(delta_n)
     else:
         order = np.argsort(-delta_n, kind="stable")
         centers, widths = n_m[order], delta_n[order]
-        constants = np.array([_window_constants(w) for w in widths.tolist()])
-        scale, norm = -constants[:, :1], constants[:, 1]
+        scale, norm = _window_constants(widths)
+        scale = scale[:, None]
     density = np.empty(n_m.size)
     coherence = np.empty(n_m.size, dtype=np.complex128)
     width = None
@@ -422,12 +461,16 @@ def _underflow(
     state: PureState, vanished: np.ndarray, delta_n: float,
     beyond: str = "an outcome lies far outside the state's support",
 ) -> str:
-    """Why the densities at the outcomes ``vanished`` underflowed.
+    """Why the densities at the outcomes ``vanished`` underflowed, or are NaN.
 
-    Within the state's support padded by ``_PAD_WIDTHS`` = 8 widths, only a
-    window too narrow to reach a level underflows: at half-integers, below
-    about delta_n = 0.0135.  An outcome beyond gives the message ``beyond``.
+    A NaN outcome has a NaN density, which fails the floor test too, and the
+    message says so.  Within the state's support padded by ``_PAD_WIDTHS`` =
+    8 widths, only a window too narrow to reach a level underflows: at
+    half-integers, below about delta_n = 0.0135.  An outcome beyond gives
+    the message ``beyond``.
     """
+    if np.isnan(vanished).any():
+        return "outcome n_m = nan is not a number, so its density is NaN"
     first, last = state.support()
     pad = _PAD_WIDTHS * delta_n
     if not np.all((first - pad <= vanished) & (vanished <= last + pad)):
@@ -461,6 +504,17 @@ def _lattice_floor(x: float, per_unit: int) -> int:
     if (j + 1) / per_unit <= x:
         return j + 1
     return j - 1 if j / per_unit > x else j
+
+
+def _lattice_floors(x: np.ndarray, per_unit: np.ndarray) -> np.ndarray:
+    """:func:`_lattice_floor` of every entry of ``x`` on the lattice of ``per_unit``, as floats.
+
+    The same float comparisons: (j + 1)/M and j/M are each one rounding of
+    exact integers, as Python's int division rounds them.  At most one of
+    the two corrections applies, so both test the first guess.
+    """
+    j = np.floor(x * per_unit)
+    return j + ((j + 1.0) / per_unit <= x) - (j / per_unit > x)
 
 
 @dataclass(frozen=True)
@@ -520,6 +574,30 @@ class MeasurementConfig:
         return np.arange(first, last + 1) / self.per_unit
 
 
+class _Lattices(NamedTuple):
+    """Quadrature lattices as float arrays, one entry per config: a batch of configs."""
+
+    delta_n: np.ndarray
+    n_max: np.ndarray
+    per_unit: np.ndarray
+
+
+def _lattices(configs) -> _Lattices:
+    """``configs``, a sequence of :class:`MeasurementConfig` or a :class:`_Lattices`, as arrays."""
+    if isinstance(configs, _Lattices):
+        return configs
+    fields = [getattr(config, name) for name in _Lattices._fields for config in configs]
+    return _Lattices(*np.array(fields, dtype=float).reshape(3, -1))
+
+
+def _adequate_lattices(delta_n: np.ndarray, n_max: int) -> _Lattices:
+    """:meth:`MeasurementConfig.adequate` at each width of the 1-D ``delta_n``, as arrays."""
+    if not ((delta_n > 0.0) & (delta_n < math.inf)).all():  # also refuses NaN
+        raise InvalidParam("delta_n must be positive and finite")
+    per_unit = 1.0 + np.ceil(_ALIAS_C / delta_n)
+    return _Lattices(delta_n, np.full(delta_n.size, float(n_max)), per_unit)
+
+
 def trapezoid(values: np.ndarray, step: float):
     """Composite trapezoid rule on a uniform grid."""
     return step * (values.sum() - 0.5 * (values[0] + values[-1]))
@@ -540,6 +618,29 @@ def _run(config: MeasurementConfig, support: tuple[int, int]) -> tuple[int, int]
     return start, stop
 
 
+def _runs(lattices: _Lattices, support: tuple[int, int]) -> np.ndarray:
+    """:func:`_run` of every lattice at once: each run's first and last j, as floats (2, K).
+
+    The padded ends are the same roundings, -(x + pad) being -x - pad, and
+    their lattice points the same comparisons (:func:`_lattice_floors`).  The
+    support lies within levels 0..n_max of the state, so its padded lower
+    end never falls below the grid's first point.  Rounding up to the
+    lattice is monotone, so the run's last point clipped to the grid's last
+    point is the point for min(last, n_max), and its first point clips to
+    that only where the config's basis ends below the support's first level.
+    """
+    delta_n, n_max, per_unit = lattices
+    first, last = support
+    pad = _PAD_WIDTHS * delta_n
+    # first - pad, then -(min(last, n_max) + pad) = -min(last, n_max) - pad, end
+    # to end: ops on arrays of one shape cost less than broadcast ones.
+    ends = np.concatenate((first - pad, np.maximum(-n_max, -last) - pad))
+    runs = _lattice_floors(ends, np.concatenate((per_unit, per_unit))).reshape(2, -1)
+    np.negative(runs[1], out=runs[1])
+    np.minimum(runs[0], runs[1], out=runs[0])
+    return runs
+
+
 def _too_narrow(mass: float, delta_n: float) -> GridTooNarrow:
     return GridTooNarrow(
         f"grid captures probability mass {mass:.12g} < 1 - {QUAD_TOL:g} at delta_n = {delta_n:g}"
@@ -548,13 +649,13 @@ def _too_narrow(mass: float, delta_n: float) -> GridTooNarrow:
 
 @functools.lru_cache(maxsize=32)
 def _offset_squares(per_unit: int, reach: int) -> np.ndarray:
-    """x^2 for x = (r - M s)/M in a read-only array: row s + reach, a unit axis, residue r.
+    """x^2 for x = (r - M s)/M in a read-only array: row s + reach, residue r, a unit axis.
 
     Rows run over s = -reach..reach + 2.
     """
     # r - M s, counted up from s = reach + 2, r = 0, is one run of integers.
     run = np.arange(-per_unit * (reach + 2), per_unit * (reach + 1)) ** 2 / per_unit**2
-    square = np.ascontiguousarray(run.reshape(-1, 1, per_unit)[::-1])
+    square = np.ascontiguousarray(run.reshape(-1, per_unit, 1)[::-1])
     square.flags.writeable = False
     return square
 
@@ -567,21 +668,43 @@ def _quantization(per_unit: int) -> np.ndarray:
     return basis
 
 
-def _band_weights(per_unit: int, delta_n: list[float], reach: int) -> np.ndarray:
+def _band_weights(per_unit: int, scale: np.ndarray, reach: int) -> np.ndarray:
     """Band weights from the points of the lattice j/M to the levels near them.
 
     The point q + r/M lies x = (r - M s)/M from the level q + s, so x^2 is
-    one rounding of an exact integer ratio.  With e(x) = exp(-x^2 / (4 dn^2)),
-    returns the weights e(x)^2 of p and e(x) e(x - 1) of Re b and Im b in an
-    array of shape (2 R + 2, K, 3, M): row s + R for s = -R..R + 1, with
-    R = ``reach``; column k at the width ``delta_n[k]``; then the moment and
-    the residue r.  Every weight beyond a width's own band, s outside
-    -int(_reach(dn))..int(_reach(dn)) + 1, lies over 38.7 widths out and is
-    0.0, so a narrower band in a wider block adds exact zeros.
+    one rounding of an exact integer ratio.  With e(x) = exp(scale x^2),
+    scale = -1/(4 dn^2), returns the weights e(x)^2 of p and e(x) e(x - 1)
+    of Re b and Im b in an array of shape (2 R + 2, 3, M, K): row s + R for
+    s = -R..R + 1, with R = ``reach``; then the moment, the residue r, and
+    innermost column k at the width of ``scale[k]``.  Every weight beyond a
+    width's own band, s outside -int(_reach(dn))..int(_reach(dn)) + 1, lies
+    over 38.7 widths out and is 0.0, so a narrower band in a wider block adds
+    exact zeros.
     """
-    scale = np.array([-1.0 / (4.0 * dn**2) for dn in delta_n])[:, None]
-    e = np.exp(scale * _offset_squares(per_unit, reach))[..., None, :]
-    return e[:-1] * np.concatenate((e[:-1], e[1:], e[1:]), axis=2)
+    e = _offset_squares(per_unit, reach) * scale
+    np.exp(e, out=e)
+    weights = np.empty((e.shape[0] - 1, 3, *e.shape[1:]))
+    np.multiply(e[:-1], e[:-1], out=weights[:, 0])
+    np.multiply(e[:-1], e[1:], out=weights[:, 1])
+    weights[:, 2] = weights[:, 1]
+    return weights
+
+
+@functools.lru_cache(maxsize=32)
+def _weight_signs(per_unit: int, end_trim: float) -> np.ndarray:
+    """Signs of the residues' weights over the step, per kind and end residue e, read-only.
+
+    Row [kind, e, r] is the weight of residue r over the step: 1 for the
+    column sums (kind 0); for the first anchor's row (kind 1), with the
+    run's first residue e, -1 below e, -end_trim at e and 0 above; for the
+    last anchor's row (kind 2), with the run's last residue e, 0 below,
+    -end_trim at e and -1 above.
+    """
+    e, r = np.arange(per_unit)[:, None], np.arange(per_unit)
+    at = np.where(r == e, -end_trim, 0.0)
+    signs = np.stack((np.ones(at.shape), np.where(r < e, -1.0, at), np.where(r > e, -1.0, at)))
+    signs.flags.writeable = False
+    return signs
 
 
 def grid_profiles(
@@ -618,7 +741,8 @@ def grid_profiles(
     per_unit, delta_n = config.per_unit, config.delta_n
     start, stop = _run(config, state.support())
     reach = int(_reach(delta_n))
-    weights = _band_weights(per_unit, [delta_n], reach)[:, 0]
+    scale, norm = _window_constants(delta_n)
+    weights = _band_weights(per_unit, np.array([scale]), reach)[..., 0]
     square, pair = weights[:, 0], weights[:-1, 1]
     width = square.shape[0]
 
@@ -643,7 +767,6 @@ def grid_profiles(
         np.matmul(block[1:, :, :-1], pair, out=coherence[:, rows : rows + chunk])
 
     run = slice(start - q_first * per_unit, stop - q_first * per_unit + 1)
-    norm = (2.0 * math.pi * delta_n**2) ** -0.5
     density = norm * density.ravel()[run]
     coherence = norm * (coherence[0].ravel()[run] + 1j * coherence[1].ravel()[run])
     mass = float(trapezoid(density, config.grid_step))
@@ -655,10 +778,11 @@ def grid_profiles(
 def _residue_totals(state: PureState, configs, end_trim: float):
     """Sums of the profiles of :func:`grid_profiles` over each config's run, by residue.
 
-    Yields, for each block of configs that share M: their positions in
-    ``configs``, M, and T[k, m, r]: 1/M times the sum, over the points
-    j = q M + r of config k's run, of the density P (m = 0) and of the real
-    and imaginary parts of <a>_f P (m = 1, 2), with the run's first and last
+    ``configs`` is a sequence of configs or a :class:`_Lattices`.  Yields,
+    for each chunk of consecutive configs that share M: their positions as a
+    slice, M, and T[k, m, r]: 1/M times the sum, over the points j = q M + r
+    of config k's run, of the density P (m = 0) and of the real and
+    imaginary parts of <a>_f P (m = 1, 2), with the run's first and last
     point weighted ``1 - end_trim``.
 
     The offset of a point from a level depends only on r and the level's
@@ -670,85 +794,98 @@ def _residue_totals(state: PureState, configs, end_trim: float):
     two running sums would keep their rounding.  The first and last anchor's
     residues outside the run, and ``end_trim`` of the run's end points, are
     two rows of the levels q_first + s and q_last + s, subtracted with their
-    weights.  A block is taken in chunks of about ``_CHUNK_CELLS`` products;
-    narrower bands are padded with zero rows and the sums over s run in
-    order, so a config's totals are the same bits in any block.
+    weights.
+
+    Layout: every per-config quantity is an array over the configs (run
+    bounds from :func:`_runs`, window constants, steps, trim weights), and
+    every array puts the configs on its innermost axis.  The level table is
+    (moment, level), so one gather of its columns at every band row s, bound
+    and config gives (moment, s, bound, config), read as the column sums and
+    rows (s, kind, moment, config) through a transposed view, not a copy.
+    Configs that share M and follow each other are taken in chunks of about
+    ``_RESIDUE_CELLS`` band cells (s, r, k), the band rows set by the
+    chunk's widest window; a cell holds 3 kinds x 3 moments of products
+    (s, kind, moment, residue, config).  The sums over s add one row at a
+    time, in order, and a narrower band adds exact zero rows, so a config's
+    totals are the same bits alone or in any batch.
     """
+    lattices = _lattices(configs)
+    delta_n, _, per_unit = lattices
     p, b = state.level_moments()
     size = p.size
-    support = state.support()
-    blocks: dict[int, list[int]] = {}
-    for k, config in enumerate(configs):
-        blocks.setdefault(config.per_unit, []).append(k)
-    runs, reach, margin = {}, {}, 1
-    for per_unit, members in blocks.items():
-        reach[per_unit] = [int(_reach(configs[k].delta_n)) for k in members]
-        runs[per_unit] = [_run(configs[k], support) for k in members]
-        most = max(reach[per_unit])
-        starts, stops = zip(*runs[per_unit])
-        margin = max(
-            margin, most + 1 - min(starts) // per_unit, max(stops) // per_unit + most + 3 - size
-        )
-    # Row n + margin of each block holds level n's moments (p, Re b, Im b):
-    # the moments, their totals less the running sums up from the bottom to
-    # level n, and their running sums down from the top to level n.  ``margin``
-    # zero levels on either side keep every band row's level in range.
-    width = size + 2 * margin
-    levels = np.zeros((3, width, 3))
-    levels[0, margin:-margin, 0] = p
-    levels[0, margin:-margin, 1:] = b.view(np.float64).reshape(size, 2)
-    np.add.accumulate(levels[0], axis=0, out=levels[1])
-    np.add.accumulate(levels[0, ::-1], axis=0, out=levels[2, ::-1])
-    b_total = np.add.reduce(b[:-1])  # summed as expectation_a sums it
-    total = np.array([np.add.reduce(p), b_total.real, b_total.imag])
-    np.subtract(total, levels[1], out=levels[1])
-    flat = levels.reshape(-1, 3)
+    # Anchors and residues of each run's first and last point, as ints.
+    anchors, residues = np.array(np.divmod(_runs(lattices, state.support()), per_unit), np.intp)
+    scale, norm = _window_constants(delta_n)
+    # A block's band reaches as far as its widest window: _reach grows with dn.
+    # Runs start at most 8 widths + 3 levels below level 0 and end as far past
+    # the top, and 8 widths is under a band's reach R + 1: 2 R + 5 zero levels
+    # on either side keep every band row's level in range.
+    most = int(_reach(float(np.maximum.reduce(delta_n))))
+    margin = 2 * most + 5
 
-    for per_unit, members in blocks.items():
-        # A config's products: band rows x 3 kinds x 3 moments x M residues.
-        count = max(1, _CHUNK_CELLS // ((2 * max(reach[per_unit]) + 2) * 9 * per_unit))
-        for lo in range(0, len(members), count):
-            chunk = slice(lo, lo + count)
-            delta_n = [configs[k].delta_n for k in members[chunk]]
-            # (rows s, configs, moments, residues)
-            table = _band_weights(per_unit, delta_n, max(reach[per_unit][chunk]))
-            # Per config, the rows of ``flat`` at s = 0 of: the total less the
-            # running sum below level q_first + s, the levels q_first + s and
-            # q_last + s, and the running sum above q_last + s.  Per config and
-            # residue, the weights of the column sums and of the first and last
-            # anchor's rows, times the step and the window's normalization.
-            bounds, weights = [], []
-            for dn, (start, stop) in zip(delta_n, runs[per_unit][chunk]):
-                q_first, r_first = divmod(start, per_unit)
-                q_last, r_last = divmod(stop, per_unit)
-                bounds.append((width + q_first - 1, q_first, q_last, 2 * width + q_last + 1))
-                step = (2.0 * math.pi * dn**2) ** -0.5 / per_unit
-                trim = -end_trim * step
-                weights.append((
-                    [step] * per_unit,
-                    [-step] * r_first + [trim] + [0.0] * (per_unit - r_first - 1),
-                    [0.0] * r_last + [trim] + [-step] * (per_unit - r_last - 1),
-                ))
-            shift = margin - (table.shape[0] - 2) // 2
-            rows = np.arange(shift, shift + table.shape[0])[:, None, None] + np.array(bounds)
-            gathered = flat[rows]
-            columns = gathered[:, :, :3]
-            np.subtract(columns[:, :, 0], gathered[:, :, 3], out=columns[:, :, 0])
-            # (configs, kinds, moments, residues): column sums, first and last anchor.
-            sums = np.add.reduce(table[:, :, None] * columns[..., None], axis=0)
-            sums *= np.array(weights)[:, :, None]
-            yield members[chunk], per_unit, np.add.reduce(sums, axis=1)
+    # Level n's moments (p, Re b, Im b) in column n + margin of three tables:
+    # the moments, their totals less the running sums up from the bottom to
+    # level n, and their running sums down from the top to level n.  The
+    # running sums go only as far as a band row reads them: up to the
+    # highest first anchor's band, down to the lowest last anchor's.
+    width = size + 2 * margin
+    levels = np.zeros((3, 3, width))
+    inner = slice(margin, margin + size)
+    levels[0, 0, inner] = p
+    levels[1:, 0, inner] = b.view(np.float64).reshape(size, 2).T
+    below = slice(0, margin + int(np.maximum.reduce(anchors[0])) + most)
+    above = slice(width - 1, margin + int(np.minimum.reduce(anchors[1])) - most, -1)
+    np.add.accumulate(levels[:, 0, below], axis=1, out=levels[:, 1, below])
+    np.add.accumulate(levels[:, 0, above], axis=1, out=levels[:, 2, above])
+    total = np.empty((3, 1))
+    total[0] = np.add.reduce(p)
+    total[1:, 0] = np.add.reduce(b[:-1], keepdims=True).view(np.float64)  # as expectation_a sums it
+    np.subtract(total, levels[:, 1, below], out=levels[:, 1, below])
+    flat = levels.reshape(3, -1)
+
+    # Per config, the columns of ``flat`` at s = 0 of: the total less the
+    # running sum below level q_first + s, the levels q_first + s and
+    # q_last + s, and the running sum above q_last + s.
+    offsets = np.array([[width + margin - 1], [margin], [margin], [2 * width + margin + 1]])
+    bounds = anchors.take(_BOUND_ANCHORS, 0) + offsets
+    # The weights' sides: the run's first residue for kinds 0 and 1, its last for kind 2.
+    sides = residues.take(_SIDE_ANCHORS, 0)
+    step = norm / per_unit
+
+    cuts = np.flatnonzero(per_unit[1:] != per_unit[:-1]).tolist()
+    edges = [0, *(cut + 1 for cut in cuts), per_unit.size]
+    for start, stop in zip(edges, edges[1:]):
+        m = int(per_unit[start])
+        band = int(_reach(float(np.maximum.reduce(delta_n[start:stop]))))
+        count = max(1, _RESIDUE_CELLS // ((2 * band + 2) * m))
+        signs = _weight_signs(m, end_trim)
+        for lo in range(start, stop, count):
+            rows = slice(lo, min(lo + count, stop))
+            if count < stop - start:
+                band = int(_reach(float(np.maximum.reduce(delta_n[rows]))))
+            table = _band_weights(m, scale[rows], band)
+            # (moments, s, bounds, configs), read as (s, kinds, moments, configs).
+            gathered = flat.take(bounds[:, rows] + np.arange(-band, band + 2)[:, None, None], 1)
+            np.subtract(gathered[:, :, 0], gathered[:, :, 3], out=gathered[:, :, 0])
+            columns = gathered[:, :, :3, None].transpose(1, 2, 0, 3, 4)
+            sums = np.add.reduce(np.multiply(table[:, None], columns, order="C"), axis=0)
+            # Each weight is one rounding of its sign times the step, as a scalar's.
+            weights = signs[_KINDS, sides[:, rows]].transpose(0, 2, 1) * step[rows]
+            sums *= weights[:, None]
+            totals = np.add.reduce(sums, axis=0)
+            yield rows, m, np.ascontiguousarray(totals.transpose(2, 0, 1))
 
 
 def _quadratures(state: PureState, configs) -> tuple[np.ndarray, ...]:
     """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the run of :func:`grid_profiles`.
 
     Every outcome average of the package is one of these sums.  ``configs``
-    is a sequence of configs; returns the mass, the sum of Q P, and the
-    complex sums of <a>_f P and Q <a>_f P, one array entry per config.  The
-    quantization Q = cos(2 pi r/M) of the point j/M depends only on its
-    residue r = j mod M, so each sum is a weighted sum of the residue totals
-    of :func:`_residue_totals`: one pass for every config, batched by M.
+    is a sequence of configs or a :class:`_Lattices`; returns the mass, the
+    sum of Q P, and the complex sums of <a>_f P and Q <a>_f P, one array
+    entry per config.  The quantization Q = cos(2 pi r/M) of the point j/M
+    depends only on its residue r = j mod M, so each sum is a weighted sum
+    of the residue totals of :func:`_residue_totals`: one pass for every
+    config, batched by M.
 
     Raises
     ------
@@ -756,13 +893,14 @@ def _quadratures(state: PureState, configs) -> tuple[np.ndarray, ...]:
         If a config's mass falls short of ``1 - QUAD_TOL``; the message names
         the first such config's ``delta_n``.
     """
-    sums = np.empty((len(configs), 2, 3))
-    for members, per_unit, totals in _residue_totals(state, configs, 0.5):
-        sums[members] = np.add.reduce(totals[:, None] * _quantization(per_unit)[:, None], axis=-1)
+    lattices = _lattices(configs)
+    sums = np.empty((lattices.delta_n.size, 2, 3))
+    for rows, per_unit, totals in _residue_totals(state, lattices, 0.5):
+        sums[rows] = np.add.reduce(totals[:, None] * _quantization(per_unit)[:, None], axis=-1)
     mass = sums[:, 0, 0]
     if np.fmin.reduce(mass) < 1.0 - QUAD_TOL:
         k = int(np.argmax(mass < 1.0 - QUAD_TOL))
-        raise _too_narrow(float(mass[k]), configs[k].delta_n)
+        raise _too_narrow(float(mass[k]), float(lattices.delta_n[k]))
     fields = sums[:, :, 1:].view(np.complex128)[:, :, 0]
     return mass, sums[:, 1, 0], fields[:, 0], fields[:, 1]
 
@@ -787,6 +925,13 @@ def decoherence_factor(delta_n: float) -> float:
     if math.isinf(delta_n):
         return 1.0
     return math.exp(-1.0 / (8.0 * delta_n**2))
+
+
+def _decoherence_factors(delta_n: np.ndarray) -> np.ndarray:
+    """:func:`decoherence_factor` of each width of the 1-D ``delta_n``, bit for bit."""
+    if not (delta_n > 0.0).all():  # also refuses NaN
+        raise InvalidParam("delta_n must be positive")
+    return _libm(math.exp, -1.0 / (8.0 * _libm(pow, delta_n, 2)))
 
 
 def equivalent_phase_noise(delta_n: float) -> float:

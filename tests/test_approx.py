@@ -252,8 +252,27 @@ class TestErrorColumns:
         assert np.max(np.abs(np.array(columns["coh_err_vs_exact"]) - exact)) <= 1e-14
         batch = approx._error_columns(params, coherent_state(params), columns["delta_n"])
         flags = [report.boundary_flag for report in reports]
-        assert [report.boundary_flag for report in batch] == flags
+        assert batch.boundary_flag.tolist() == flags
         assert any(flags) == (alpha == 1.0)
+
+    @pytest.mark.parametrize("alpha, phase", [(1.0, 0.0), (3.0, 0.4), (30.0, -2.1), (100.0, 1.0)])
+    def test_columns_equal_every_report_field(self, alpha, phase):
+        """Closed forms exactly; kernel values and errors within 1e-14 relative (sum order)."""
+        params = CoherentParams(alpha, phase)
+        resolutions = 0.1 + 0.002 * np.arange(451)
+        columns = approx._error_columns(params, coherent_state(params), resolutions)
+        kernel = {
+            "exact_probability", "exact_coherence", "max_probability_error", "max_coherence_error",
+        }
+        for k in range(0, 451, 9):
+            report = error_report(params, float(resolutions[k]))
+            for name, column in columns._asdict().items():
+                got = column if name in ("probe_points", "classical_probability") else column[k]
+                want = np.asarray(getattr(report, name))
+                if name in kernel:
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), name
+                else:
+                    assert np.array_equal(got, want), name
 
     def test_sweep_takes_its_error_probes_in_one_kernel_call(self, monkeypatch):
         calls = []

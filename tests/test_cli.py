@@ -451,6 +451,59 @@ class TestExitCodes:
         assert "value=" in out and "expected=" in out and "tol=" in out
 
 
+class TestParserReuse:
+    """One parser per process: a call leaves nothing behind for the next."""
+
+    ARGV = (
+        ["figure", "1", "--grid-max", "2", "--grid-step", "0.5"],
+        ["sweep", "--dn-min", "0.2", "--dn-max", "0.4", "--dn-step", "0.1", "--format", "json"],
+        ["sample", "--dn", "0.5", "--count", "3", "--seed", "7"],
+        ["figure", "5", "--dn-min", "0.3", "--dn-max", "0.5", "--dn-step", "0.1", "--alpha", "2"],
+        ["figure", "2", "--dn", "0.45", "--format", "json", "--grid-step", "1"],
+    )
+
+    @staticmethod
+    def run(argv, capsys):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_separate_parsers(self, capsys):
+        together = [self.run(argv, capsys) for argv in self.ARGV]
+        apart = []
+        for argv in self.ARGV:
+            cli.build_parser.cache_clear()
+            apart.append(self.run(argv, capsys))
+        assert together == apart
+        assert all(code == 0 for _, _, code in together)
+
+    def test_matches_a_separate_process(self, capsys):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for argv in self.ARGV[:2]:
+            self.run(self.ARGV[2], capsys)
+            child = subprocess.run(
+                [sys.executable, "-m", "qndsim.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert self.run(argv, capsys) == (child.stdout, child.stderr, child.returncode)
+
+    def test_version_and_bad_arguments_after_reuse(self, capsys):
+        for _ in range(2):
+            assert self.run(["--version"], capsys) == (f"qnd {__version__}\n", "", 0)
+            out, err, code = self.run(["figure", "9"], capsys)
+            assert (out, code) == ("", 2) and "invalid choice: 9" in err
+            out, err, code = self.run(["bogus"], capsys)
+            assert (out, code) == ("", 2) and "invalid choice: 'bogus'" in err
+            assert self.run(self.ARGV[0], capsys)[2] == 0
+
+
 class TestMutationDetection:
     def test_phase_noise_mutation_fails_verify(self, monkeypatch, capsys):
         # a 1% error in the equivalent-noise formula must trip the phase checks

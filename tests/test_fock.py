@@ -175,6 +175,40 @@ class TestCoherentState:
             coherent_state(params, cutoff - 1)
         assert time.perf_counter() - start < 0.05
 
+    @pytest.mark.parametrize(
+        "magnitude", [0.5, 0.9, 1.0, 2.5, 3.0, 7.3, 10.0, 25.0, 64.2, 100.0, 183.3, 300.0]
+    )
+    def test_certified_cutoff_is_the_first_that_builds(self, magnitude):
+        # An explicit cutoff at or above the pass's starting level skips the
+        # pass; one below it still takes the summed cutoff, so certified - 1
+        # is refused either way.
+        params = CoherentParams(magnitude, 0.4)
+        certified = choose_truncation(params, 1e-12)
+        assert coherent_state(params, certified).n_max == certified
+        if certified > 0:
+            short = f"n_max={certified - 1} lies below {certified},"
+            with pytest.raises(TruncationTooSmall, match=short):
+                coherent_state(params, certified - 1)
+
+    def test_cutoff_past_the_pass_start_skips_the_pass(self, monkeypatch):
+        from qndsim import fock
+
+        params = CoherentParams(10.0)
+        _, top = fock._pass_start(params, 1e-12)
+        passes = []
+        summed = fock._summed_cutoff
+
+        def counting(*args):
+            passes.append(args)
+            return summed(*args)
+
+        monkeypatch.setattr(fock, "_summed_cutoff", counting)
+        coherent_state(params, top)
+        coherent_state(params, 280)
+        assert passes == []
+        coherent_state(params, top - 1)
+        assert len(passes) == 1
+
     def test_refuses_before_allocating_the_basis(self):
         # The basis of alpha 1556 holds 2.4 million levels (39 MB of
         # amplitudes); the summed pass takes chunks of 12 456 terms.

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
@@ -43,12 +43,16 @@ from qndsim.measurement import (
     _BAND_WIDTHS,
     _CHUNK_CELLS,
     DENSITY_FLOOR,
+    _adequate_lattices,
     _band_profiles,
     _band_weights,
     _bands,
+    _lattices,
     _profiles,
     _quadratures,
     _reach,
+    _run,
+    _runs,
     _windows,
     trapezoid,
 )
@@ -340,7 +344,7 @@ def test_band_weights_vanish_beyond_each_band(per_unit):
     """Rows past a width's own band are 0.0, so padding a narrower band in a block adds zeros."""
     for delta_n in np.linspace(0.0135, 5.0, 241):
         reach = int(_reach(delta_n))
-        weights = _band_weights(per_unit, [delta_n], reach + 3)[:, 0]
+        weights = _band_weights(per_unit, np.array([-0.25 / delta_n**2]), reach + 3)[..., 0]
         s = np.arange(-reach - 3, reach + 5)
         assert not weights[(s < -reach) | (s > reach + 1), 0].any()
         assert not weights[(s < -reach) | (s > reach), 1:].any()
@@ -390,6 +394,52 @@ def test_batched_quadratures_match_the_literal_sums(batch):
         alone = _quadratures(state, [config])
         for got, one in zip((mass, q_sum, average, product), alone):
             assert got[k : k + 1].tobytes() == one.tobytes()
+
+
+@st.composite
+def runs_cases(draw):
+    """Configs and a support within levels 0..n_state, some padded ends on lattice points.
+
+    A width of a/(8 M) makes the padding 8 dn = a/M, so the support's padded
+    ends fall on (or within a rounding of) points of the lattice j/M.  Config
+    bases run from 0 levels past 0 up to past the state's, so the grid's last
+    point clips some runs, and some whole runs lie past a short basis.
+    """
+    n_state = draw(st.integers(0, 60))
+    first = draw(st.integers(0, n_state))
+    last = draw(st.integers(first, n_state))
+    configs = []
+    for _ in range(draw(st.integers(1, 6))):
+        per_unit = draw(st.integers(1, 40))
+        if draw(st.booleans()):
+            delta_n = draw(st.integers(1, 8 * 40)) / per_unit / 8.0
+        else:
+            delta_n = draw(st.floats(1e-3, 5.0))
+        n_max = draw(st.sampled_from([0, n_state, draw(st.integers(0, n_state + 5))]))
+        configs.append(MeasurementConfig(delta_n, n_max, per_unit))
+    return configs, (first, last)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=runs_cases())
+# A basis that ends below the support's first level clips the whole run to its last point.
+@example(case=([MeasurementConfig(0.3, 2, 5)], (10, 20)))
+def test_vectorized_run_bounds_equal_run(case):
+    configs, support = case
+    runs = _runs(_lattices(configs), support)
+    assert runs.tolist() == [list(bounds) for bounds in zip(*(_run(c, support) for c in configs))]
+
+
+@pytest.mark.parametrize("alpha", [3.0, 100.0])
+def test_sweep_quadratures_match_one_config_calls(alpha):
+    """The 451-config sweep pass equals each config's own pass, bit for bit."""
+    state = coherent_state(CoherentParams(alpha, 0.9))
+    resolutions = 0.1 + 0.002 * np.arange(451)
+    sweep = _quadratures(state, _adequate_lattices(resolutions, state.n_max))
+    for k, delta_n in enumerate(resolutions.tolist()):
+        alone = _quadratures(state, [MeasurementConfig.adequate(delta_n, state.n_max)])
+        for column, one in zip(sweep, alone):
+            assert column[k : k + 1].tobytes() == one.tobytes()
 
 
 def test_a_batch_names_its_too_narrow_config():

@@ -259,10 +259,13 @@ def test_vanished_density_names_its_cause(readout):
 
 @pytest.mark.parametrize("n_m", [math.nan, np.array([9.0, math.nan])])
 def test_nan_outcome_vanishes_like_an_underflow(n_m):
-    # A NaN density fails the floor test, as it does in measure.
+    # A NaN density fails the floor test, as it does in measure, and the message names the NaN.
     state = coherent_state(ALPHA3)
-    with pytest.raises(ZeroProbability, match="^an outcome lies far outside the state's support$"):
+    message = "^outcome n_m = nan is not a number, so its density is NaN$"
+    with pytest.raises(ZeroProbability, match=message):
         coherence_after(state, n_m, 0.3)
+    with pytest.raises(ZeroProbability, match="^outcome n_m = nan is not a number"):
+        measure(state, np.atleast_1d(n_m)[-1], 0.3)
 
 
 class TestAverageCoherence:
