@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
 3 I/O error.  Output files are byte-identical for identical arguments:
 CSV uses ``#``-prefixed header lines and 12 significant digits; JSON is a
 single object with ``config``, ``columns``, ``rows``, and ``version`` keys.
-A JSON table is one ``json.dumps``; CSV rows take one ``%`` format each and
-are written 4 096 at a time, so the per-value work runs in C.
+JSON rows are encoded by ``json.dumps`` and written 65 536 at a time (a
+smaller table in one call); CSV rows take one ``%`` format each and are
+written 4 096 at a time, so the per-value work runs in C and the text held
+at once stays bounded.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from .fock import CoherentParams
 
 # CSV rows per write: the text held at once stays small beside the table.
 _CSV_CHUNK = 4096
+
+# JSON rows per json.dumps call and write, for the same reason.
+_JSON_CHUNK = 65536
+
+# json.dumps(value, sort_keys=True, separators=(",", ":")): the tables' JSON layout.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _config_echo(config: dict) -> str:
@@ -54,14 +62,14 @@ def write_csv(handle, table: Table, title: str) -> None:
 
 
 def write_json(handle, table: Table, title: str) -> None:
-    payload = {
-        "config": {"command": title, **table.config},
-        "columns": table.columns,
-        "rows": table.rows,
-        "version": __version__,
-    }
-    handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    handle.write("\n")
+    """``json.dumps(payload, sort_keys=True, separators=(",", ":"))`` of the table, rows in slices."""
+    config = {"command": title, **table.config}
+    handle.write(f'{{"columns":{_dumps(table.columns)},"config":{_dumps(config)},"rows":[')
+    rows = table.rows
+    for start in range(0, len(rows), _JSON_CHUNK):
+        text = _dumps(rows[start : start + _JSON_CHUNK])
+        handle.write(f",{text[1:-1]}" if start else text[1:-1])
+    handle.write(f'],"version":{_dumps(__version__)}}}\n')
 
 
 @contextmanager

@@ -45,7 +45,7 @@ def average_quantization(state: PureState, config: MeasurementConfig) -> float:
     average equals exp(-2 pi^2 delta_n^2) for every normalized state; the
     quadrature value is returned unassisted by that closed form.
     """
-    return float(measurement._quadratures(state, [config])[1][0])
+    return float(measurement._quadratures(state, [measurement._config(config)])[1][0])
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,7 @@ def quantization_coherence_correlation(
     dephasing factor, and correlation = -2 q_bar times the dephased alpha)
     enter only as cross-checks recorded in ``analytic_deltas``.
     """
+    config = measurement._config(config)
     return _correlation_reports(params, coherent_state(params, n_max), [config])[0]
 
 

@@ -5,11 +5,16 @@ All operations are pure functions; nothing here mutates its inputs, so
 everything is safe to call concurrently.  A state keeps what it derives from
 its read-only amplitudes (level moments, support, sampling CDF) once
 computed; concurrent first calls compute the same values.
+:func:`coherent_state` hands every caller the same state for the same
+parameters and basis while any caller holds it, so that state is built and
+its moments derived once; concurrent first calls may build it twice, as
+value-equal states.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 from scipy.special import gammaln
@@ -42,6 +47,15 @@ _MIN_CERTIFIABLE_TAIL = 1e-15
 # summing) are refused: their bases lie far past MAX_LEVELS anyway.
 _MAX_SUMMED_MEAN = 1e12
 _TAIL_CHUNK = 1 << 16
+
+# exp() is exactly 0.0 below -745.14, so levels whose Poisson log-weight lies
+# below this bound weigh exactly 0.0.  The margin of 55 is far beyond the
+# gammaln form's cancellation error (below 1e-8 up to MAX_LEVELS).
+_LOG_UNDERFLOW = -800.0
+
+# The coherent states some caller holds, by (magnitude, phase, sign of the
+# phase, n_max); an entry leaves when its last holder drops it.
+_STATES = weakref.WeakValueDictionary()
 
 
 class CoherentParams:
@@ -90,10 +104,11 @@ class PureState:
 
     The level moments, the support and the sampling CDF are derived once, on
     first use, and kept with the state: the amplitudes are read-only, so they
-    never go stale.
+    never go stale, and a state can be shared (as :func:`coherent_state`
+    shares them, through weak references).
     """
 
-    __slots__ = ("amplitudes", "_moments", "_support", "_cdf")
+    __slots__ = ("amplitudes", "_moments", "_support", "_cdf", "__weakref__")
 
     def __init__(self, amplitudes):
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -216,8 +231,14 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
     """Coherent state with Poissonian number statistics, truncated at ``n_max``.
 
     ``n_max`` defaults to :func:`default_cutoff`.  Amplitudes are evaluated
-    in the log domain, so large cutoffs do not overflow the factorials.
-    After truncation the state is renormalized.
+    in the log domain, so large cutoffs do not overflow the factorials, and
+    only from the first level whose log-weight reaches -800: every level
+    below it weighs exactly 0.0 (level 0 already reaches it when
+    |alpha|^2 <= 800).  After truncation the state is renormalized.
+
+    While any caller holds the state for the same magnitude, phase and
+    ``n_max`` (given or defaulted), the same object is returned; the
+    arguments are checked on every call.
 
     Raises
     ------
@@ -240,19 +261,49 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
                 f"n_max={n_max} lies below {certified}, "
                 f"the cutoff certified to {DEFAULT_TAIL_TOL:g}"
             )
+    # -0.0 == 0.0, but the two phases give zero amplitudes of different signs.
+    key = (params.magnitude, params.phase, math.copysign(1.0, params.phase), n_max)
+    state = _STATES.get(key)
+    if state is not None:
+        return state
 
     lam = params.mean_photon_number
-    n = np.arange(n_max + 1)
+    lo = _window_start(lam)
+    n = np.arange(lo, n_max + 1)
     if lam == 0.0:
         weights = np.zeros(n_max + 1)
         weights[0] = 1.0
     else:
         weights = np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
 
-    amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
+    amps = np.empty(n_max + 1, dtype=np.complex128)
+    amps[:lo] = 0.0
+    np.multiply(np.sqrt(weights), np.exp(-1j * params.phase * n), out=amps[lo:])
+    # Both norms over the whole vector: the same sums, in the same order, as
+    # a vector evaluated at every level.
     amps /= np.linalg.norm(amps)
     # The constructor's rescaling, without its scans: the weights are finite.
-    return PureState._unit(amps / float(np.linalg.norm(amps)))
+    state = _STATES[key] = PureState._unit(amps / float(np.linalg.norm(amps)))
+    return state
+
+
+def _window_start(lam: float) -> int:
+    """First level whose Poisson(lam) log-weight reaches ``_LOG_UNDERFLOW``.
+
+    Below the mean the log-weights rise with the level, and the mode reaches
+    the bound, so the level is bisected on :func:`_log_poisson` between 0
+    and the mode.  It is 0 whenever lam <= 800.
+    """
+    if -lam >= _LOG_UNDERFLOW:
+        return 0
+    below, above = 0, math.floor(lam)
+    while above - below > 1:
+        mid = (below + above) // 2
+        if _log_poisson(mid, lam) < _LOG_UNDERFLOW:
+            below = mid
+        else:
+            above = mid
+    return above
 
 
 def choose_truncation(params: CoherentParams, tail_tol: float) -> int:

@@ -582,6 +582,13 @@ class _Lattices(NamedTuple):
     per_unit: np.ndarray
 
 
+def _config(config) -> MeasurementConfig:
+    """``config``, refused with :class:`InvalidParam` unless it is a :class:`MeasurementConfig`."""
+    if not isinstance(config, MeasurementConfig):
+        raise InvalidParam(f"config must be a MeasurementConfig, not {config!r}")
+    return config
+
+
 def _lattices(configs) -> _Lattices:
     """``configs``, a sequence of :class:`MeasurementConfig` or a :class:`_Lattices`, as arrays."""
     if isinstance(configs, _Lattices):
@@ -913,10 +920,12 @@ def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
 
     Raises
     ------
+    InvalidParam
+        If ``config`` is not a :class:`MeasurementConfig`.
     GridTooNarrow
         As :func:`grid_profiles`.
     """
-    return complex(_quadratures(state, [config])[2][0])
+    return complex(_quadratures(state, [_config(config)])[2][0])
 
 
 def decoherence_factor(delta_n: float) -> float:

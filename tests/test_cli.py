@@ -259,6 +259,20 @@ class TestWriterBytes:
         json.dump(payload, expected, sort_keys=True, separators=(",", ":"))
         assert handle.getvalue() == expected.getvalue() + "\n"
 
+    @pytest.mark.parametrize("count", [0, 1001, 2 * cli._JSON_CHUNK + 7])
+    def test_json_rows_across_writes(self, count):
+        rows = [[k / 7.0, -float(k), math.nan if k % 5 else -0.0] for k in range(count)]
+        table = figures.Table(columns=["x", "y", "z"], rows=rows, config={"alpha": 3.0})
+        handle = io.StringIO()
+        cli.write_json(handle, table, "figure 1")
+        payload = {
+            "config": {"command": "figure 1", "alpha": 3.0},
+            "columns": ["x", "y", "z"],
+            "rows": rows,
+            "version": __version__,
+        }
+        assert handle.getvalue() == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
 
 class TestRangeEnds:
     """Tables stop at the last step that does not pass the requested end."""

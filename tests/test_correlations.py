@@ -12,6 +12,7 @@ from qndsim import (
     MeasurementConfig,
     PureState,
     argmax_correlation_resolution,
+    average_coherence,
     average_quantization,
     coherent_state,
     correlation_at,
@@ -222,6 +223,21 @@ class TestAverageQuantization:
         config = MeasurementConfig.adequate(0.3, 25)
         with pytest.raises(GridTooNarrow, match="mass 0.99999967"):
             average_quantization(state, config)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda config: quantization_coherence_correlation(ALPHA3, config),
+        lambda config: average_coherence(coherent_state(ALPHA3), config),
+        lambda config: average_quantization(coherent_state(ALPHA3), config),
+    ],
+    ids=["quantization_coherence_correlation", "average_coherence", "average_quantization"],
+)
+@pytest.mark.parametrize("config", [0.3, None, (0.3, 37, 5)], ids=["float", "none", "tuple"])
+def test_entries_refuse_a_non_config(entry, config):
+    with pytest.raises(InvalidParam, match="config must be a MeasurementConfig"):
+        entry(config)
 
 
 class TestCorrelationReport:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import resource
@@ -5,11 +6,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 
 from qndsim import (
     CoherentParams,
@@ -28,6 +30,7 @@ from qndsim import (
     random_state,
     variance_n,
 )
+from qndsim import fock
 from qndsim.fock import MAX_LEVELS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +65,20 @@ def poisson_weight(lam, n):
 
 def poisson_tail_beyond(lam, n_max):
     return 1.0 - sum(poisson_weight(lam, n) for n in range(n_max + 1))
+
+
+def gammaln_amplitudes(params, n_max):
+    """The gammaln-form amplitudes evaluated at every level of the basis."""
+    lam = params.mean_photon_number
+    n = np.arange(n_max + 1)
+    if lam == 0.0:
+        weights = np.zeros(n_max + 1)
+        weights[0] = 1.0
+    else:
+        weights = np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
+    amps = np.sqrt(weights) * np.exp(-1j * params.phase * n)
+    amps /= np.linalg.norm(amps)
+    return amps / float(np.linalg.norm(amps))
 
 
 class TestCoherentParams:
@@ -260,6 +277,73 @@ class TestCoherentState:
         ref = coherent_state(CoherentParams(2.0, 0.0), 40)
         n = np.arange(41)
         assert np.allclose(state.amplitudes, ref.amplitudes * np.exp(-1j * 0.7 * n))
+
+
+class TestMassWindow:
+    """Amplitudes evaluated from the first level with mass equal the full-basis formula."""
+
+    @pytest.mark.parametrize("phase", [0.0, -0.0, 0.7, -2.1])
+    @pytest.mark.parametrize("magnitude, n_max", [
+        (0.0, None), (3.0, None), (25.0, None), (100.0, 10_711), (100.0, 11_440),
+        (300.0, None), (1000.0, None),
+    ])
+    def test_equals_the_full_basis_formula(self, magnitude, n_max, phase):
+        params = CoherentParams(magnitude, phase)
+        state = coherent_state(params, n_max)
+        assert np.array_equal(state.amplitudes, gammaln_amplitudes(params, state.n_max))
+
+    def test_levels_below_the_window_are_exact_zeros(self):
+        lam = 100.0**2
+        lo = fock._window_start(lam)
+        assert fock._log_poisson(lo - 1, lam) < -800.0 <= fock._log_poisson(lo, lam)
+        state = coherent_state(CoherentParams(100.0, 0.7), 11_440)
+        full = gammaln_amplitudes(CoherentParams(100.0, 0.7), 11_440)
+        assert 6_000 < lo < np.flatnonzero(full)[0]
+        assert np.all(state.amplitudes[:lo] == 0.0)
+
+    def test_window_starts_at_zero_up_to_a_mean_of_800(self):
+        assert fock._window_start(0.0) == 0
+        assert fock._window_start(800.0) == 0
+        assert fock._window_start(801.0) > 0
+
+
+class TestStateTable:
+    """coherent_state hands out one state per key while some caller holds it."""
+
+    def test_held_states_are_shared(self):
+        params = CoherentParams(10.0, 0.3)
+        state = coherent_state(params, 280)
+        assert coherent_state(params, 280) is state
+        assert coherent_state(CoherentParams(10.0, 0.3), 280) is state
+        assert coherent_state(params) is coherent_state(params, default_cutoff(params))
+
+    def test_a_different_key_gives_a_different_state(self):
+        held = coherent_state(CoherentParams(10.0, 0.0), 280)
+        assert coherent_state(CoherentParams(10.0, -0.0), 280) is not held
+        assert coherent_state(CoherentParams(10.0, 0.1), 280) is not held
+        assert coherent_state(CoherentParams(10.5, 0.0), 280) is not held
+        assert coherent_state(CoherentParams(10.0, 0.0), 281) is not held
+
+    def test_dropped_state_is_rebuilt_equal(self):
+        params = CoherentParams(25.0, -2.1)
+        state = coherent_state(params)
+        amplitudes = state.amplitudes.copy()
+        gone = weakref.ref(state)
+        del state
+        gc.collect()
+        assert gone() is None
+        rebuilt = coherent_state(params)
+        assert np.array_equal(rebuilt.amplitudes, amplitudes)
+
+    def test_arguments_are_checked_beside_a_held_state(self):
+        params = CoherentParams(3.0)
+        held = coherent_state(params, 37)
+        with pytest.raises(TruncationTooSmall, match="n_max=36 lies below 37,"):
+            coherent_state(params, 36)
+        for n_max in (37.0, -1, MAX_LEVELS):
+            with pytest.raises(InvalidParam):
+                coherent_state(params, n_max)
+        assert coherent_state(params, 37) is held
 
 
 class TestChooseTruncation:
