@@ -27,7 +27,9 @@ times band width, not basis size, and temporary memory stays at a few MB.
 Conditional states are the same band sum over the same bands: windows at
 outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
 mean, so one pass gives every step of a trajectory its posterior, and
-:func:`measure` is the one-outcome case.  Profiles take one width per
+:func:`measure` is the one-outcome case.  That pass's constants and chunks
+depend only on the resolution, passes, runs and basis size, and are planned
+once per such shape (:func:`_posterior_plan`).  Profiles take one width per
 outcome in the same way (:func:`_band_profiles`), so a sweep's probes at
 many resolutions are one pass too.  Quadratures over outcomes use the
 trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
@@ -143,41 +145,51 @@ def _reach(width: float) -> float:
     return _BAND_WIDTHS * width + 0.5
 
 
-def _bands(centers: np.ndarray, widths, levels: int):
-    """Bands of levels the windows reach, in chunks of about ``_CHUNK_CELLS`` cells.
+def _band_schedule(widths: np.ndarray, levels: int):
+    """The chunks (rows, reach, width) of :func:`_bands` for windows of ``widths``, one per outcome.
 
     The window of width w at outcome m reaches the levels with
     |n - m| <= _BAND_WIDTHS * w + 1/2, clipped to the basis: a band wider than
     the basis covers every level.  Every outcome in a chunk takes the width of
-    the chunk's first band, so ``widths`` (one per outcome) must not grow; a
-    chunk ends before the first outcome whose own band would be less than half
-    as wide, so narrowing windows do not sweep cells they cannot reach.
-    Yields the chunk's slice of outcomes, each one's first level, and the
-    offsets x = m - n from the band's levels to its outcome.  A band that
-    covers the whole basis starts at level 0 for every outcome: its first
-    level is one entry shared by the chunk, and rows indexed by it broadcast.
+    the chunk's first band, so ``widths`` must not grow; a chunk holds about
+    ``_CHUNK_CELLS`` cells and ends before the first outcome whose own band
+    would be less than half as wide, so narrowing windows do not sweep cells
+    they cannot reach.
     """
     start = 0
-    while start < centers.size:
+    while start < widths.size:
         reach = _reach(float(widths[start]))
         width = int(min(levels, 2.0 * reach + 1.0))
-        stop = min(centers.size, start + max(1, _CHUNK_CELLS // width))
+        stop = min(widths.size, start + max(1, _CHUNK_CELLS // width))
         # 2 (_BAND_WIDTHS w + 1/2) + 1 < width / 2 below this w; the first
         # outcome is never below it, and constant widths skip the search.
         narrow = (0.25 * width - 1.0) / _BAND_WIDTHS
         if widths[stop - 1] < narrow:
             stop = start + int(np.argmax(widths[start:stop] < narrow))
-        rows = slice(start, stop)
-        block = centers[rows]
-        if width == levels:
-            yield rows, np.zeros(1, dtype=np.intp), block[:, None] - np.arange(width, dtype=float)
-        else:
-            # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
-            edge = np.ceil(block - reach)
-            np.fmin(np.fmax(edge, 0.0, out=edge), levels - width, out=edge)
-            x = (block - edge)[:, None] - np.arange(width, dtype=float)
-            yield rows, edge.astype(np.intp), x
-        start = rows.stop
+        yield slice(start, stop), reach, width
+        start = stop
+
+
+def _band_offsets(block: np.ndarray, reach: float, levels: int, offsets: np.ndarray):
+    """First levels and offsets of :func:`_bands` at ``block``, band ``offsets`` 0.0, 1.0, ..."""
+    if offsets.size == levels:
+        return np.zeros(1, dtype=np.intp), block[:, None] - offsets
+    # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
+    edge = np.ceil(block - reach)
+    np.fmin(np.fmax(edge, 0.0, out=edge), levels - offsets.size, out=edge)
+    return edge.astype(np.intp), (block - edge)[:, None] - offsets
+
+
+def _bands(centers: np.ndarray, widths, levels: int):
+    """Bands of levels the windows reach, in the chunks of :func:`_band_schedule`.
+
+    Yields the chunk's slice of outcomes, each one's first level, and the
+    offsets x = m - n from the band's levels to its outcome.  A band that
+    covers the whole basis starts at level 0 for every outcome: its first
+    level is one entry shared by the chunk, and rows indexed by it broadcast.
+    """
+    for rows, reach, width in _band_schedule(widths, levels):
+        yield (rows, *_band_offsets(centers[rows], reach, levels, np.arange(width, dtype=float)))
 
 
 def _windows(values: np.ndarray, width: int) -> np.ndarray:
@@ -291,6 +303,32 @@ def _unit_rows(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+@functools.lru_cache(maxsize=32)
+def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple:
+    """The part of a posterior pass that its outcomes do not decide, read-only.
+
+    The passes j = 1..count and exponent scales -j/(4 dn^2), as columns; the
+    normalizations (2 pi w_j^2)**-0.5, w_j = dn / sqrt(j); the chunks (rows,
+    reach, width) of the walk over the count x runs rows; and the offsets 0,
+    1, ... across the widest band, as floats and as level indices.  Nothing
+    grows with ``runs``: the rows of a pass share its constants.
+    """
+    passes = np.arange(1.0, count + 1.0)
+    root = np.sqrt(passes)
+    widths = delta_n / root
+    # Row i of the walk is pass i // runs + 1 of run i % runs.
+    chunks = tuple(_band_schedule(widths if runs == 1 else np.repeat(widths, runs), levels))
+    # (2 pi w_j^2)**-0.5 = sqrt(j) (2 pi dn^2)**-0.5, and the exponent is (-inv x) x:
+    # pass 1 repeats _profiles's arithmetic, so measure's density is bit-equal to it.
+    norm = (2.0 * math.pi * delta_n**2) ** -0.5 * root
+    exponent = passes / (-4.0 * delta_n**2)
+    band_levels = np.arange(chunks[0][2])
+    arrays = (passes, exponent, norm, band_levels.astype(float), band_levels)
+    for values in arrays:
+        values.flags.writeable = False
+    return passes[:, None], exponent[:, None], norm, chunks, *arrays[3:]
+
+
 def _sequential_posteriors(
     state: PureState, outcomes: np.ndarray, delta_n: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -308,9 +346,10 @@ def _sequential_posteriors(
     <a> keeps its digits where the products e_j(n) e_j(n+1) would underflow.
 
     ``outcomes`` is one record, shape (count,), or a block of records at the
-    same resolution, shape (count, runs): column r is run r.  :func:`_bands`
-    walks the block row by row, every run's pass 1, then every run's pass 2,
-    and so on, so the window widths never grow.
+    same resolution, shape (count, runs): column r is run r.  The bands are
+    walked row by row, every run's pass 1, then every run's pass 2, and so
+    on, so the window widths never grow; that walk and the passes' constants
+    are planned once per record shape (:func:`_posterior_plan`).
 
     Returns each pass's density, the mean photon number, its variance and
     <a> after it, shaped like ``outcomes``, and the unit-norm conditional
@@ -325,42 +364,34 @@ def _sequential_posteriors(
     p, b = state.level_moments()
     count = outcomes.shape[0]
     runs = outcomes.size // count
-    # Row i of the walk is pass i // runs + 1 of run i % runs.
-    passes = np.arange(1.0, count + 1.0)
-    if runs > 1:
-        passes = np.repeat(passes, runs)
-    root = np.sqrt(passes)
-    neg_inv_4var = passes / (-4.0 * delta_n**2)
-    # (2 pi w_j^2)**-0.5 = sqrt(j) (2 pi dn^2)**-0.5, and the exponent is (-inv x) x:
-    # pass 1 repeats _profiles's arithmetic, so measure's density is bit-equal to it.
-    norm = (2.0 * math.pi * delta_n**2) ** -0.5 * root
-    centers = np.add.accumulate(outcomes).ravel()
-    centers /= passes
+    plan = _posterior_plan(delta_n, count, runs, p.size)
+    passes, exponents, norms, chunks, band_offsets, band_levels = plan
+    centers = np.add.accumulate(outcomes).reshape(count, runs)
+    centers = np.divide(centers, passes, out=centers).ravel()
     density, mean, var = np.empty(centers.size), np.empty(centers.size), np.empty(centers.size)
     coherence = np.empty(centers.size, dtype=np.complex128)
     final = np.zeros((runs, p.size), dtype=np.complex128)
     last = centers.size - runs  # the first row of the last pass
-    width = None
-    for rows, first, x in _bands(centers, delta_n / root, p.size):
-        if x.shape[1] != width:
-            width = x.shape[1]
-            band_levels = np.arange(width)
-            offsets = band_levels.astype(float)
-            # A band that is the whole basis is one row of levels, shared by the chunk.
-            whole = width == p.size
-            if whole:
-                p_band, b_band = p[None], b[None, :-1]
-        if not whole:
-            n = first[:, None] + band_levels
+    for rows, reach, width in chunks:
+        offsets = band_offsets[:width]
+        first, x = _band_offsets(centers[rows], reach, p.size, offsets)
+        # A band that is the whole basis is one row of levels, shared by the chunk.
+        whole = width == p.size
+        if whole:
+            p_band, b_band = p[None], b[None, :-1]
+        else:
+            n = first[:, None] + band_levels[:width]
             p_band, b_band = p[n], b[n[:, :-1]]
-        e = neg_inv_4var[rows, None] * x
+        at = rows if runs == 1 else np.arange(rows.start, rows.stop) // runs  # each row's pass
+        e = exponents[at] * x
         e *= x
         np.exp(e, out=e)
         total = np.einsum("ij,ij,ij->i", p_band, e, e)
-        band_density = np.multiply(norm[rows], total, out=density[rows])
+        band_density = np.multiply(norms[at], total, out=density[rows])
         if not np.minimum.reduce(band_density) >= DENSITY_FLOOR:  # also catches NaN
             j = rows.start + int(np.argmin(band_density >= DENSITY_FLOOR))
-            raise ZeroProbability(_underflow(state, centers[j : j + 1], delta_n / root[j]))
+            width_j = delta_n / math.sqrt(j // runs + 1)
+            raise ZeroProbability(_underflow(state, centers[j : j + 1], width_j))
         weight = p_band * e
         weight *= e
         peak = np.maximum.reduce(weight, axis=1, keepdims=True)

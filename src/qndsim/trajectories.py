@@ -51,6 +51,19 @@ def _draw_level(
     return state.level_cdf().searchsorted(gen.random(size), side="right")
 
 
+def _draw_outcomes(state: PureState, delta_n: float, gen, count: int, runs=None) -> np.ndarray:
+    """Readouts of ``count`` passes over one hidden level, shape (count,), or (runs, count).
+
+    level + delta_n z, scaled and shifted in place: what ``gen.normal(level, delta_n)`` draws.
+    """
+    level_shape, shape = (None, (count,)) if runs is None else ((runs, 1), (runs, count))
+    level = _draw_level(state, gen, level_shape)
+    outcomes = gen.standard_normal(shape)
+    outcomes *= delta_n
+    outcomes += level
+    return outcomes
+
+
 def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
     """Draw one outcome from the exact density and condition the state on it.
 
@@ -59,7 +72,7 @@ def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
     """
     delta_n = measurement._check_delta_n(delta_n)
     gen, _ = _as_generator(rng)
-    n_m = float(gen.normal(_draw_level(state, gen), delta_n))
+    n_m = float(_draw_outcomes(state, delta_n, gen, 1)[0])
     return measurement.measure(state, n_m, delta_n)
 
 
@@ -117,19 +130,13 @@ def repeated_measurement(
     count = _integer(count, "count")
     if count < 1:
         raise InvalidParam("count must be at least 1")
-    # One hidden level per record: a scalar, or a (runs, 1) column for a batch.
-    level_shape, shape = None, (count,)
     if runs is not None:
         runs = _integer(runs, "runs")
         if runs < 1:
             raise InvalidParam("runs must be at least 1")
-        level_shape, shape = (runs, 1), (runs, count)
     delta_n = measurement._check_delta_n(delta_n)
     gen, seed = _as_generator(rng)
-    # level + delta_n z is the value gen.normal(level, delta_n) draws, bit for
-    # bit, without its per-call broadcasting of loc and scale.
-    level = _draw_level(state, gen, level_shape)
-    outcomes = level + delta_n * gen.standard_normal(shape)
+    outcomes = _draw_outcomes(state, delta_n, gen, count, runs)
     # The posterior pass takes a block as (count, runs): .T is a view both ways.
     _, mean_n, var_n, coherence, final = measurement._sequential_posteriors(
         state, outcomes.T, delta_n
@@ -197,7 +204,7 @@ def phase_diffusion_equivalence(
     direction = a_initial / abs(a_initial)
 
     # Route one: outcome-sampled conditional coherence.
-    pointer = gen.normal(_draw_level(state, gen, samples), delta_n)
+    pointer = _draw_outcomes(state, delta_n, gen, 1, samples)[:, 0]
     conditional = measurement.coherence_after(state, pointer, delta_n)
     projections = np.real(conditional * np.conj(direction)) / abs(a_initial)
     mc_ratio = float(projections.mean())
@@ -205,10 +212,11 @@ def phase_diffusion_equivalence(
 
     # Route two: random phase rotations with the equivalent noise variance.
     # Rotating the state by exp(-i theta n) rotates its field expectation to
-    # exp(-i theta) <a>, so no rotated state is needed.
+    # exp(-i theta) <a>, whose projection on the initial direction is
+    # |<a>| cos(theta), so no rotated state is needed.
     sigma = math.sqrt(measurement.equivalent_phase_noise(delta_n))
     thetas = gen.normal(0.0, sigma, size=samples)
-    rotations = np.real(a_initial * np.exp(-1j * thetas) * np.conj(direction)) / abs(a_initial)
+    rotations = np.cos(thetas)
     deph_ratio = float(rotations.mean())
     deph_stderr = float(rotations.std(ddof=1) / math.sqrt(samples))
 

@@ -28,7 +28,7 @@ from qndsim import (
     sample_outcome,
     variance_n,
 )
-from qndsim.measurement import _sequential_posteriors, trapezoid
+from qndsim.measurement import _CHUNK_CELLS, _posterior_plan, _sequential_posteriors, trapezoid
 from qndsim.trajectories import _draw_level
 
 from test_kernel import dense_condition
@@ -289,6 +289,100 @@ def test_level_draws_are_generator_choice(n_max, low_share, size, seed):
 def test_posteriors_refuse_an_outcome_off_the_support():
     with pytest.raises(ZeroProbability):
         _sequential_posteriors(number_state(0, 200), np.array([150.0]), 0.3)
+
+
+def test_posteriors_name_the_width_of_the_pass_that_vanished():
+    # Outcomes 5 and 6 put pass 2's window, of width 0.015 / sqrt(2), at 5.5:
+    # between the two levels, where it reaches neither.
+    amps = np.zeros(10)
+    amps[5:7] = math.sqrt(0.5)
+    state = PureState(amps)
+    message = f"window at n_m = 5.5 with delta_n = {0.015 / math.sqrt(2):g} falls between levels"
+    # One record, and a block whose row 4 is run 1's pass 2.
+    for outcomes in (np.array([5.0, 6.0]), np.array([[5.0, 5.0, 6.0], [5.0, 6.0, 6.0]])):
+        with pytest.raises(ZeroProbability) as raised:
+            _sequential_posteriors(state, outcomes, 0.015)
+        assert message in str(raised.value)
+
+
+def same_bits(values, expected):
+    return values.shape == expected.shape and values.tobytes() == expected.tobytes()
+
+
+def plan_arrays(plan):
+    return [values for values in plan if isinstance(values, np.ndarray)]
+
+
+class TestPosteriorPlan:
+    """The per-pass constants and band chunks, planned once per record shape."""
+
+    def test_cold_and_warm_plans_give_the_same_bits(self, alpha3_state):
+        outcomes = repeated_measurement(alpha3_state, 0.5, 30, 7, runs=4).outcomes.T
+        _posterior_plan.cache_clear()
+        cold = _sequential_posteriors(alpha3_state, outcomes, 0.5)
+        warm = _sequential_posteriors(alpha3_state, outcomes, 0.5)
+        assert _posterior_plan.cache_info()[:2] == (1, 1)  # hits, misses
+        assert all(map(same_bits, warm, cold))
+
+    def test_states_of_one_basis_size_share_a_plan(self, alpha3_state):
+        other = random_state(60, np.random.default_rng(3))
+        records = [
+            (state, repeated_measurement(state, 0.7, 12, seed).outcomes)
+            for state, seed in ((alpha3_state, 5), (other, 6))
+        ]
+        uncached = []
+        for state, outcomes in records:
+            _posterior_plan.cache_clear()
+            uncached.append(_sequential_posteriors(state, outcomes, 0.7))
+        _posterior_plan.cache_clear()
+        for (state, outcomes), expected in zip(records, uncached):
+            assert all(map(same_bits, _sequential_posteriors(state, outcomes, 0.7), expected))
+        assert _posterior_plan.cache_info()[:2] == (1, 1)
+
+    def test_plan_arrays_are_read_only(self):
+        arrays = plan_arrays(_posterior_plan(0.5, 40, 3, 61))
+        assert len(arrays) == 5
+        assert not any(values.flags.writeable for values in arrays)
+
+    def test_block_from_whole_to_banded_chunks_is_its_records(self):
+        state = coherent_state(ALPHA3)
+        levels, runs = state.n_max + 1, 5
+        widths = [width for _, _, width in _posterior_plan(0.5, 400, runs, levels)[3]]
+        assert widths[0] == levels > widths[-1]
+        # The block's chunks end at the same passes as one record's, so each
+        # pass keeps its band and its sums.
+        outcomes = repeated_measurement(state, 0.5, 400, 11, runs=runs).outcomes
+        block = _sequential_posteriors(state, outcomes.T, 0.5)
+        for run in range(runs):
+            record = _sequential_posteriors(state, outcomes[run], 0.5)
+            assert all(map(same_bits, (values[:, run] for values in block[:4]), record[:4]))
+            assert same_bits(block[4][run], record[4])
+
+    def test_no_plan_array_grows_with_runs(self):
+        one, many = _posterior_plan(1.0, 2, 1, 38), _posterior_plan(1.0, 2, 10_000, 38)
+        assert [values.size for values in plan_arrays(one)] == [
+            values.size for values in plan_arrays(many)
+        ]
+        # Both passes' bands cover all 38 levels: chunks of _CHUNK_CELLS // 38 rows.
+        assert len(many[3]) == -(-20_000 // (_CHUNK_CELLS // 38))
+
+
+def test_posterior_coherence_takes_the_phase_noise_of_each_pass():
+    # After pass j the ensemble-averaged <a> is alpha exp(-j/(8 dn^2)), as if
+    # each pass applied phase noise of variance 1/(4 dn^2), and it stays along
+    # the initial field.
+    state = coherent_state(CoherentParams(3.0, 0.7))
+    dn, count, runs = 1.0, 10, 20_000
+    outcomes = repeated_measurement(state, dn, count, 17, runs=runs).outcomes
+    coherence = _sequential_posteriors(state, outcomes.T, dn)[3]
+    a_initial = expectation_a(state)
+    projected = coherence * np.conj(a_initial / abs(a_initial))
+    target = 3.0 * np.exp(-np.arange(1, count + 1) / (8.0 * dn**2))
+    # The passes of a run are correlated, so each pass is checked on its own.
+    for along, expected in zip(projected.real, target):
+        stderr = along.std(ddof=1) / math.sqrt(runs)
+        assert abs(along.mean() - expected) < 5 * stderr
+    assert np.abs(projected.imag).max() < 1e-14 * 3.0
 
 
 @pytest.mark.parametrize(
