@@ -24,6 +24,15 @@ beyond 38.6 widths, so the kernel visits only the levels within
 ``_BAND_WIDTHS`` = 38.7 widths of each outcome, in chunks of about
 ``_CHUNK_CELLS`` = 65 536 (outcome, level) cells: work grows with grid size
 times band width, not basis size, and temporary memory stays at a few MB.
+Profiles (:func:`_band_profiles`) sum over a narrower certified band of
+``_PROFILE_WIDTHS`` R = 26 widths first.  The cells beyond it hold at most
+exp(-R^2 / 2) of the unit mass, so a row whose sums clear 2^60 times that
+is within 2^-60 of its full-band value; every other row (far tails, NaN
+outcomes, cancelling coherences) is summed again over the full band.  The
+cells it leaves out hold most of the float64 tail's slow work: products
+that come out subnormal (past 37.6 widths) and, in bands clipped at the
+basis edge, exponentials of arguments below -708, both of which take the
+CPU's slow path.  Posteriors and quadratures keep the 38.7-width band.
 Conditional states are the same band sum over the same bands: windows at
 outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
 mean, so one pass gives every step of a trajectory its posterior, and
@@ -94,6 +103,11 @@ QUAD_TOL = 1e-8
 # widths; the band radius keeps a margin over that.
 _BAND_WIDTHS = 38.7
 
+# The certified band of profiles, R widths, and the floor 2^60 exp(-R^2 / 2)
+# that a row's sums must clear to be kept (see _band_profiles).
+_PROFILE_WIDTHS = 26.0
+_CERTIFIED = 2.0**60 * math.exp(-0.5 * _PROFILE_WIDTHS**2)
+
 # Far out in a window's tail the products e_n e_{n+1} of a posterior's <a>
 # underflow while their ratio to the total still has digits.  Passes whose
 # largest weight p_n e_n^2 falls below this are lifted first; above it only
@@ -136,34 +150,36 @@ def _scalar_or_array(n_m, values: np.ndarray):
     return values[0].item() if np.ndim(n_m) == 0 else values
 
 
-def _reach(width: float) -> float:
+def _reach(width: float, factor: float = _BAND_WIDTHS) -> float:
     """Distance from an outcome to the farthest level its window of ``width`` reaches.
 
-    g underflows beyond 38.61 widths; the coherence's Gaussians sit half a
-    level off the levels, hence the 1/2.
+    The band runs ``factor`` widths out: by default ``_BAND_WIDTHS`` = 38.7,
+    past where g underflows (38.61 widths), and ``_PROFILE_WIDTHS`` = 26 for
+    the certified bands of :func:`_band_profiles`.  The coherence's Gaussians
+    sit half a level off the levels, hence the 1/2.
     """
-    return _BAND_WIDTHS * width + 0.5
+    return factor * width + 0.5
 
 
-def _band_schedule(widths: np.ndarray, levels: int):
+def _band_schedule(widths: np.ndarray, levels: int, factor: float = _BAND_WIDTHS):
     """The chunks (rows, reach, width) of :func:`_bands` for windows of ``widths``, one per outcome.
 
     The window of width w at outcome m reaches the levels with
-    |n - m| <= _BAND_WIDTHS * w + 1/2, clipped to the basis: a band wider than
-    the basis covers every level.  Every outcome in a chunk takes the width of
-    the chunk's first band, so ``widths`` must not grow; a chunk holds about
-    ``_CHUNK_CELLS`` cells and ends before the first outcome whose own band
-    would be less than half as wide, so narrowing windows do not sweep cells
-    they cannot reach.
+    |n - m| <= factor * w + 1/2 (:func:`_reach`), clipped to the basis: a band
+    wider than the basis covers every level.  Every outcome in a chunk takes
+    the width of the chunk's first band, so ``widths`` must not grow; a chunk
+    holds about ``_CHUNK_CELLS`` cells and ends before the first outcome whose
+    own band would be less than half as wide, so narrowing windows do not
+    sweep cells they cannot reach.
     """
     start = 0
     while start < widths.size:
-        reach = _reach(float(widths[start]))
+        reach = _reach(float(widths[start]), factor)
         width = int(min(levels, 2.0 * reach + 1.0))
         stop = min(widths.size, start + max(1, _CHUNK_CELLS // width))
-        # 2 (_BAND_WIDTHS w + 1/2) + 1 < width / 2 below this w; the first
-        # outcome is never below it, and constant widths skip the search.
-        narrow = (0.25 * width - 1.0) / _BAND_WIDTHS
+        # 2 (factor w + 1/2) + 1 < width / 2 below this w; the first outcome
+        # is never below it, and constant widths skip the search.
+        narrow = (0.25 * width - 1.0) / factor
         if widths[stop - 1] < narrow:
             stop = start + int(np.argmax(widths[start:stop] < narrow))
         yield slice(start, stop), reach, width
@@ -180,15 +196,16 @@ def _band_offsets(block: np.ndarray, reach: float, levels: int, offsets: np.ndar
     return edge.astype(np.intp), (block - edge)[:, None] - offsets
 
 
-def _bands(centers: np.ndarray, widths, levels: int):
+def _bands(centers: np.ndarray, widths, levels: int, factor: float = _BAND_WIDTHS):
     """Bands of levels the windows reach, in the chunks of :func:`_band_schedule`.
 
-    Yields the chunk's slice of outcomes, each one's first level, and the
-    offsets x = m - n from the band's levels to its outcome.  A band that
-    covers the whole basis starts at level 0 for every outcome: its first
-    level is one entry shared by the chunk, and rows indexed by it broadcast.
+    Each band reaches ``factor`` widths out (:func:`_reach`).  Yields the
+    chunk's slice of outcomes, each one's first level, and the offsets
+    x = m - n from the band's levels to its outcome.  A band that covers the
+    whole basis starts at level 0 for every outcome: its first level is one
+    entry shared by the chunk, and rows indexed by it broadcast.
     """
-    for rows, reach, width in _band_schedule(widths, levels):
+    for rows, reach, width in _band_schedule(widths, levels, factor):
         yield (rows, *_band_offsets(centers[rows], reach, levels, np.arange(width, dtype=float)))
 
 
@@ -260,7 +277,19 @@ def _band_profiles(
 
     Both Gaussians come from one exponential per cell, e(x) = exp(-x^2/(4 dn^2)):
     g(x) = N e(x)^2 and exp(-1/(8 dn^2)) g(x - 1/2) = N e(x) e(x - 1), with
-    N = (2 pi dn^2)**-0.5 and x = n_m - n, over the bands of :func:`_bands`.
+    N = (2 pi dn^2)**-0.5 and x = n_m - n (:func:`_band_sums`).  Each outcome
+    is first summed over the certified band of ``_PROFILE_WIDTHS`` = 26
+    widths.  Every cell it drops lies more than 26 widths out, so its e(x)^2
+    and e(x) e(x - 1) are below eps = exp(-26^2 / 2); the p_n sum to one, so
+    the dropped cells change sum p e^2 by at most eps and sum b e e' by at
+    most eps sum |b_n|.  A row is kept when sum p e^2 >= 2^60 eps and
+    |sum b e e'| >= 2^60 eps sum |b_n|: both sums are then within 2^-60
+    relative of their full-band values, far below float64's rounding
+    (2^-53), and on tail-to-tail grids they come out the same bits.  Every
+    other row (far-tail and NaN outcomes, cancelling coherences) is summed
+    again over the full ``_BAND_WIDTHS`` = 38.7-width band, so it has the
+    full walk's bits, and a vanished density still reads as one.
+
     The grid need not be sorted.  ``delta_n`` is a float, one width for every
     outcome, or an array of one width per outcome in any order: the outcomes
     are then visited widest first, as :func:`_bands` needs, and the results
@@ -277,23 +306,46 @@ def _band_profiles(
         centers, widths = n_m[order], delta_n[order]
         scale, norm = _window_constants(widths)
         scale = scale[:, None]
-    density = np.empty(n_m.size)
-    coherence = np.empty(n_m.size, dtype=np.complex128)
-    width = None
-    for rows, first, x in _bands(centers, widths, p.size):
-        if x.shape[1] != width:
-            width = x.shape[1]
-            p_bands, b_bands = _windows(p, width), _windows(b, width)
-        # A float width keeps a scalar factor: a column broadcast is slower.
-        e = np.exp((scale if order is None else scale[rows]) * x * x)
-        density[rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
-        pair = e[:, :-1] * e[:, 1:]
-        coherence[rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
+    density, coherence = _band_sums(p, b, centers, widths, scale, _PROFILE_WIDTHS)
+    kept = density >= _CERTIFIED  # also refuses NaN
+    field = np.abs(coherence)
+    # sum |b_n| <= sqrt(n_max) sum p_n: rows above that need no pass over the basis.
+    if (kept & (field < _CERTIFIED * math.sqrt(p.size))).any():
+        kept &= field >= _CERTIFIED * np.add.reduce(np.abs(b))
+    if not kept.all():
+        # The refilled rows keep their order, so their widths still do not grow.
+        redo = np.flatnonzero(~kept)
+        scales = scale if order is None else scale[redo]
+        full = _band_sums(p, b, centers[redo], widths[redo], scales, _BAND_WIDTHS)
+        density[redo], coherence[redo] = full
     density, coherence = norm * density, norm * coherence
     if order is None:
         return density, coherence
     back = np.argsort(order)
     return density[back], coherence[back]
+
+
+def _band_sums(p, b, centers, widths, scale, factor: float):
+    """Sums sum_n p_n e(x)^2 and sum_n b_n e(x) e(x - 1) over the bands of :func:`_bands`.
+
+    e(x) = exp(scale x^2), x = m - n, with the outcomes ``centers`` and their
+    windows' ``widths`` (which must not grow), each band reaching ``factor``
+    widths out.  ``scale`` is one float for every outcome or a column of one
+    per outcome.
+    """
+    density = np.empty(centers.size)
+    coherence = np.empty(centers.size, dtype=np.complex128)
+    width = None
+    for rows, first, x in _bands(centers, widths, p.size, factor):
+        if x.shape[1] != width:
+            width = x.shape[1]
+            p_bands, b_bands = _windows(p, width), _windows(b, width)
+        # A float width keeps a scalar factor: a column broadcast is slower.
+        e = np.exp((scale if np.ndim(scale) == 0 else scale[rows]) * x * x)
+        density[rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
+        pair = e[:, :-1] * e[:, 1:]
+        coherence[rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
+    return density, coherence
 
 
 def _unit_rows(amps: np.ndarray) -> np.ndarray:

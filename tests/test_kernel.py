@@ -39,12 +39,16 @@ from qndsim import (
     outcome_density,
     random_state,
 )
+from qndsim import measurement
 from qndsim.measurement import (
     _BAND_WIDTHS,
+    _CERTIFIED,
     _CHUNK_CELLS,
+    _PROFILE_WIDTHS,
     DENSITY_FLOOR,
     _adequate_lattices,
     _band_profiles,
+    _band_sums,
     _band_weights,
     _bands,
     _lattices,
@@ -215,33 +219,202 @@ def test_windows_are_the_sliding_window_view_read_only():
     assert np.array_equal(_windows(complex_values, 4), sliding_window_view(complex_values, 4))
 
 
-def band_width(w, levels):
-    return np.minimum(levels, 2.0 * (_BAND_WIDTHS * w + 0.5) + 1.0)
+def band_width(w, levels, factor=_BAND_WIDTHS):
+    return np.minimum(levels, 2.0 * (factor * w + 0.5) + 1.0)
 
 
+FACTORS = pytest.mark.parametrize("factor", [_BAND_WIDTHS, _PROFILE_WIDTHS])
+
+
+@FACTORS
 @pytest.mark.parametrize("passes, delta_n", [(200, 2.0), (2000, 0.3), (7, 5.0)])
-def test_chunks_end_where_the_band_halves(passes, delta_n):
+def test_chunks_end_where_the_band_halves(passes, delta_n, factor):
     # Sequential posteriors narrow as dn / sqrt(j); 1 016 levels, as at alpha 25.
     widths = delta_n / np.sqrt(np.arange(1, passes + 1))
-    chunks = list(_bands(np.full(passes, 600.0), widths, 1016))
+    chunks = list(_bands(np.full(passes, 600.0), widths, 1016, factor))
     assert chunks[0][0].start == 0 and chunks[-1][0].stop == passes
     for (rows, _, x), (after, _, _) in zip(chunks, chunks[1:] + [(None, None, None)]):
         width = x.shape[1]
-        assert np.all(band_width(widths[rows], 1016) >= width / 2)
+        assert np.all(band_width(widths[rows], 1016, factor) >= width / 2)
         assert width * (rows.stop - rows.start) <= max(width, _CHUNK_CELLS)
         if after is not None:
             assert after.start == rows.stop
             full = (rows.stop - rows.start) == _CHUNK_CELLS // width
-            assert full or band_width(widths[after.start], 1016) < width / 2
+            assert full or band_width(widths[after.start], 1016, factor) < width / 2
 
 
-def test_constant_width_chunks_fill_the_cell_budget():
+@FACTORS
+def test_constant_width_chunks_fill_the_cell_budget(factor):
     grid = np.linspace(0.0, 1000.0, 20_000)
-    chunks = list(_bands(grid, np.full(grid.size, 0.3), 1016))
+    chunks = list(_bands(grid, np.full(grid.size, 0.3), 1016, factor))
     width = chunks[0][2].shape[1]
+    assert width == int(band_width(0.3, 1016, factor))
     assert [rows.stop - rows.start for rows, _, _ in chunks[:-1]] == [_CHUNK_CELLS // width] * (
         len(chunks) - 1
     )
+
+
+def full_band_profiles(state, grid, delta_n):
+    """:func:`_band_profiles` with every row summed over the full 38.7-width band."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "_PROFILE_WIDTHS", _BAND_WIDTHS)
+        return _band_profiles(state, grid, delta_n)
+
+
+def assert_same_bits(got, want):
+    for values, reference in zip(got, want):
+        assert np.array_equal(values, reference, equal_nan=True)
+
+
+TAIL_RESOLUTIONS = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 2.0]
+
+
+def tail_to_tail(state, delta_n, rng, points=1500):
+    """Outcomes from 45 widths below the support to 45 widths above it, and lattice probes."""
+    first, last = state.support()
+    pad = 45.0 * delta_n + 1.0
+    spread = np.linspace(first - pad, last + pad, points)
+    levels = rng.integers(first, last + 1, size=50).astype(float)
+    return rng.permutation(np.concatenate([spread, levels, levels + 0.5]))
+
+
+@pytest.mark.parametrize("alpha", [3.0, 10.0, 25.0, 100.0, 1000.0])
+def test_certified_bands_are_the_full_band_bit_for_bit(alpha):
+    # The dropped cells move a kept row by at most 2^-60 of itself, under half
+    # an ulp; rows the certificate cannot vouch for are summed in full.
+    rng = np.random.default_rng(int(alpha))
+    state = coherent_state(CoherentParams(alpha, 0.4))
+    for delta_n in TAIL_RESOLUTIONS:
+        grid = tail_to_tail(state, delta_n, rng)
+        assert_same_bits(_profiles(state, grid, delta_n), full_band_profiles(state, grid, delta_n))
+    # Shuffled per-outcome widths: chunks of mixed widths, in both walks.
+    grid = np.concatenate([tail_to_tail(state, delta_n, rng, 300) for delta_n in TAIL_RESOLUTIONS])
+    widths = rng.permutation(np.repeat(TAIL_RESOLUTIONS, grid.size // len(TAIL_RESOLUTIONS)))
+    assert_same_bits(_band_profiles(state, grid, widths), full_band_profiles(state, grid, widths))
+
+
+def certified_rows(state, grid, delta_n):
+    """Which outcomes' certified band sums pass the certificate at one width."""
+    p, b = state.level_moments()
+    density, coherence = _band_sums(
+        p, b, grid, np.full(grid.size, delta_n), -0.25 / delta_n**2, _PROFILE_WIDTHS
+    )
+    kept = (density >= _CERTIFIED) & (np.abs(coherence) >= _CERTIFIED * np.abs(b).sum())
+    return kept, density, coherence
+
+
+def refilled_outcomes(monkeypatch, state, grid, delta_n):
+    """The profiles at ``grid`` and the outcomes summed again over the full band."""
+    calls = []
+
+    def recording(p, b, centers, widths, scale, factor):
+        calls.append((centers.copy(), factor))
+        return _band_sums(p, b, centers, widths, scale, factor)
+
+    monkeypatch.setattr(measurement, "_band_sums", recording)
+    profiles = _band_profiles(state, grid, delta_n)
+    assert calls[0][1] == _PROFILE_WIDTHS and len(calls) <= 2
+    if len(calls) == 1:
+        return profiles, np.empty(0)
+    assert calls[1][1] == _BAND_WIDTHS
+    return profiles, calls[1][0]
+
+
+def test_far_tail_outcomes_take_the_full_band(monkeypatch):
+    # 29 to 38 widths above a number state's level: the certified band holds
+    # no level there, and only the full band gives the density its bits.
+    state = number_state(5, 40)
+    grid = np.concatenate([[4.2, 5.0, 5.9], 5.0 + 0.3 * np.arange(29.0, 38.5, 0.5)])
+    kept, density, _ = certified_rows(state, grid, 0.3)
+    assert kept[:3].all() and not kept[3:].any()
+    assert np.all(density[3:] == 0.0)
+    (got_density, got_coherence), refilled = refilled_outcomes(monkeypatch, state, grid, 0.3)
+    assert np.array_equal(refilled, grid[3:])
+    want = full_band_profiles(state, grid, 0.3)
+    assert_same_bits((got_density, got_coherence), want)
+    assert np.all(got_density > 0.0)
+
+
+def test_rows_under_the_margin_take_the_full_band(monkeypatch):
+    # Levels 5 and 7 at equal weight (b = 0), outcomes 49 to 54 levels above
+    # level 7 at dn 2: level 5 leaves the certified band (52.5 levels) first,
+    # while level 7 alone still sums to more than exp(-26^2 / 2).  Rows whose
+    # sums lie between that and 2^60 times it are off in their last digits.
+    amplitudes = np.zeros(120, dtype=complex)
+    amplitudes[[5, 7]] = 1.0
+    state = PureState.from_unnormalized(amplitudes)
+    grid = 7.0 + np.arange(49.0, 54.01, 0.125)
+    kept, density, _ = certified_rows(state, grid, 2.0)
+    want = full_band_profiles(state, grid, 2.0)
+    norm = (2.0 * math.pi * 4.0) ** -0.5
+    differs = norm * density != want[0]
+    assert np.any(differs & (density >= math.exp(-0.5 * _PROFILE_WIDTHS**2)))
+    assert not np.any(differs & kept)
+    got, refilled = refilled_outcomes(monkeypatch, state, grid, 2.0)
+    assert np.array_equal(refilled, grid[~kept])
+    assert_same_bits(got, want)
+
+
+def test_a_number_state_takes_the_full_band_in_its_tails(monkeypatch):
+    # b = 0: every coherence is exactly 0, and only the density decides.
+    state = number_state(60, 200)
+    rng = np.random.default_rng(3)
+    for delta_n in (0.1, 0.7, 2.0):
+        grid = tail_to_tail(state, delta_n, rng, 600)
+        kept, _, coherence = certified_rows(state, grid, delta_n)
+        assert np.all(coherence == 0.0) and kept.any() and not kept.all()
+        got, refilled = refilled_outcomes(monkeypatch, state, grid, delta_n)
+        assert np.array_equal(refilled, grid[~kept])
+        assert_same_bits(got, full_band_profiles(state, grid, delta_n))
+        assert np.all(got[1] == 0.0)
+
+
+def test_cancelling_coherences_take_the_full_band(monkeypatch):
+    # Random phases on levels 15, 16 and 63, 64 with c_63 = c_15 and
+    # c_64 = -c_16 / 2: b_63 = -b_15 exactly (sqrt(16) = 4, sqrt(64) = 8), and
+    # at n_m = 39.5 their Gaussians are mirror images, so <a> P sums to 0.
+    rng = np.random.default_rng(8)
+    amplitudes = np.zeros(201, dtype=complex)
+    amplitudes[[15, 16]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    amplitudes[[63, 64]] = amplitudes[15], -amplitudes[16] / 2
+    state = PureState.from_unnormalized(amplitudes)
+    p, b = state.level_moments()
+    assert b[63] == -b[15] and np.count_nonzero(b) == 2
+    grid = np.array([20.0, 39.5, 39.75, 50.0])
+    kept, density, coherence = certified_rows(state, grid, 2.0)
+    assert coherence[1] == 0.0 and density[1] >= _CERTIFIED
+    assert np.array_equal(kept, [True, False, True, True])
+    got, refilled = refilled_outcomes(monkeypatch, state, grid, 2.0)
+    assert np.array_equal(refilled, [39.5])
+    assert_same_bits(got, full_band_profiles(state, grid, 2.0))
+    # Random phases over the whole basis cancel in part, never to 2^-60.
+    state = random_state(200, rng)
+    grid = tail_to_tail(state, 2.0, rng, 600)
+    kept, _, _ = certified_rows(state, grid, 2.0)
+    got, refilled = refilled_outcomes(monkeypatch, state, grid, 2.0)
+    assert np.array_equal(refilled, grid[~kept])
+    assert_same_bits(got, full_band_profiles(state, grid, 2.0))
+
+
+@pytest.mark.parametrize(
+    "alpha, n_m, delta_n, message",
+    [
+        (None, 5.0 + 0.3 * 39.0, 0.3, "an outcome lies far outside the state's support"),
+        (None, math.nan, 0.3, "outcome n_m = nan is not a number, so its density is NaN"),
+        (
+            3.0, 9.5, 0.01,
+            "the window at n_m = 9.5 with delta_n = 0.01 falls between levels and its density "
+            "underflowed (below about delta_n 0.0135 at half-integers)",
+        ),
+    ],
+)
+def test_coherence_after_names_a_vanished_outcome_as_before(alpha, n_m, delta_n, message):
+    # Built here, not at collection: a coherent state held for the whole run
+    # would keep its support scanned for other tests.
+    state = number_state(5, 40) if alpha is None else coherent_state(CoherentParams(alpha))
+    with pytest.raises(ZeroProbability) as raised:
+        coherence_after(state, np.array([5.0, n_m]), delta_n)
+    assert str(raised.value) == message
 
 
 @settings(max_examples=40, deadline=None)
