@@ -44,7 +44,6 @@ from .measurement import (
     coherence_density,
     decoherence_factor,
     equivalent_phase_noise,
-    grid_profiles,
     infer_excess_noise,
     integer_half_integer_ratio,
     measure,

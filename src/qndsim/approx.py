@@ -13,14 +13,17 @@ lowest-order reading keeps k = 1 only, giving 1 -/+ 2 q cos(2 pi x).)
 Keeping only k = 1 yields the lowest-order fringe formulas; dropping the
 periodic factor altogether gives the classical limit.
 
+The series keeps, at each resolution, the fewest harmonics whose dropped
+tail has a closed-form geometric bound below ``SERIES_TOL``
+(:func:`_series_lengths`).
+
 Error reports compare these closed forms with the exact kernel at the
 integer and half-integer outcomes nearest the mean intensity.  A report
 over many resolutions (:func:`_error_columns`, behind the sweep table) takes
 all of its probes in one kernel pass, with one window width per probe, and
-evaluates the closed forms as arrays, one row per resolution: every
-per-resolution exponential and power is taken as Python takes it on a
-float (:func:`measurement._libm`), so each row has the one-resolution bits.
-:func:`error_report` is its one-resolution case.
+evaluates the closed forms as numpy arrays, one row per resolution.
+:func:`error_report` is its one-resolution case: the same expressions on
+arrays of one, so each row has the one-resolution bits.
 """
 
 from __future__ import annotations
@@ -49,103 +52,43 @@ _BOUNDARY_SIGMAS = 5.0
 # 2 pi^2, the rate of the comb's harmonics: exp(-2 pi^2 dn^2 k^2).
 _HARMONIC_RATE = 2.0 * math.pi**2
 
-# The dropped tail of :func:`_dropped_tail` sums at most this many harmonics
-# and stops at the first one below _LAST_TERM.
-_TAIL_TERMS = 65
-_LAST_TERM = 1e-30
-
-# sqrt(ln(1/_LAST_TERM)) - sqrt(ln(1/SERIES_TOL)): over sqrt(2 pi^2 dn^2), how
-# many harmonics past the first dropped one a tail runs before its last term.
-_TAIL_SPAN = math.sqrt(math.log(1.0 / _LAST_TERM)) - math.sqrt(math.log(1.0 / SERIES_TOL))
-
 
 def fringe_amplitude(delta_n: float, k: int = 1) -> float:
     """Harmonic coefficient exp(-2 pi^2 delta_n^2 k^2) of the quantization comb."""
     return math.exp(-2.0 * math.pi**2 * delta_n**2 * k * k)
 
 
-def _harmonics(delta_n: float) -> int:
-    """Fewest harmonics k_max whose dropped tail (:func:`_dropped_tail`) is below ``SERIES_TOL``."""
-    delta_n = measurement._check_delta_n(delta_n)
-    return int(_harmonic_counts(_squares([delta_n]))[0])
-
-
-def _dropped_tail(delta_n: float, k_max: int) -> float:
-    """Upper bound on twice the summed coefficients beyond ``k_max``."""
-    total = 0.0
-    for k in range(k_max + 1, k_max + _TAIL_TERMS + 1):
-        term = fringe_amplitude(delta_n, k)
-        total += term
-        if term < _LAST_TERM:
-            break
-    return 2.0 * total
-
-
 def _squares(resolutions) -> np.ndarray:
-    """dn**2 of each resolution, rounded as Python rounds it (:func:`measurement._libm`)."""
-    return measurement._libm(pow, np.asarray(resolutions, dtype=float), 2)
+    """dn**2 of each resolution, as numpy squares it."""
+    return np.power(np.asarray(resolutions, dtype=float), 2.0)
 
 
-def _amplitudes(var: np.ndarray, harmonics: np.ndarray, kept=None) -> np.ndarray:
-    """:func:`fringe_amplitude` at squared widths ``var`` (rows) and ``harmonics`` (columns).
+def _series_lengths(var: np.ndarray) -> np.ndarray:
+    """Fewest harmonics K whose dropped tail is below ``SERIES_TOL``, at each squared width ``var``.
 
-    Bit for bit: the exponent is the float expression's own roundings and
-    the exponential Python's (:func:`measurement._libm`).  Entries outside
-    the mask ``kept``, if one is given, are 0.
-    """
-    exponents = (-_HARMONIC_RATE * var)[:, None] * harmonics * harmonics
-    if kept is None:
-        return measurement._libm(math.exp, exponents.ravel()).reshape(exponents.shape)
-    amplitudes = np.zeros(exponents.shape)
-    amplitudes[kept] = measurement._libm(math.exp, exponents[kept])
-    return amplitudes
-
-
-def _harmonic_counts(var: np.ndarray) -> np.ndarray:
-    """The k_max of :func:`_harmonics` at each squared width ``var`` (:func:`_squares`).
-
-    Starts from floor(sqrt(ln(1/SERIES_TOL) / (2 pi^2 dn^2))), as
-    :func:`_harmonics` does, and adds a harmonic to each width whose
-    dropped tail (:func:`_tails_reach`) still reaches ``SERIES_TOL``.
+    With q = exp(-2 pi^2 dn^2), (K + 1 + j)^2 >= (K + 1)^2 + (2 K + 3) j bounds
+    the tail by a geometric series: 2 sum_{k > K} q^(k^2) <= 2 q^((K+1)^2) /
+    (1 - q^(2 K + 3)).  Returns the least K whose bound is below
+    ``SERIES_TOL``.  The numerator alone needs (K + 1)^2 > ln(2 / SERIES_TOL)
+    / (2 pi^2 dn^2); each width starts a harmonic below that and steps up.
     """
     rate = _HARMONIC_RATE * var
-    k_max = np.floor(np.sqrt(math.log(1.0 / SERIES_TOL) / rate))
-    # A tail from k_0 + 1 ends by sqrt(ln(1/_LAST_TERM) / rate) + 2, at most
-    # _TAIL_SPAN / sqrt(rate) + 3 harmonics on, and sooner from later starts.
-    count = min(int(_TAIL_SPAN / math.sqrt(float(np.minimum.reduce(rate)))) + 4, _TAIL_TERMS)
-    beyond = _tails_reach(var, k_max + 1.0, count)
-    while beyond.any():
-        pending = np.flatnonzero(beyond)
-        k_max[pending] += 1.0
-        beyond[pending] = _tails_reach(var[pending], k_max[pending] + 1.0, count)
-    return k_max.astype(np.intp)
-
-
-def _tails_reach(var: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
-    """Whether :func:`_dropped_tail` from each harmonic ``first`` on reaches ``SERIES_TOL``.
-
-    Sums each tail as that loop does: the harmonics in order, through the
-    first below ``_LAST_TERM`` and at most ``_TAIL_TERMS`` of them, with
-    the same exponentials.  Each width takes ``count`` harmonics, enough to
-    reach that one, zeros after it, and is summed down the harmonic axis
-    one term at a time.
-    """
-    # (harmonic, width): a width's terms run down its column.
-    terms = _amplitudes(var, first[:, None] + np.arange(count)).T
-    ended = np.logical_or.accumulate(terms < _LAST_TERM, axis=0)
-    terms[1:][ended[:-1]] = 0.0
-    # accumulate adds in order whatever the layout; reduce need not.  Twice
-    # a float is exact, so 2 tail >= SERIES_TOL is tail >= SERIES_TOL / 2.
-    return np.add.accumulate(terms, axis=0)[-1] >= 0.5 * SERIES_TOL
+    count = np.maximum(np.floor(np.sqrt(math.log(2.0 / SERIES_TOL) / rate)) - 1.0, 0.0)
+    while True:
+        tail = 2.0 * np.exp(-rate * (count + 1.0) ** 2)
+        above = tail >= -SERIES_TOL * np.expm1(-rate * (2.0 * count + 3.0))
+        if not above.any():
+            return count.astype(np.intp)
+        count += above
 
 
 def quantization_sum(n_m, delta_n: float):
     """Periodic quantization factor of the integer comb via its harmonic series.
 
     The half-integer comb is ``quantization_sum(n_m + 0.5, delta_n)``.  The
-    series keeps the harmonics of :func:`_harmonics`,
-    so it agrees with the directly summed comb of Gaussians to the series
-    truncation tolerance.  Accepts scalar or array ``n_m``.
+    series keeps the harmonics of :func:`_series_lengths`, so it agrees with
+    the directly summed comb of Gaussians to the series truncation
+    tolerance.  Accepts scalar or array ``n_m``.
     """
     delta_n = measurement._check_delta_n(delta_n)
     value = _quantization_sums(measurement._grid(n_m), _squares([delta_n]))[0]
@@ -155,13 +98,15 @@ def quantization_sum(n_m, delta_n: float):
 def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
     """:func:`quantization_sum` on ``grid``, one row per squared width ``var`` (:func:`_squares`).
 
-    Each row adds its harmonics k = 1..k_max in increasing k; a row's zero
-    amplitudes beyond its k_max add 2 * 0 * cos = +-0, which leaves the sum's
-    bits as they are.
+    Each row adds its harmonics k = 1..K (:func:`_series_lengths`) in
+    increasing k, with the coefficients of :func:`fringe_amplitude`; a row's
+    zero amplitudes beyond its K add 2 * 0 * cos = +-0, which leaves the
+    sum's bits as they are.
     """
-    k_max = _harmonic_counts(var)
-    harmonics = np.arange(1.0, k_max.max() + 1.0)
-    amplitudes = _amplitudes(var, harmonics, harmonics <= k_max[:, None])
+    counts = _series_lengths(var)
+    harmonics = np.arange(1.0, counts.max() + 1.0)
+    exponents = (-_HARMONIC_RATE * var)[:, None] * harmonics * harmonics
+    amplitudes = np.where(harmonics <= counts[:, None], np.exp(exponents), 0.0)
     value = np.ones((var.size, grid.size))
     for k in range(1, harmonics.size + 1):
         value += 2.0 * amplitudes[:, k - 1, None] * np.cos(2.0 * math.pi * k * grid)
@@ -231,7 +176,7 @@ def lowest_order(params: CoherentParams, delta_n: float, n_m) -> LowestOrder:
 
 def _modulation(var: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Single-harmonic fringe 2 q cos(2 pi n_m) on ``grid``, one row per squared width ``var``."""
-    q = measurement._libm(math.exp, -_HARMONIC_RATE * var)
+    q = np.exp(-_HARMONIC_RATE * var)
     return 2.0 * q[:, None] * np.cos(2.0 * math.pi * grid)
 
 
@@ -327,8 +272,8 @@ def _error_columns(params: CoherentParams, state: PureState, resolutions) -> _Er
 
     ``params`` must be bright.  The two probes at every resolution go
     through one kernel pass, with one window width per probe, and the closed
-    forms are array expressions over the resolutions whose exponentials and
-    powers round as the one-resolution floats do.  A row differs from the
+    forms are array expressions over the resolutions, which the
+    one-resolution report takes on arrays of one.  A row differs from the
     one-resolution report at most by the kernel's summation order within a
     band: the exact values and the two errors built on them by under 1e-14
     relative, the closed forms and ``max_fringe_truncation_error`` not at all.

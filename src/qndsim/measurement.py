@@ -43,7 +43,7 @@ outcome in the same way (:func:`_band_profiles`), so a sweep's probes at
 many resolutions are one pass too.  Quadratures over outcomes use the
 trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
 unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), over
-the run of points where the state has weight (:func:`grid_profiles`).  On a
+the run of points where the state has weight (:func:`_runs`).  On a
 lattice the offset from a level to an outcome depends only on the outcome's
 residue r = j mod M and the level's distance from the integer anchor j // M,
 and so does every quadrature weight: a quadrature is a sum over M residues
@@ -56,8 +56,9 @@ innermost axis.  Configs that share M are taken together, in chunks of about
 ``_RESIDUE_CELLS`` band cells (band row, residue, config), each cell carrying
 3 kinds x 3 moments of products.  The sums over band rows run one row at a
 time, so a config's totals are the same bits alone or in any batch; one
-config is the batch of one.  The matrix-product evaluator of
-:func:`grid_profiles` serves profiles only.
+config is the batch of one.  Per-width constants are numpy array
+expressions, and a float width takes the same expression as an array of
+widths, so a sweep's row and its one-resolution call share their bits.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -66,7 +67,6 @@ vectorized internally and safe to parallelize externally.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -226,29 +226,16 @@ def _windows(values: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def _libm(function, values: np.ndarray, *args) -> np.ndarray:
-    """``function(v, *args)`` for each entry v of the 1-D ``values``, as Python computes it.
-
-    numpy's vectorized exp and pow round about one result in twenty
-    differently from the C library that Python's ``math.exp`` and ``**``
-    call, and even ``v**2`` is not always ``v * v``; mapped through the
-    Python call, each entry of an array gets the bits a float would.
-    """
-    calls = map(function, values.tolist(), *map(itertools.repeat, args))
-    return np.fromiter(calls, float, values.size)
-
-
 def _window_constants(delta_n):
     """Exponent scale -1/(4 dn^2) and normalization N = (2 pi dn^2)**-0.5 of a window of width dn.
 
-    ``delta_n`` is a float or a 1-D array of widths; each entry of an array
-    is bit-equal to the float's value (:func:`_libm`).  The scale is
-    -0.25 / dn^2: 4 dn^2 is exact, so that is the rounding of -1/(4 dn^2).
+    ``delta_n`` is a float or an array of widths, and both take this one
+    array expression, so each entry of an array is bit-equal to its float's
+    value.  The scale is -0.25 / dn^2: 4 dn^2 is exact, so that is the
+    rounding of -1/(4 dn^2).
     """
-    if np.ndim(delta_n) == 0:
-        return -0.25 / delta_n**2, (2.0 * math.pi * delta_n**2) ** -0.5
-    var = _libm(pow, delta_n, 2)
-    return np.divide(-0.25, var), _libm(pow, 2.0 * math.pi * var, -0.5)
+    var = np.power(delta_n, 2.0)
+    return np.divide(-0.25, var), np.power(2.0 * math.pi * var, -0.5)
 
 
 def _profiles(
@@ -293,9 +280,9 @@ def _band_profiles(
     The grid need not be sorted.  ``delta_n`` is a float, one width for every
     outcome, or an array of one width per outcome in any order: the outcomes
     are then visited widest first, as :func:`_bands` needs, and the results
-    put back in the grid's order.  Each width's 1/(4 dn^2) and N take the
-    float path's scalar arithmetic, so a constant array gives the float
-    call's values bit for bit.
+    put back in the grid's order.  A float width and an array of widths take
+    the same expression for 1/(4 dn^2) and N (:func:`_window_constants`), so
+    a constant array gives the float call's values bit for bit.
     """
     p, b = state.level_moments()
     if np.ndim(delta_n) == 0:
@@ -372,8 +359,8 @@ def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple
     chunks = tuple(_band_schedule(widths if runs == 1 else np.repeat(widths, runs), levels))
     # (2 pi w_j^2)**-0.5 = sqrt(j) (2 pi dn^2)**-0.5, and the exponent is (-inv x) x:
     # pass 1 repeats _profiles's arithmetic, so measure's density is bit-equal to it.
-    norm = (2.0 * math.pi * delta_n**2) ** -0.5 * root
-    exponent = passes / (-4.0 * delta_n**2)
+    norm = _window_constants(delta_n)[1] * root
+    exponent = passes / (-4.0 * np.power(delta_n, 2.0))
     band_levels = np.arange(chunks[0][2])
     arrays = (passes, exponent, norm, band_levels.astype(float), band_levels)
     for values in arrays:
@@ -641,8 +628,8 @@ class MeasurementConfig:
         coherence's Gaussians sit at n + 1/2, so its error is the same bound
         times sum_n |b_n|.
 
-        The grid spans the whole basis; :func:`grid_profiles` evaluates only
-        the part of it that covers the state's support.
+        The grid spans the whole basis; :func:`_quadratures` sums only the
+        run of it that covers the state's support (:func:`_runs`).
         """
         delta_n = _check_delta_n(delta_n)
         return cls(delta_n, n_max, 1 + math.ceil(_ALIAS_C / delta_n))
@@ -693,28 +680,17 @@ def trapezoid(values: np.ndarray, step: float):
     return step * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
-def _run(config: MeasurementConfig, support: tuple[int, int]) -> tuple[int, int]:
-    """Indices j of the first and last points j/M of the run that covers ``support``.
-
-    The run reaches from the last point at or below the support's lower end
-    padded by ``_PAD_WIDTHS`` = 8 widths to the first point at or above its
-    padded upper end, clipped to the config's grid.
-    """
-    per_unit, pad = config.per_unit, _PAD_WIDTHS * config.delta_n
-    low, high = config._indices()
-    first, last = support
-    start = min(max(_lattice_floor(first - pad, per_unit), low), high)
-    stop = max(min(-_lattice_floor(-(last + pad), per_unit), high), low)
-    return start, stop
-
-
 def _runs(lattices: _Lattices, support: tuple[int, int]) -> np.ndarray:
-    """:func:`_run` of every lattice at once: each run's first and last j, as floats (2, K).
+    """Indices j of the first and last points j/M of each lattice's run, as floats (2, K).
 
-    The padded ends are the same roundings, -(x + pad) being -x - pad, and
-    their lattice points the same comparisons (:func:`_lattice_floors`).  The
-    support lies within levels 0..n_max of the state, so its padded lower
-    end never falls below the grid's first point.  Rounding up to the
+    A run reaches from the last point at or below the support's lower end
+    padded by ``_PAD_WIDTHS`` = 8 widths to the first point at or above its
+    padded upper end, clipped to the config's grid (:meth:`MeasurementConfig.grid`).
+    Beyond either end lies less than 1e-15 of the outcome probability:
+    Gaussian tails past 8 widths, and the 1e-16 the support leaves out.
+
+    The support lies within levels 0..n_max of the state, so its padded
+    lower end never falls below the grid's first point.  Rounding up to the
     lattice is monotone, so the run's last point clipped to the grid's last
     point is the point for min(last, n_max), and its first point clips to
     that only where the config's basis ends below the support's first level.
@@ -797,76 +773,8 @@ def _weight_signs(per_unit: int, end_trim: float) -> np.ndarray:
     return signs
 
 
-def grid_profiles(
-    state: PureState, config: MeasurementConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Density and coherence profiles on the config's grid, trimmed to the state.
-
-    Only the run of grid points that covers the state's support
-    (:meth:`PureState.support`) padded by ``_PAD_WIDTHS`` = 8 widths is kept:
-    from the last point at or below its lower end to the first point at or
-    above its upper end.  Beyond either end of that run lies less than 1e-15
-    of the outcome probability: Gaussian tails past 8 widths, and the 1e-16
-    the support leaves out.
-
-    The grid point j/M = q + r/M has integer anchor q = j // M and residue
-    r = j mod M, and its offset from the level n = q + s is
-    x = (r - M s)/M.  Over the band |x| <= ``_reach(dn)`` the weights
-    e(x)^2 and e(x) e(x - 1), e(x) = exp(-x^2 / (4 dn^2)), form two W x M
-    tables (:func:`_band_weights`), and the band sums of :func:`_profiles`
-    are their matrix products with the (anchors x W) windows whose row q
-    holds the level moments p_n and b_n of the levels q + s.  Row q, column r
-    of a product is the point q + r/M.  Anchors are taken in chunks of about
-    ``_CHUNK_CELLS`` window cells.  This evaluator serves profiles only:
-    quadratures over the same run (:func:`_quadratures`) take the same tables
-    against column sums of the windows, summed by residue, and never build
-    the profiles.
-
-    Raises
-    ------
-    GridTooNarrow
-        If the probability mass captured by the returned grid falls short of
-        ``1 - QUAD_TOL``.
-    """
-    per_unit, delta_n = config.per_unit, config.delta_n
-    start, stop = _run(config, state.support())
-    reach = int(_reach(delta_n))
-    scale, norm = _window_constants(delta_n)
-    weights = _band_weights(per_unit, np.array([scale]), reach)[..., 0]
-    square, pair = weights[:, 0], weights[:-1, 1]
-    width = square.shape[0]
-
-    # The level moments of levels anchor - reach .. anchor + reach + 1 for every
-    # anchor, zero off the basis: p, Re b and Im b in one block of windows.
-    q_first, q_last = start // per_unit, stop // per_unit
-    base = q_first - reach
-    levels = np.zeros((3, q_last - q_first + width))
-    p, b = state.level_moments()
-    inside = slice(max(base, 0), min(q_last + reach + 2, p.size))
-    into = slice(inside.start - base, inside.stop - base)
-    levels[0, into], levels[1, into], levels[2, into] = p[inside], b.real[inside], b.imag[inside]
-    windows = _windows(levels, width)
-
-    anchors = q_last - q_first + 1
-    density = np.empty((anchors, per_unit))
-    coherence = np.empty((2, anchors, per_unit))
-    chunk = max(1, _CHUNK_CELLS // width)
-    for rows in range(0, anchors, chunk):
-        block = np.ascontiguousarray(windows[:, rows : rows + chunk])
-        np.matmul(block[0], square, out=density[rows : rows + chunk])
-        np.matmul(block[1:, :, :-1], pair, out=coherence[:, rows : rows + chunk])
-
-    run = slice(start - q_first * per_unit, stop - q_first * per_unit + 1)
-    density = norm * density.ravel()[run]
-    coherence = norm * (coherence[0].ravel()[run] + 1j * coherence[1].ravel()[run])
-    mass = float(trapezoid(density, config.grid_step))
-    if mass < 1.0 - QUAD_TOL:
-        raise _too_narrow(mass, delta_n)
-    return np.arange(start, stop + 1) / per_unit, density, coherence
-
-
 def _residue_totals(state: PureState, configs, end_trim: float):
-    """Sums of the profiles of :func:`grid_profiles` over each config's run, by residue.
+    """Sums of the profiles P and <a>_f P over each config's run (:func:`_runs`), by residue.
 
     ``configs`` is a sequence of configs or a :class:`_Lattices`.  Yields,
     for each chunk of consecutive configs that share M: their positions as a
@@ -967,7 +875,7 @@ def _residue_totals(state: PureState, configs, end_trim: float):
 
 
 def _quadratures(state: PureState, configs) -> tuple[np.ndarray, ...]:
-    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the run of :func:`grid_profiles`.
+    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over each config's run (:func:`_runs`).
 
     Every outcome average of the package is one of these sums.  ``configs``
     is a sequence of configs or a :class:`_Lattices`; returns the mass, the
@@ -1006,7 +914,7 @@ def average_coherence(state: PureState, config: MeasurementConfig) -> complex:
     InvalidParam
         If ``config`` is not a :class:`MeasurementConfig`.
     GridTooNarrow
-        As :func:`grid_profiles`.
+        As :func:`_quadratures`.
     """
     return complex(_quadratures(state, [_config(config)])[2][0])
 
@@ -1020,10 +928,10 @@ def decoherence_factor(delta_n: float) -> float:
 
 
 def _decoherence_factors(delta_n: np.ndarray) -> np.ndarray:
-    """:func:`decoherence_factor` of each width of the 1-D ``delta_n``, bit for bit."""
+    """:func:`decoherence_factor` of each width of the 1-D ``delta_n``, in numpy's arithmetic."""
     if not (delta_n > 0.0).all():  # also refuses NaN
         raise InvalidParam("delta_n must be positive")
-    return _libm(math.exp, -1.0 / (8.0 * _libm(pow, delta_n, 2)))
+    return np.exp(-1.0 / (8.0 * np.power(delta_n, 2.0)))
 
 
 def equivalent_phase_noise(delta_n: float) -> float:

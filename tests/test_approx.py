@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from qndsim import (
     quantization_sum,
 )
 from qndsim import approx, figures, measurement
-from qndsim.approx import _dropped_tail, _harmonics
+from qndsim.approx import SERIES_TOL, _series_lengths, _squares
 from qndsim.errors import ZeroProbability
 from qndsim.measurement import trapezoid
 
@@ -44,6 +45,26 @@ def gaussian_comb(n_m, delta_n, offset=0.0):
     return value if np.ndim(n_m) else value[0]
 
 
+def dropped_tail(delta_n, count):
+    """2 sum_{k > count} q^(k^2), q = exp(-2 pi^2 delta_n^2), at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.exp(-2 * mpmath.pi**2 * mpmath.mpf(delta_n) ** 2)
+        k = count + 1
+        term, ratio, total = q ** (k * k), q ** (2 * k + 1), mpmath.mpf(0)
+        while term > mpmath.mpf("1e-40"):
+            total += term
+            term *= ratio
+            ratio *= q * q
+        return 2 * total
+
+
+def tail_bound(delta_n, count):
+    """The geometric bound 2 q^((K+1)^2) / (1 - q^(2 K + 3)) on that tail, at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.exp(-2 * mpmath.pi**2 * mpmath.mpf(delta_n) ** 2)
+        return 2 * q ** ((count + 1) ** 2) / (1 - q ** (2 * count + 3))
+
+
 class TestQuantizationSum:
     def test_theta_identity(self):
         # harmonic series vs direct comb across the full resolution range
@@ -53,6 +74,15 @@ class TestQuantizationSum:
                 series = quantization_sum(grid + offset, float(dn))
                 comb = gaussian_comb(grid, float(dn), offset)
                 assert np.max(np.abs(series - comb)) < 1e-10
+        # Small widths keep up to about 1 350 harmonics, which sum to a comb
+        # peak of about 0.4 / dn: the error is measured against that peak.
+        for dn in (0.001, 0.00103, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1):
+            near = np.concatenate([grid, 9.0 + dn * np.linspace(-4.0, 4.0, 81)])
+            peak = gaussian_comb(0.0, dn)
+            for offset in (0.0, 0.5):
+                series = quantization_sum(near + offset, dn)
+                comb = gaussian_comb(near, dn, offset)
+                assert np.max(np.abs(series - comb)) < 1e-12 * peak, dn
 
     def test_classical_limit_is_flat(self):
         for n_m in (0.0, 0.25, 7.5, 13.0):
@@ -78,16 +108,19 @@ class TestQuantizationSum:
 
 class TestFourierTruncation:
     def test_dropped_tail_below_tolerance(self):
-        for dn in (0.15, 0.3, 1.0):
-            k_max = _harmonics(dn)
-            assert _dropped_tail(dn, k_max) < 1e-14
-            if k_max:
-                # one fewer harmonic would violate the tolerance
-                assert _dropped_tail(dn, k_max - 1) >= 1e-14
+        # Down to dn 0.001, where over a thousand harmonics are kept and the
+        # bound's denominator 1 - q^(2 K + 3) is about 0.05.
+        widths = sorted({*np.geomspace(1e-3, 5.0, 400).tolist(), 0.00103})
+        for dn, count in zip(widths, _series_lengths(_squares(widths)).tolist()):
+            assert dropped_tail(dn, count) < SERIES_TOL, dn
+            assert tail_bound(dn, count) < SERIES_TOL, dn
+            if count:
+                # the count is the least one the bound allows
+                assert tail_bound(dn, count - 1) >= SERIES_TOL, dn
 
     def test_invalid(self):
         with pytest.raises(InvalidParam):
-            _harmonics(0.0)
+            quantization_sum(0.5, 0.0)
 
 
 class TestClassicalProbability:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from qndsim import (
     decoherence_factor,
     expectation_a,
     fringe_amplitude,
-    grid_profiles,
     number_state,
     ordering_ambiguity_demo,
     parity_ordered_correlation,
@@ -31,7 +31,7 @@ from qndsim import correlations, figures, fock
 from qndsim.correlations import _apply_annihilation, _apply_parity
 from qndsim.fock import _scan_support as scan_support
 from qndsim.measurement import QUAD_TOL, _profiles, trapezoid
-from test_kernel import make_state
+from test_kernel import grid_profiles, make_state
 
 ALPHA3 = CoherentParams(3.0, 0.0)
 PEAK_RESOLUTION = 1 / (2 * math.sqrt(math.pi))
@@ -376,6 +376,9 @@ class TestArgmax:
             return scan_support(p)
 
         monkeypatch.setattr(fock, "_scan_support", counting)
+        # An empty table of held states: the sweep builds its own state,
+        # whatever else the session holds, and must scan it exactly once.
+        monkeypatch.setattr(fock, "_STATES", weakref.WeakValueDictionary())
         columns, _ = figures._resolution_sweep(ALPHA3, 0.1, 1.0, 0.002)
         assert len(columns["q_bar"]) == 451
         assert len(scans) == 1

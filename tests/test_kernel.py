@@ -33,7 +33,6 @@ from qndsim import (
     coherence_after,
     coherent_state,
     fidelity,
-    grid_profiles,
     measure,
     number_state,
     outcome_density,
@@ -44,19 +43,23 @@ from qndsim.measurement import (
     _BAND_WIDTHS,
     _CERTIFIED,
     _CHUNK_CELLS,
+    _PAD_WIDTHS,
     _PROFILE_WIDTHS,
     DENSITY_FLOOR,
+    QUAD_TOL,
     _adequate_lattices,
     _band_profiles,
     _band_sums,
     _band_weights,
     _bands,
+    _lattice_floor,
     _lattices,
     _profiles,
     _quadratures,
     _reach,
-    _run,
     _runs,
+    _too_narrow,
+    _window_constants,
     _windows,
     trapezoid,
 )
@@ -498,6 +501,74 @@ def test_temporaries_follow_the_band_not_the_basis():
         tracemalloc.stop()
     assert peak < 16e6
     assert density.max() > 0.0
+
+
+def _run(config, support):
+    """Indices j of the first and last points j/M of the run that covers ``support``, one by one.
+
+    The run reaches from the last point at or below the support's lower end
+    padded by ``_PAD_WIDTHS`` = 8 widths to the first point at or above its
+    padded upper end, clipped to the config's grid: the scalar reference of
+    ``_runs``.
+    """
+    per_unit, pad = config.per_unit, _PAD_WIDTHS * config.delta_n
+    low, high = config._indices()
+    first, last = support
+    start = min(max(_lattice_floor(first - pad, per_unit), low), high)
+    stop = max(min(-_lattice_floor(-(last + pad), per_unit), high), low)
+    return start, stop
+
+
+def grid_profiles(state, config):
+    """Density and coherence profiles on the config's grid, trimmed to the state.
+
+    The literal reference of the residue pass: it builds every profile value
+    of the run (``_run``) that the quadratures sum by residue.  The grid
+    point j/M = q + r/M has integer anchor q = j // M and residue
+    r = j mod M, and its offset from the level n = q + s is x = (r - M s)/M.
+    Over the band |x| <= ``_reach(dn)`` the weights e(x)^2 and e(x) e(x - 1),
+    e(x) = exp(-x^2 / (4 dn^2)), form two W x M tables (``_band_weights``),
+    and the band sums are their matrix products with the (anchors x W)
+    windows whose row q holds the level moments p_n and b_n of the levels
+    q + s.  Row q, column r of a product is the point q + r/M.  Anchors are
+    taken in chunks of about ``_CHUNK_CELLS`` window cells.  Raises
+    ``GridTooNarrow`` if the run's mass falls short of ``1 - QUAD_TOL``.
+    """
+    per_unit, delta_n = config.per_unit, config.delta_n
+    start, stop = _run(config, state.support())
+    reach = int(_reach(delta_n))
+    scale, norm = _window_constants(delta_n)
+    weights = _band_weights(per_unit, np.array([scale]), reach)[..., 0]
+    square, pair = weights[:, 0], weights[:-1, 1]
+    width = square.shape[0]
+
+    # The level moments of levels anchor - reach .. anchor + reach + 1 for every
+    # anchor, zero off the basis: p, Re b and Im b in one block of windows.
+    q_first, q_last = start // per_unit, stop // per_unit
+    base = q_first - reach
+    levels = np.zeros((3, q_last - q_first + width))
+    p, b = state.level_moments()
+    inside = slice(max(base, 0), min(q_last + reach + 2, p.size))
+    into = slice(inside.start - base, inside.stop - base)
+    levels[0, into], levels[1, into], levels[2, into] = p[inside], b.real[inside], b.imag[inside]
+    windows = _windows(levels, width)
+
+    anchors = q_last - q_first + 1
+    density = np.empty((anchors, per_unit))
+    coherence = np.empty((2, anchors, per_unit))
+    chunk = max(1, _CHUNK_CELLS // width)
+    for rows in range(0, anchors, chunk):
+        block = np.ascontiguousarray(windows[:, rows : rows + chunk])
+        np.matmul(block[0], square, out=density[rows : rows + chunk])
+        np.matmul(block[1:, :, :-1], pair, out=coherence[:, rows : rows + chunk])
+
+    run = slice(start - q_first * per_unit, stop - q_first * per_unit + 1)
+    density = norm * density.ravel()[run]
+    coherence = norm * (coherence[0].ravel()[run] + 1j * coherence[1].ravel()[run])
+    mass = float(trapezoid(density, config.grid_step))
+    if mass < 1.0 - QUAD_TOL:
+        raise _too_narrow(mass, delta_n)
+    return np.arange(start, stop + 1) / per_unit, density, coherence
 
 
 def literal_quadratures(state, config):

@@ -23,7 +23,6 @@ from qndsim import (
     decoherence_factor,
     equivalent_phase_noise,
     expectation_a,
-    grid_profiles,
     infer_excess_noise,
     integer_half_integer_ratio,
     measure,
@@ -33,7 +32,7 @@ from qndsim import (
 )
 from qndsim.measurement import DENSITY_FLOOR, trapezoid
 
-from test_kernel import assert_measure_matches_dense, dense_profiles
+from test_kernel import assert_measure_matches_dense, dense_profiles, grid_profiles
 
 
 ALPHA3 = CoherentParams(3.0, 0.0)
