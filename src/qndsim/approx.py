@@ -53,9 +53,9 @@ _BOUNDARY_SIGMAS = 5.0
 _HARMONIC_RATE = 2.0 * math.pi**2
 
 
-def fringe_amplitude(delta_n: float, k: int = 1) -> float:
-    """Harmonic coefficient exp(-2 pi^2 delta_n^2 k^2) of the quantization comb."""
-    return math.exp(-2.0 * math.pi**2 * delta_n**2 * k * k)
+def fringe_amplitude(delta_n: float) -> float:
+    """First harmonic coefficient exp(-2 pi^2 delta_n^2) of the quantization comb."""
+    return math.exp(-2.0 * math.pi**2 * delta_n**2)
 
 
 def _squares(resolutions) -> np.ndarray:
@@ -99,9 +99,9 @@ def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
     """:func:`quantization_sum` on ``grid``, one row per squared width ``var`` (:func:`_squares`).
 
     Each row adds its harmonics k = 1..K (:func:`_series_lengths`) in
-    increasing k, with the coefficients of :func:`fringe_amplitude`; a row's
-    zero amplitudes beyond its K add 2 * 0 * cos = +-0, which leaves the
-    sum's bits as they are.
+    increasing k, with the coefficients exp(-2 pi^2 dn^2 k^2); a row's zero
+    amplitudes beyond its K add 2 * 0 * cos = +-0, which leaves the sum's
+    bits as they are.
     """
     counts = _series_lengths(var)
     harmonics = np.arange(1.0, counts.max() + 1.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from contextlib import contextmanager
 
@@ -39,6 +40,13 @@ _JSON_CHUNK = 65536
 
 # json.dumps(value, sort_keys=True, separators=(",", ":")): the tables' JSON layout.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The options that take a float, as build_parser adds them (:func:`_add_float`).
+_FLOAT_OPTIONS: set[str] = set()
+
+# Arguments that start as a negative number does.  argparse (Python 3.11 among
+# others) reads only -1 and -1.5 as numbers and takes -3e-05 or -inf for an option.
+_NEGATIVE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
 
 def _config_echo(config: dict) -> str:
@@ -89,11 +97,25 @@ def _emit(table: Table, title: str, out: str | None, fmt: str) -> None:
             write_csv(handle, table, title)
 
 
+def _add_float(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    parser.add_argument(name, type=float, **kwargs)
+    _FLOAT_OPTIONS.add(name)
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each float option joined to its negative value: ``--phase=-3e-05``."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS and _NEGATIVE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _add_field_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=3.0,
-                        help="coherent-field magnitude (default 3)")
-    parser.add_argument("--phase", type=float, default=0.0,
-                        help="coherent-field phase in radians (default 0)")
+    _add_float(parser, "--alpha", default=3.0, help="coherent-field magnitude (default 3)")
+    _add_float(parser, "--phase", default=0.0, help="coherent-field phase in radians (default 0)")
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
@@ -114,28 +136,24 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="emit one of the five standard data tables")
     fig.add_argument("id", type=int, choices=(1, 2, 3, 4, 5))
     _add_field_args(fig)
-    fig.add_argument("--dn", type=float, default=None,
-                     help="override the table's readout resolution (tables 1-4)")
-    fig.add_argument("--grid-min", type=float, default=None,
-                     help="profile grid start (default 0, or 10 below the mean "
-                          "photon number for bright fields)")
-    fig.add_argument("--grid-max", type=float, default=None,
-                     help="profile grid end (default grid start + 20)")
-    fig.add_argument("--grid-step", type=float, default=0.02)
-    fig.add_argument("--dn-min", type=float, default=0.1, help="table 5 sweep start")
-    fig.add_argument("--dn-max", type=float, default=1.0, help="table 5 sweep end")
-    fig.add_argument("--dn-step", type=float, default=0.002, help="table 5 sweep step")
+    _add_float(fig, "--dn", help="override the table's readout resolution (tables 1-4)")
+    _add_float(fig, "--grid-min", help="profile grid start (default 0, or 10 below the mean "
+                                       "photon number for bright fields)")
+    _add_float(fig, "--grid-max", help="profile grid end (default grid start + 20)")
+    _add_float(fig, "--grid-step", default=0.02)
+    _add_float(fig, "--dn-min", default=0.1, help="table 5 sweep start")
+    _add_float(fig, "--dn-max", default=1.0, help="table 5 sweep end")
+    _add_float(fig, "--dn-step", default=0.002, help="table 5 sweep step")
     _add_output_args(fig)
 
     sweep = sub.add_parser("sweep", help="tabulate statistics over a resolution range")
-    sweep.add_argument("--dn-min", type=float, required=True)
-    sweep.add_argument("--dn-max", type=float, required=True)
-    sweep.add_argument("--dn-step", type=float, required=True)
+    for name in ("--dn-min", "--dn-max", "--dn-step"):
+        _add_float(sweep, name, required=True)
     _add_field_args(sweep)
     _add_output_args(sweep)
 
     sample = sub.add_parser("sample", help="draw sequential readout shots")
-    sample.add_argument("--dn", type=float, required=True)
+    _add_float(sample, "--dn", required=True)
     sample.add_argument("--count", type=int, required=True)
     sample.add_argument("--seed", type=int, required=True)
     _add_field_args(sample)
@@ -161,7 +179,7 @@ def _run_verify(only: str | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 

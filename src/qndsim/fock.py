@@ -29,8 +29,8 @@ NORM_TOL = 1e-6
 # beyond its cutoff.
 DEFAULT_TAIL_TOL = 1e-12
 
-# Levels a quadrature leaves off may hold this much probability beyond each
-# end of a state's support (:meth:`PureState.support`).
+# Probability a state's support (:meth:`PureState.support`) may leave beyond
+# each end; an outcome 8 widths past it is reported as far outside the support.
 SUPPORT_TAIL = 1e-16
 
 # Largest basis a state constructor builds, in levels (about |alpha| 3 150

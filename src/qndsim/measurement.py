@@ -43,22 +43,18 @@ outcome in the same way (:func:`_band_profiles`), so a sweep's probes at
 many resolutions are one pass too.  Quadratures over outcomes use the
 trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
 unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), over
-the run of points where the state has weight (:func:`_runs`).  On a
-lattice the offset from a level to an outcome depends only on the outcome's
-residue r = j mod M and the level's distance from the integer anchor j // M,
-and so does every quadrature weight: a quadrature is a sum over M residues
-of M x W exponentials against the window's column sums over the run's
-anchors (:func:`_residue_totals`), and its cost does not grow with the
-support.  A resolution sweep is one pass over arrays (:func:`_quadratures`):
-its widths, lattice steps and run bounds are arrays over the configs, never
-a Python object or loop per config, and every array puts the configs on its
-innermost axis.  Configs that share M are taken together, in chunks of about
-``_RESIDUE_CELLS`` band cells (band row, residue, config), each cell carrying
-3 kinds x 3 moments of products.  The sums over band rows run one row at a
-time, so a config's totals are the same bits alone or in any batch; one
-config is the batch of one.  Per-width constants are numpy array
-expressions, and a float width takes the same expression as an array of
-widths, so a sweep's row and its one-resolution call share their bits.
+every lattice point up to the config's grid's last point: the same points
+for every state.  On a lattice the offset from a level to an outcome
+depends only on the outcome's residue r = j mod M and the level's distance
+from the integer anchor j // M, and so does every quadrature weight: a
+quadrature is a sum over M residues of M x W exponentials against the
+window's column sums over the anchors (:func:`_residue_totals`), and its
+cost does not grow with the basis.  A resolution sweep is one pass over
+arrays of configs (:func:`_quadratures`), never a Python loop per config,
+and a config's sums are the same bits alone or in any batch.  Per-width
+constants are numpy array expressions, and a float width takes the same
+expression as an array of widths, so a sweep's row and its one-resolution
+call share their bits.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -114,20 +110,13 @@ _CERTIFIED = 2.0**60 * math.exp(-0.5 * _PROFILE_WIDTHS**2)
 # terms below 1e-157 of the total can underflow.
 _LIFT_BELOW = 1e-150
 
-# Rows of a run's anchors (first, last) that the level table's bounds and the
-# weights' sides are read from, per bound and per kind.
-_BOUND_ANCHORS = np.array([0, 0, 1, 1])
-_SIDE_ANCHORS = np.array([0, 0, 1])
-_KINDS = np.arange(3)[:, None]
-
 # Kernel cells (outcome, level) evaluated at once.  Bounds each chunk's
 # temporaries to a few MB whatever the grid size, band width or basis size.
 _CHUNK_CELLS = 65536
 
-# Band cells (band row, residue, config) in a chunk of the residue pass.
-# Each carries 3 kinds x 3 moments of products, so a chunk's products take
-# about 1.2 MB: freed, that stays with the allocator for the next chunk,
-# where 4.7 MB went back to the system and was faulted in afresh each time.
+# Band cells (band row, residue, config) in a chunk of the residue pass, each
+# with 2 kinds x 3 moments of products: about 0.8 MB a chunk, which the
+# allocator keeps for the next chunk rather than faulting it in afresh.
 _RESIDUE_CELLS = _CHUNK_CELLS // 4
 
 
@@ -554,14 +543,14 @@ def _underflow(
 def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     """Total likelihood of integer outcomes relative to half-integer outcomes.
 
-    Sums the outcome density over all integers and over all half-integers
-    covering the state's support: the M = 2 lattice, residue 0 over residue 1.
+    Sums the outcome density over all integers and over all half-integers up
+    to 8 widths past the basis: the M = 2 lattice, residue 0 over residue 1.
     The envelope of the number distribution cancels between the two sums, so
     the ratio isolates the periodic quantization contrast and is the same for
     every state.
     """
     # Each sum is taken on its own: (mass + Q sum) / (mass - Q sum) would cancel.
-    (_, _, totals), = _residue_totals(state, [MeasurementConfig(delta_n, state.n_max, 2)], 0.0)
+    (_, _, totals), = _residue_totals(state, [MeasurementConfig(delta_n, state.n_max, 2)])
     return float(totals[0, 0, 0] / totals[0, 0, 1])
 
 
@@ -628,8 +617,8 @@ class MeasurementConfig:
         coherence's Gaussians sit at n + 1/2, so its error is the same bound
         times sum_n |b_n|.
 
-        The grid spans the whole basis; :func:`_quadratures` sums only the
-        run of it that covers the state's support (:func:`_runs`).
+        :func:`_quadratures` sums the lattice up to the grid's last point with
+        no lower end: each window holds under 1e-15 of its mass below the grid.
         """
         delta_n = _check_delta_n(delta_n)
         return cls(delta_n, n_max, 1 + math.ceil(_ALIAS_C / delta_n))
@@ -678,33 +667,6 @@ def _adequate_lattices(delta_n: np.ndarray, n_max: int) -> _Lattices:
 def trapezoid(values: np.ndarray, step: float):
     """Composite trapezoid rule on a uniform grid."""
     return step * (values.sum() - 0.5 * (values[0] + values[-1]))
-
-
-def _runs(lattices: _Lattices, support: tuple[int, int]) -> np.ndarray:
-    """Indices j of the first and last points j/M of each lattice's run, as floats (2, K).
-
-    A run reaches from the last point at or below the support's lower end
-    padded by ``_PAD_WIDTHS`` = 8 widths to the first point at or above its
-    padded upper end, clipped to the config's grid (:meth:`MeasurementConfig.grid`).
-    Beyond either end lies less than 1e-15 of the outcome probability:
-    Gaussian tails past 8 widths, and the 1e-16 the support leaves out.
-
-    The support lies within levels 0..n_max of the state, so its padded
-    lower end never falls below the grid's first point.  Rounding up to the
-    lattice is monotone, so the run's last point clipped to the grid's last
-    point is the point for min(last, n_max), and its first point clips to
-    that only where the config's basis ends below the support's first level.
-    """
-    delta_n, n_max, per_unit = lattices
-    first, last = support
-    pad = _PAD_WIDTHS * delta_n
-    # first - pad, then -(min(last, n_max) + pad) = -min(last, n_max) - pad, end
-    # to end: ops on arrays of one shape cost less than broadcast ones.
-    ends = np.concatenate((first - pad, np.maximum(-n_max, -last) - pad))
-    runs = _lattice_floors(ends, np.concatenate((per_unit, per_unit))).reshape(2, -1)
-    np.negative(runs[1], out=runs[1])
-    np.minimum(runs[0], runs[1], out=runs[0])
-    return runs
 
 
 def _too_narrow(mass: float, delta_n: float) -> GridTooNarrow:
@@ -756,134 +718,93 @@ def _band_weights(per_unit: int, scale: np.ndarray, reach: int) -> np.ndarray:
     return weights
 
 
-@functools.lru_cache(maxsize=32)
-def _weight_signs(per_unit: int, end_trim: float) -> np.ndarray:
-    """Signs of the residues' weights over the step, per kind and end residue e, read-only.
-
-    Row [kind, e, r] is the weight of residue r over the step: 1 for the
-    column sums (kind 0); for the first anchor's row (kind 1), with the
-    run's first residue e, -1 below e, -end_trim at e and 0 above; for the
-    last anchor's row (kind 2), with the run's last residue e, 0 below,
-    -end_trim at e and -1 above.
-    """
-    e, r = np.arange(per_unit)[:, None], np.arange(per_unit)
-    at = np.where(r == e, -end_trim, 0.0)
-    signs = np.stack((np.ones(at.shape), np.where(r < e, -1.0, at), np.where(r > e, -1.0, at)))
-    signs.flags.writeable = False
-    return signs
-
-
-def _residue_totals(state: PureState, configs, end_trim: float):
-    """Sums of the profiles P and <a>_f P over each config's run (:func:`_runs`), by residue.
+def _residue_totals(state: PureState, configs):
+    """Sums of the profiles P and <a>_f P over each config's lattice, by residue.
 
     ``configs`` is a sequence of configs or a :class:`_Lattices`.  Yields,
     for each chunk of consecutive configs that share M: their positions as a
     slice, M, and T[k, m, r]: 1/M times the sum, over the points j = q M + r
-    of config k's run, of the density P (m = 0) and of the real and
-    imaginary parts of <a>_f P (m = 1, 2), with the run's first and last
-    point weighted ``1 - end_trim``.
+    of config k's lattice up to its grid's last point J = q_J M + r_J, of
+    the density P (m = 0) and of the real and imaginary parts of <a>_f P
+    (m = 1, 2), with J weighted 1/2.  The sum has no lower end.
 
     The offset of a point from a level depends only on r and the level's
     distance s from the anchor q (:func:`_band_weights`), so summed over the
-    run's anchors q_first..q_last, residue r takes sum_s E[s, r] C[s] with the
-    column sums C[s] = sum_q p_{q + s}.  Each C[s] is the pairwise total of the
-    moment less its tails below level q_first + s and above level q_last + s,
-    each tail a running sum from its own end of the basis: a difference of
-    two running sums would keep their rounding.  The first and last anchor's
-    residues outside the run, and ``end_trim`` of the run's end points, are
-    two rows of the levels q_first + s and q_last + s, subtracted with their
-    weights.
+    anchors below q_J, residue r takes sum_s E[s, r] C[s] with the column
+    sums C[s] = sum_{n < q_J + s} p_n: the pairwise total of the moment less
+    its running sum down from the top to level q_J + s, the total's own bits
+    wherever q_J + s lies past the basis.  The anchor q_J adds the row of the
+    levels q_J + s, weighted 1 below r_J, 1/2 at r_J and 0 above.  Past the
+    state's basis a grid adds only zeros, so its last anchor is clipped there.
 
-    Layout: every per-config quantity is an array over the configs (run
-    bounds from :func:`_runs`, window constants, steps, trim weights), and
-    every array puts the configs on its innermost axis.  The level table is
-    (moment, level), so one gather of its columns at every band row s, bound
-    and config gives (moment, s, bound, config), read as the column sums and
-    rows (s, kind, moment, config) through a transposed view, not a copy.
-    Configs that share M and follow each other are taken in chunks of about
+    Every per-config array puts the configs on its innermost axis.  Configs
+    that share M and follow each other are taken in chunks of about
     ``_RESIDUE_CELLS`` band cells (s, r, k), the band rows set by the
-    chunk's widest window; a cell holds 3 kinds x 3 moments of products
-    (s, kind, moment, residue, config).  The sums over s add one row at a
-    time, in order, and a narrower band adds exact zero rows, so a config's
-    totals are the same bits alone or in any batch.
+    chunk's widest window.  The sums over s add one row at a time, in order,
+    and a narrower band adds exact zero rows, so a config's totals are the
+    same bits alone or in any batch.
     """
-    lattices = _lattices(configs)
-    delta_n, _, per_unit = lattices
+    delta_n, n_max, per_unit = _lattices(configs)
     p, b = state.level_moments()
     size = p.size
-    # Anchors and residues of each run's first and last point, as ints.
-    anchors, residues = np.array(np.divmod(_runs(lattices, state.support()), per_unit), np.intp)
-    scale, norm = _window_constants(delta_n)
     # A block's band reaches as far as its widest window: _reach grows with dn.
-    # Runs start at most 8 widths + 3 levels below level 0 and end as far past
-    # the top, and 8 widths is under a band's reach R + 1: 2 R + 5 zero levels
-    # on either side keep every band row's level in range.
     most = int(_reach(float(np.maximum.reduce(delta_n))))
+    # Each grid's last anchor and residue, as ints, the anchor clipped where its
+    # band rows all lie past the basis: they read levels -most .. size + 2 most + 2.
+    last = -_lattice_floors(-(n_max + _PAD_WIDTHS * delta_n), per_unit)
+    anchors, residues = np.array(np.divmod(last, per_unit), np.intp)
+    np.minimum(anchors, size + most + 1, out=anchors)
     margin = 2 * most + 5
 
-    # Level n's moments (p, Re b, Im b) in column n + margin of three tables:
-    # the moments, their totals less the running sums up from the bottom to
-    # level n, and their running sums down from the top to level n.  The
-    # running sums go only as far as a band row reads them: up to the
-    # highest first anchor's band, down to the lowest last anchor's.
+    # Level n's moments (p, Re b, Im b) in column n + margin, then their totals
+    # less their running sums down from the top to n, as far down as bands read.
     width = size + 2 * margin
-    levels = np.zeros((3, 3, width))
-    inner = slice(margin, margin + size)
-    levels[0, 0, inner] = p
-    levels[1:, 0, inner] = b.view(np.float64).reshape(size, 2).T
-    below = slice(0, margin + int(np.maximum.reduce(anchors[0])) + most)
-    above = slice(width - 1, margin + int(np.minimum.reduce(anchors[1])) - most, -1)
-    np.add.accumulate(levels[:, 0, below], axis=1, out=levels[:, 1, below])
-    np.add.accumulate(levels[:, 0, above], axis=1, out=levels[:, 2, above])
-    total = np.empty((3, 1))
-    total[0] = np.add.reduce(p)
-    total[1:, 0] = np.add.reduce(b[:-1], keepdims=True).view(np.float64)  # as expectation_a sums it
-    np.subtract(total, levels[:, 1, below], out=levels[:, 1, below])
+    levels = np.zeros((3, 2, width))
+    levels[:, 0, margin : margin + size] = p, b.real, b.imag
+    above = slice(width - 1, margin + int(np.minimum.reduce(anchors)) - most - 1, -1)
+    np.add.accumulate(levels[:, 0, above], axis=1, out=levels[:, 1, above])
+    field = np.add.reduce(b[:-1])  # as expectation_a sums it
+    total = np.array([[np.add.reduce(p)], [field.real], [field.imag]])
+    np.subtract(total, levels[:, 1, above], out=levels[:, 1, above])
     flat = levels.reshape(3, -1)
 
-    # Per config, the columns of ``flat`` at s = 0 of: the total less the
-    # running sum below level q_first + s, the levels q_first + s and
-    # q_last + s, and the running sum above q_last + s.
-    offsets = np.array([[width + margin - 1], [margin], [margin], [2 * width + margin + 1]])
-    bounds = anchors.take(_BOUND_ANCHORS, 0) + offsets
-    # The weights' sides: the run's first residue for kinds 0 and 1, its last for kind 2.
-    sides = residues.take(_SIDE_ANCHORS, 0)
+    # Per config, the columns of ``flat`` at s = 0: the column sum C[s] and the level q_J + s.
+    bounds = anchors + np.array([[width + margin], [margin]])
+    scale, norm = _window_constants(delta_n)
     step = norm / per_unit
 
-    cuts = np.flatnonzero(per_unit[1:] != per_unit[:-1]).tolist()
-    edges = [0, *(cut + 1 for cut in cuts), per_unit.size]
+    cuts = np.flatnonzero(per_unit[1:] != per_unit[:-1]) + 1
+    edges = [0, *cuts.tolist(), per_unit.size]
     for start, stop in zip(edges, edges[1:]):
         m = int(per_unit[start])
         band = int(_reach(float(np.maximum.reduce(delta_n[start:stop]))))
         count = max(1, _RESIDUE_CELLS // ((2 * band + 2) * m))
-        signs = _weight_signs(m, end_trim)
         for lo in range(start, stop, count):
             rows = slice(lo, min(lo + count, stop))
             if count < stop - start:
                 band = int(_reach(float(np.maximum.reduce(delta_n[rows]))))
             table = _band_weights(m, scale[rows], band)
-            # (moments, s, bounds, configs), read as (s, kinds, moments, configs).
+            # (moments, s, kinds, configs), read as (s, kinds, moments, configs).
             gathered = flat.take(bounds[:, rows] + np.arange(-band, band + 2)[:, None, None], 1)
-            np.subtract(gathered[:, :, 0], gathered[:, :, 3], out=gathered[:, :, 0])
-            columns = gathered[:, :, :3, None].transpose(1, 2, 0, 3, 4)
+            columns = gathered[:, :, :, None].transpose(1, 2, 0, 3, 4)
             sums = np.add.reduce(np.multiply(table[:, None], columns, order="C"), axis=0)
-            # Each weight is one rounding of its sign times the step, as a scalar's.
-            weights = signs[_KINDS, sides[:, rows]].transpose(0, 2, 1) * step[rows]
-            sums *= weights[:, None]
-            totals = np.add.reduce(sums, axis=0)
+            # The last anchor's weights over the step: 1 below r_J, 1/2 at r_J, 0 above.
+            sides = np.sign(residues[rows] - np.arange(m)[:, None]) + 1.0
+            totals = sums[0] * step[rows] + sums[1] * (sides * (0.5 * step[rows]))
             yield rows, m, np.ascontiguousarray(totals.transpose(2, 0, 1))
 
 
 def _quadratures(state: PureState, configs) -> tuple[np.ndarray, ...]:
-    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over each config's run (:func:`_runs`).
+    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over each config's lattice.
 
-    Every outcome average of the package is one of these sums.  ``configs``
-    is a sequence of configs or a :class:`_Lattices`; returns the mass, the
-    sum of Q P, and the complex sums of <a>_f P and Q <a>_f P, one array
-    entry per config.  The quantization Q = cos(2 pi r/M) of the point j/M
-    depends only on its residue r = j mod M, so each sum is a weighted sum
-    of the residue totals of :func:`_residue_totals`: one pass for every
-    config, batched by M.
+    Each sum runs over the lattice up to the config's grid's last point, with
+    no lower end (:func:`_residue_totals`).  Every outcome average of the
+    package is one of these sums.  ``configs`` is a sequence of configs or a
+    :class:`_Lattices`; returns the mass, the sum of Q P, and the complex sums
+    of <a>_f P and Q <a>_f P, one array entry per config.  The quantization
+    Q = cos(2 pi r/M) of the point j/M depends only on its residue
+    r = j mod M, so each sum is a weighted sum of the residue totals: one
+    pass for every config, batched by M.
 
     Raises
     ------
@@ -893,7 +814,7 @@ def _quadratures(state: PureState, configs) -> tuple[np.ndarray, ...]:
     """
     lattices = _lattices(configs)
     sums = np.empty((lattices.delta_n.size, 2, 3))
-    for rows, per_unit, totals in _residue_totals(state, lattices, 0.5):
+    for rows, per_unit, totals in _residue_totals(state, lattices):
         sums[rows] = np.add.reduce(totals[:, None] * _quantization(per_unit)[:, None], axis=-1)
     mass = sums[:, 0, 0]
     if np.fmin.reduce(mass) < 1.0 - QUAD_TOL:

@@ -174,6 +174,14 @@ class TestCliFiles:
         cli.main(["sample", "--dn", "0.3", "--count", "4", "--seed", "9", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    def test_negative_float_in_exponent_form(self, tmp_path):
+        # argparse (Python 3.11 among others) reads only -1 and -1.5 as negative numbers.
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        phase = "-3.119515746874413e-05"
+        assert cli.main(["figure", "3", "--phase", phase, "--out", str(spaced)]) == 0
+        assert cli.main(["figure", "3", f"--phase={phase}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_json_schema(self, tmp_path):
         out = tmp_path / "fig1.json"
         assert cli.main(["figure", "1", "--format", "json", "--out", str(out)]) == 0
@@ -387,6 +395,7 @@ class TestExitCodes:
             ["sweep", "--dn-min", "0.1", "--dn-max", "0.2", "--dn-step", "nan"],
             ["sweep", "--dn-min", "0.1", "--dn-max", "inf", "--dn-step", "0.1"],
             ["figure", "5", "--dn-max", "inf"],
+            ["figure", "1", "--grid-min", "-inf", "--grid-max", "20"],
         ],
     )
     def test_non_finite_range(self, capsys, argv):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
@@ -53,11 +53,9 @@ from qndsim.measurement import (
     _band_weights,
     _bands,
     _lattice_floor,
-    _lattices,
     _profiles,
     _quadratures,
     _reach,
-    _runs,
     _too_narrow,
     _window_constants,
     _windows,
@@ -508,8 +506,7 @@ def _run(config, support):
 
     The run reaches from the last point at or below the support's lower end
     padded by ``_PAD_WIDTHS`` = 8 widths to the first point at or above its
-    padded upper end, clipped to the config's grid: the scalar reference of
-    ``_runs``.
+    padded upper end, clipped to the config's grid.
     """
     per_unit, pad = config.per_unit, _PAD_WIDTHS * config.delta_n
     low, high = config._indices()
@@ -519,11 +516,24 @@ def _run(config, support):
     return start, stop
 
 
-def grid_profiles(state, config):
-    """Density and coherence profiles on the config's grid, trimmed to the state.
+def _lattice_run(config):
+    """Indices j of the first and last points j/M that the quadratures sum, one by one.
 
-    The literal reference of the residue pass: it builds every profile value
-    of the run (``_run``) that the quadratures sum by residue.  The grid
+    They sum every point up to the grid's last point.  A point at or below
+    -(``_reach(dn)`` + 1) lies beyond every level's reach, so its profiles
+    are 0.0 and the run may start at the last such point.
+    """
+    return _lattice_floor(-_reach(config.delta_n) - 1.0, config.per_unit), config._indices()[1]
+
+
+def grid_profiles(state, config, run=None):
+    """Density and coherence profiles on the points ``run`` of the config's lattice.
+
+    ``run`` is the indices j of its first and last points j/M; by default
+    the grid trimmed to the state's support (``_run``), and with
+    ``_lattice_run`` the points that the quadratures sum.  The literal
+    reference of the residue pass: it builds every profile value that the
+    quadratures sum by residue.  The grid
     point j/M = q + r/M has integer anchor q = j // M and residue
     r = j mod M, and its offset from the level n = q + s is x = (r - M s)/M.
     Over the band |x| <= ``_reach(dn)`` the weights e(x)^2 and e(x) e(x - 1),
@@ -535,7 +545,7 @@ def grid_profiles(state, config):
     ``GridTooNarrow`` if the run's mass falls short of ``1 - QUAD_TOL``.
     """
     per_unit, delta_n = config.per_unit, config.delta_n
-    start, stop = _run(config, state.support())
+    start, stop = run or _run(config, state.support())
     reach = int(_reach(delta_n))
     scale, norm = _window_constants(delta_n)
     weights = _band_weights(per_unit, np.array([scale]), reach)[..., 0]
@@ -572,8 +582,8 @@ def grid_profiles(state, config):
 
 
 def literal_quadratures(state, config):
-    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the profiles of ``grid_profiles``."""
-    grid, density, coherence = grid_profiles(state, config)
+    """Trapezoid sums of P, Q P, <a>_f P and Q <a>_f P over the points the quadratures sum."""
+    grid, density, coherence = grid_profiles(state, config, _lattice_run(config))
     j = np.rint(grid * config.per_unit).astype(int)
     q_values = np.cos(2.0 * math.pi * (j % config.per_unit) / config.per_unit)
     step = config.grid_step
@@ -597,11 +607,11 @@ def test_band_weights_vanish_beyond_each_band(per_unit):
 
 @st.composite
 def lattice_batches(draw):
-    """A state and a batch of lattices over its basis: mixed M, any M up to 8/dn.
+    """A state and a batch of lattices over its basis or past it: mixed M, any M up to 8/dn.
 
-    Bases as small as one level put the padded support beyond the lattice's
-    bounds at both ends, so the bounds clip the run; a second width on the
-    first lattice pads the narrower band in its block.
+    Config bases reach up to 20 levels past the state's, so some grids end
+    past the basis and the residue pass clips their last anchor; a second
+    width on the first lattice pads the narrower band in its block.
     """
     n_max = draw(st.integers(0, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -610,14 +620,15 @@ def lattice_batches(draw):
         state = number_state(int(rng.integers(0, n_max + 1)), n_max)
     else:
         state = make_state("random" if kind == "random" else "poisson", n_max, rng)
+    bases = st.one_of(st.just(0), st.integers(1, 20))  # levels past the state's basis
     configs = []
     for _ in range(draw(st.integers(1, 5))):
         delta_n = draw(st.floats(0.05, 5.0))
         per_unit = draw(st.integers(1, math.ceil(8 / delta_n)))
-        configs.append(MeasurementConfig(delta_n, n_max, per_unit))
+        configs.append(MeasurementConfig(delta_n, n_max + draw(bases), per_unit))
     per_unit = configs[0].per_unit
     delta_n = draw(st.floats(0.05, min(5.0, 8 / per_unit)))
-    configs.append(MeasurementConfig(delta_n, n_max, per_unit))
+    configs.append(MeasurementConfig(delta_n, n_max + draw(bases), per_unit))
     return state, draw(st.permutations(configs))
 
 
@@ -638,40 +649,6 @@ def test_batched_quadratures_match_the_literal_sums(batch):
         alone = _quadratures(state, [config])
         for got, one in zip((mass, q_sum, average, product), alone):
             assert got[k : k + 1].tobytes() == one.tobytes()
-
-
-@st.composite
-def runs_cases(draw):
-    """Configs and a support within levels 0..n_state, some padded ends on lattice points.
-
-    A width of a/(8 M) makes the padding 8 dn = a/M, so the support's padded
-    ends fall on (or within a rounding of) points of the lattice j/M.  Config
-    bases run from 0 levels past 0 up to past the state's, so the grid's last
-    point clips some runs, and some whole runs lie past a short basis.
-    """
-    n_state = draw(st.integers(0, 60))
-    first = draw(st.integers(0, n_state))
-    last = draw(st.integers(first, n_state))
-    configs = []
-    for _ in range(draw(st.integers(1, 6))):
-        per_unit = draw(st.integers(1, 40))
-        if draw(st.booleans()):
-            delta_n = draw(st.integers(1, 8 * 40)) / per_unit / 8.0
-        else:
-            delta_n = draw(st.floats(1e-3, 5.0))
-        n_max = draw(st.sampled_from([0, n_state, draw(st.integers(0, n_state + 5))]))
-        configs.append(MeasurementConfig(delta_n, n_max, per_unit))
-    return configs, (first, last)
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=runs_cases())
-# A basis that ends below the support's first level clips the whole run to its last point.
-@example(case=([MeasurementConfig(0.3, 2, 5)], (10, 20)))
-def test_vectorized_run_bounds_equal_run(case):
-    configs, support = case
-    runs = _runs(_lattices(configs), support)
-    assert runs.tolist() == [list(bounds) for bounds in zip(*(_run(c, support) for c in configs))]
 
 
 @pytest.mark.parametrize("alpha", [3.0, 100.0])
