@@ -41,8 +41,8 @@ _JSON_CHUNK = 65536
 # json.dumps(value, sort_keys=True, separators=(",", ":")): the tables' JSON layout.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# The options that take a float, as build_parser adds them (:func:`_add_float`).
-_FLOAT_OPTIONS: set[str] = set()
+# Each subcommand's parser by name, as build_parser adds them.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 # Arguments that start as a negative number does.  argparse (Python 3.11 among
 # others) reads only -1 and -1.5 as numbers and takes -3e-05 or -inf for an option.
@@ -97,16 +97,35 @@ def _emit(table: Table, title: str, out: str | None, fmt: str) -> None:
             write_csv(handle, table, title)
 
 
-def _add_float(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
-    parser.add_argument(name, type=float, **kwargs)
-    _FLOAT_OPTIONS.add(name)
+def _float_option(parser: argparse.ArgumentParser, arg: str) -> bool:
+    """Whether ``arg`` names an option of ``parser`` that takes a float.
+
+    Names resolve as argparse resolves them: a full name stands for itself,
+    and a prefix of one option's name (``--pha``) for that option; a prefix
+    that starts several names is ambiguous and names none.
+    """
+    if not arg.startswith("--") or "=" in arg:
+        return False
+    actions = parser._option_string_actions
+    if arg not in actions:
+        names = [name for name in actions if name.startswith(arg)]
+        if len(names) != 1:
+            return False
+        arg = names[0]
+    return actions[arg].type is float
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """``argv`` with each float option joined to its negative value: ``--phase=-3e-05``."""
+    """``argv`` with each float option joined to its negative value: ``--phase=-3e-05``.
+
+    The options are those of the subcommand, the first argument that is not an option.
+    """
+    command = _COMMANDS.get(next((arg for arg in argv if not arg.startswith("-")), ""))
+    if command is None:
+        return argv
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in _FLOAT_OPTIONS and _NEGATIVE.match(arg):
+        if joined and _NEGATIVE.match(arg) and _float_option(command, joined[-1]):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -114,8 +133,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def _add_field_args(parser: argparse.ArgumentParser) -> None:
-    _add_float(parser, "--alpha", default=3.0, help="coherent-field magnitude (default 3)")
-    _add_float(parser, "--phase", default=0.0, help="coherent-field phase in radians (default 0)")
+    parser.add_argument("--alpha", type=float, default=3.0,
+                        help="coherent-field magnitude (default 3)")
+    parser.add_argument("--phase", type=float, default=0.0,
+                        help="coherent-field phase in radians (default 0)")
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
@@ -136,24 +157,26 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="emit one of the five standard data tables")
     fig.add_argument("id", type=int, choices=(1, 2, 3, 4, 5))
     _add_field_args(fig)
-    _add_float(fig, "--dn", help="override the table's readout resolution (tables 1-4)")
-    _add_float(fig, "--grid-min", help="profile grid start (default 0, or 10 below the mean "
-                                       "photon number for bright fields)")
-    _add_float(fig, "--grid-max", help="profile grid end (default grid start + 20)")
-    _add_float(fig, "--grid-step", default=0.02)
-    _add_float(fig, "--dn-min", default=0.1, help="table 5 sweep start")
-    _add_float(fig, "--dn-max", default=1.0, help="table 5 sweep end")
-    _add_float(fig, "--dn-step", default=0.002, help="table 5 sweep step")
+    fig.add_argument("--dn", type=float,
+                     help="override the table's readout resolution (tables 1-4)")
+    fig.add_argument("--grid-min", type=float,
+                     help="profile grid start (default 0, or 10 below the mean "
+                          "photon number for bright fields)")
+    fig.add_argument("--grid-max", type=float, help="profile grid end (default grid start + 20)")
+    fig.add_argument("--grid-step", type=float, default=0.02)
+    fig.add_argument("--dn-min", type=float, default=0.1, help="table 5 sweep start")
+    fig.add_argument("--dn-max", type=float, default=1.0, help="table 5 sweep end")
+    fig.add_argument("--dn-step", type=float, default=0.002, help="table 5 sweep step")
     _add_output_args(fig)
 
     sweep = sub.add_parser("sweep", help="tabulate statistics over a resolution range")
     for name in ("--dn-min", "--dn-max", "--dn-step"):
-        _add_float(sweep, name, required=True)
+        sweep.add_argument(name, type=float, required=True)
     _add_field_args(sweep)
     _add_output_args(sweep)
 
     sample = sub.add_parser("sample", help="draw sequential readout shots")
-    _add_float(sample, "--dn", required=True)
+    sample.add_argument("--dn", type=float, required=True)
     sample.add_argument("--count", type=int, required=True)
     sample.add_argument("--seed", type=int, required=True)
     _add_field_args(sample)
@@ -162,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("verify", help="run the acceptance checks")
     check.add_argument("--only", default=None,
                        help="run only the named criterion (see docs)")
+    _COMMANDS.update(sub.choices)
     return parser
 
 

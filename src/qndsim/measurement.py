@@ -28,7 +28,8 @@ Profiles (:func:`_band_profiles`) sum over a narrower certified band of
 ``_PROFILE_WIDTHS`` R = 26 widths first.  The cells beyond it hold at most
 exp(-R^2 / 2) of the unit mass, so a row whose sums clear 2^60 times that
 is within 2^-60 of its full-band value; every other row (far tails, NaN
-outcomes, cancelling coherences) is summed again over the full band.  The
+outcomes, cancelling coherences) is summed again over the full band, unless
+the narrow band is already the whole basis and the two are the same.  The
 cells it leaves out hold most of the float64 tail's slow work: products
 that come out subnormal (past 37.6 widths) and, in bands clipped at the
 basis edge, exponentials of arguments below -708, both of which take the
@@ -264,7 +265,9 @@ def _band_profiles(
     (2^-53), and on tail-to-tail grids they come out the same bits.  Every
     other row (far-tail and NaN outcomes, cancelling coherences) is summed
     again over the full ``_BAND_WIDTHS`` = 38.7-width band, so it has the
-    full walk's bits, and a vanished density still reads as one.
+    full walk's bits, and a vanished density still reads as one.  Where the
+    narrowest window's 26-width band already covers the whole basis, both
+    bands are the same cells, and no row is certified or summed again.
 
     The grid need not be sorted.  ``delta_n`` is a float, one width for every
     outcome, or an array of one width per outcome in any order: the outcomes
@@ -283,17 +286,19 @@ def _band_profiles(
         scale, norm = _window_constants(widths)
         scale = scale[:, None]
     density, coherence = _band_sums(p, b, centers, widths, scale, _PROFILE_WIDTHS)
-    kept = density >= _CERTIFIED  # also refuses NaN
-    field = np.abs(coherence)
-    # sum |b_n| <= sqrt(n_max) sum p_n: rows above that need no pass over the basis.
-    if (kept & (field < _CERTIFIED * math.sqrt(p.size))).any():
-        kept &= field >= _CERTIFIED * np.add.reduce(np.abs(b))
-    if not kept.all():
-        # The refilled rows keep their order, so their widths still do not grow.
-        redo = np.flatnonzero(~kept)
-        scales = scale if order is None else scale[redo]
-        full = _band_sums(p, b, centers[redo], widths[redo], scales, _BAND_WIDTHS)
-        density[redo], coherence[redo] = full
+    # When even the narrowest band is the whole basis, a refill would sum the same cells.
+    if widths.size and 2.0 * _reach(float(widths[-1]), _PROFILE_WIDTHS) + 1.0 < p.size:
+        kept = density >= _CERTIFIED  # also refuses NaN
+        field = np.abs(coherence)
+        # sum |b_n| <= sqrt(n_max) sum p_n: rows above that need no pass over the basis.
+        if (kept & (field < _CERTIFIED * math.sqrt(p.size))).any():
+            kept &= field >= _CERTIFIED * np.add.reduce(np.abs(b))
+        if not kept.all():
+            # The refilled rows keep their order, so their widths still do not grow.
+            redo = np.flatnonzero(~kept)
+            scales = scale if order is None else scale[redo]
+            full = _band_sums(p, b, centers[redo], widths[redo], scales, _BAND_WIDTHS)
+            density[redo], coherence[redo] = full
     density, coherence = norm * density, norm * coherence
     if order is None:
         return density, coherence
@@ -358,8 +363,8 @@ def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple
 
 
 def _sequential_posteriors(
-    state: PureState, outcomes: np.ndarray, delta_n: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    state: PureState, outcomes: np.ndarray, delta_n: float, moments: bool = True
+) -> tuple:
     """Posterior moments after each readout of a block of records, all at once.
 
     Windows of width dn at outcomes x_1..x_j multiply into one window of
@@ -382,6 +387,10 @@ def _sequential_posteriors(
     Returns each pass's density, the mean photon number, its variance and
     <a> after it, shaped like ``outcomes``, and the unit-norm conditional
     amplitudes after the last pass, shaped (levels,) or (runs, levels).
+    With ``moments`` False the walk checks every density and builds the
+    final amplitudes, bit for bit as the full walk does, but takes no
+    moments: the mean, variance and <a> are None, and a chunk that holds no
+    row of the last pass stops after its floor check.
 
     Raises
     ------
@@ -396,8 +405,11 @@ def _sequential_posteriors(
     passes, exponents, norms, chunks, band_offsets, band_levels = plan
     centers = np.add.accumulate(outcomes).reshape(count, runs)
     centers = np.divide(centers, passes, out=centers).ravel()
-    density, mean, var = np.empty(centers.size), np.empty(centers.size), np.empty(centers.size)
-    coherence = np.empty(centers.size, dtype=np.complex128)
+    density = np.empty(centers.size)
+    mean = var = coherence = None
+    if moments:
+        mean, var = np.empty(centers.size), np.empty(centers.size)
+        coherence = np.empty(centers.size, dtype=np.complex128)
     final = np.zeros((runs, p.size), dtype=np.complex128)
     last = centers.size - runs  # the first row of the last pass
     for rows, reach, width in chunks:
@@ -406,10 +418,10 @@ def _sequential_posteriors(
         # A band that is the whole basis is one row of levels, shared by the chunk.
         whole = width == p.size
         if whole:
-            p_band, b_band = p[None], b[None, :-1]
+            p_band = p[None]
         else:
             n = first[:, None] + band_levels[:width]
-            p_band, b_band = p[n], b[n[:, :-1]]
+            p_band = p[n]
         at = rows if runs == 1 else np.arange(rows.start, rows.stop) // runs  # each row's pass
         e = exponents[at] * x
         e *= x
@@ -420,23 +432,27 @@ def _sequential_posteriors(
             j = rows.start + int(np.argmin(band_density >= DENSITY_FLOOR))
             width_j = delta_n / math.sqrt(j // runs + 1)
             raise ZeroProbability(_underflow(state, centers[j : j + 1], width_j))
+        if not moments and rows.stop <= last:
+            continue  # nothing is read from this chunk but its densities
         weight = p_band * e
         weight *= e
         peak = np.maximum.reduce(weight, axis=1, keepdims=True)
-        weight /= peak
-        scale = np.add.reduce(weight, axis=1)
-        shift = weight @ offsets / scale
-        np.add(first, shift, out=mean[rows])
-        centered = offsets - shift[:, None]
-        np.divide(np.einsum("ij,ij->i", weight * centered, centered), scale, out=var[rows])
         if np.minimum.reduce(peak, axis=None) < _LIFT_BELOW:
             # Lift each pass's e by the power of two >= 1 that brings its largest
             # weight near one: every term and the total scale exactly.
             lift = np.ldexp(1.0, -(np.frexp(peak)[1] // 2))
             e *= lift
             total = total * lift[:, 0] ** 2
-        pair = e[:, :-1] * e[:, 1:]
-        np.divide(np.einsum("ij,ij->i", b_band, pair), total, out=coherence[rows])
+        if moments:
+            weight /= peak
+            scale = np.add.reduce(weight, axis=1)
+            shift = weight @ offsets / scale
+            np.add(first, shift, out=mean[rows])
+            centered = offsets - shift[:, None]
+            np.divide(np.einsum("ij,ij->i", weight * centered, centered), scale, out=var[rows])
+            b_band = b[None, :-1] if whole else b[n[:, :-1]]
+            pair = e[:, :-1] * e[:, 1:]
+            np.divide(np.einsum("ij,ij->i", b_band, pair), total, out=coherence[rows])
         if rows.stop > last:
             # Rows of the last pass: the amplitudes c_n e(n), scaled to unit norm.
             tail = max(last - rows.start, 0)
@@ -448,11 +464,10 @@ def _sequential_posteriors(
                 runs_ending = range(ending.start, ending.stop)
                 for run, start, row in zip(runs_ending, first[tail:].tolist(), amps):
                     final[run, start : start + width] = row
+    values = (density, mean, var, coherence)
     if outcomes.ndim == 1:
-        return density, mean, var, coherence, final[0]
-    shape = outcomes.shape
-    moments = (density, mean, var, coherence)
-    return (*(values.reshape(shape) for values in moments), final)
+        return (*values, final[0])
+    return (*(v if v is None else v.reshape(outcomes.shape) for v in values), final)
 
 
 def outcome_density(state: PureState, n_m, delta_n: float):

@@ -182,6 +182,16 @@ class TestCliFiles:
         assert cli.main(["figure", "3", f"--phase={phase}", "--out", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
 
+    def test_abbreviated_option_takes_a_negative_exponent_value(self, tmp_path, capsys):
+        # A prefix names its option as argparse resolves it, within the subcommand.
+        short, joined = tmp_path / "short.csv", tmp_path / "joined.csv"
+        assert cli.main(["figure", "3", "--pha", "-1e-5", "--out", str(short)]) == 0
+        assert cli.main(["figure", "3", "--phase=-1e-05", "--out", str(joined)]) == 0
+        assert short.read_bytes() == joined.read_bytes()
+        # --dn-m starts both --dn-min and --dn-max: argparse refuses it.
+        assert cli.main(["figure", "5", "--dn-m", "-1e-5"]) == 2
+        assert "ambiguous option: --dn-m" in capsys.readouterr().err
+
     def test_json_schema(self, tmp_path):
         out = tmp_path / "fig1.json"
         assert cli.main(["figure", "1", "--format", "json", "--out", str(out)]) == 0

@@ -397,6 +397,32 @@ def test_cancelling_coherences_take_the_full_band(monkeypatch):
     assert_same_bits(got, full_band_profiles(state, grid, 2.0))
 
 
+def test_whole_basis_bands_skip_the_certificate(monkeypatch):
+    # On the 38-level alpha-3 basis the 26-width band is the whole basis from
+    # dn = 36 / 52 = 0.692 up: both bands are the same cells, so far-tail and
+    # NaN outcomes keep their one sum, and it is the full band's.
+    state = coherent_state(CoherentParams(3.0, 0.4))
+    assert state.n_max + 1 == 38
+    grid = np.array([9.0, 60.0, math.nan])
+    for delta_n in (0.7, 1.0, np.array([2.0, 0.7, 1.0])):
+        got, refilled = refilled_outcomes(monkeypatch, state, grid, delta_n)
+        assert refilled.size == 0
+        assert_same_bits(got, full_band_profiles(state, grid, delta_n))
+    # Just below, the narrow band misses a level and the tail rows are summed again.
+    _, refilled = refilled_outcomes(monkeypatch, state, grid, 0.69)
+    assert refilled.size == 2
+    # A one-outcome coherence_after: one band sum.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _band_sums(*args)
+
+    monkeypatch.setattr(measurement, "_band_sums", counting)
+    coherence_after(state, 9.0, 0.75)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "alpha, n_m, delta_n, message",
     [

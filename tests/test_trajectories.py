@@ -28,12 +28,17 @@ from qndsim import (
     sample_outcome,
     variance_n,
 )
+from qndsim import measurement
 from qndsim.measurement import _CHUNK_CELLS, _posterior_plan, _sequential_posteriors, trapezoid
 from qndsim.trajectories import _draw_level
 
 from test_kernel import dense_condition
 
 ALPHA3 = CoherentParams(3.0, 0.0)
+
+# How far a batch row's moments may lie from its single record's, as
+# repeated_measurement documents it (np.allclose's rtol and atol).
+BATCH_TOL = 1e-13
 
 
 def passes(trajectory):
@@ -203,22 +208,32 @@ class TestRepeatedMeasurement:
         assert batch.seed == single.seed == 23
 
     @pytest.mark.parametrize(
-        "delta_n, count, runs", [(1.0, 2, 2000), (0.3, 7, 300), (0.05, 3, 200), (2.0, 40, 50)]
+        "n_max, delta_n, count, runs, seed",
+        [
+            pytest.param(60, delta_n, count, runs, 41, id=f"{delta_n}-{count}-{runs}")
+            for delta_n, count, runs in (
+                (1.0, 2, 2000), (0.3, 7, 300), (0.05, 3, 200), (2.0, 40, 50)
+            )
+        ] + [
+            # Chunks that end inside a pass: run 8's mean_n is 1.8e-15 off its record's.
+            pytest.param(37, 0.5, 400, 40, 7, id="0.5-400-40"),
+        ],
     )
-    def test_batch_rows_match_single_records(self, alpha3_state, delta_n, count, runs):
-        batch = repeated_measurement(alpha3_state, delta_n, count, 41, runs=runs)
+    def test_batch_rows_match_single_records(self, n_max, delta_n, count, runs, seed):
+        state = coherent_state(ALPHA3, n_max)
+        batch = repeated_measurement(state, delta_n, count, seed, runs=runs)
         assert batch.outcomes.shape == batch.var_n.shape == (runs, count)
-        assert batch.final_amplitudes.shape == (runs, alpha3_state.n_max + 1)
+        assert batch.final_amplitudes.shape == (runs, n_max + 1)
         for run in range(runs):
             _, mean_n, var_n, coherence, final = _sequential_posteriors(
-                alpha3_state, batch.outcomes[run], delta_n
+                state, batch.outcomes[run], delta_n
             )
             for value, single in (
                 (batch.mean_n[run], mean_n),
                 (batch.var_n[run], var_n),
                 (batch.coherence_mag[run], np.abs(coherence)),
             ):
-                assert np.allclose(value, single, rtol=1e-13, atol=1e-13)
+                assert np.allclose(value, single, rtol=BATCH_TOL, atol=BATCH_TOL)
             overlap = np.vdot(final, batch.final_amplitudes[run])
             assert abs(overlap) ** 2 >= 1 - 1e-12
 
@@ -286,9 +301,14 @@ def test_level_draws_are_generator_choice(n_max, low_share, size, seed):
     assert searched.random() == chosen.random()
 
 
+# With and without the moment section: the walk alone raises as the full walk does.
+MOMENTS = (True, False)
+
+
 def test_posteriors_refuse_an_outcome_off_the_support():
-    with pytest.raises(ZeroProbability):
-        _sequential_posteriors(number_state(0, 200), np.array([150.0]), 0.3)
+    for moments in MOMENTS:
+        with pytest.raises(ZeroProbability):
+            _sequential_posteriors(number_state(0, 200), np.array([150.0]), 0.3, moments)
 
 
 def test_posteriors_name_the_width_of_the_pass_that_vanished():
@@ -300,9 +320,10 @@ def test_posteriors_name_the_width_of_the_pass_that_vanished():
     message = f"window at n_m = 5.5 with delta_n = {0.015 / math.sqrt(2):g} falls between levels"
     # One record, and a block whose row 4 is run 1's pass 2.
     for outcomes in (np.array([5.0, 6.0]), np.array([[5.0, 5.0, 6.0], [5.0, 6.0, 6.0]])):
-        with pytest.raises(ZeroProbability) as raised:
-            _sequential_posteriors(state, outcomes, 0.015)
-        assert message in str(raised.value)
+        for moments in MOMENTS:
+            with pytest.raises(ZeroProbability) as raised:
+                _sequential_posteriors(state, outcomes, 0.015, moments)
+            assert message in str(raised.value)
 
 
 def same_bits(values, expected):
@@ -367,6 +388,89 @@ class TestPosteriorPlan:
         assert len(many[3]) == -(-20_000 // (_CHUNK_CELLS // 38))
 
 
+def subnormal_state(tiny):
+    """Levels 0, 1, 2 with a subnormal amplitude on level 0."""
+    amps = np.array([tiny, 1.0, 0.5])
+    return PureState(amps / np.linalg.norm(amps))
+
+
+SUBNORMALS = pytest.mark.parametrize(
+    "tiny", [7.7e-315, 7.7e-315j, 5e-315 - 6e-315j], ids=["real", "imaginary", "complex"]
+)
+
+
+class TestMomentsOnFirstRead:
+    """A record computes its moments only when they are read, as the full walk would."""
+
+    @pytest.mark.parametrize(
+        "alpha, n_max, delta_n, count, runs",
+        [
+            (3.0, 37, 1.0, 2, None),  # one whole-basis chunk
+            (25.0, 1015, 2.0, 200, None),  # banded chunks
+            (3.0, 37, 0.3, 500, None),  # whole, then banded
+            (3.0, 37, 1.0, 2, 300),
+            (3.0, 37, 0.5, 400, 5),  # whole, then banded, cut at passes
+            (3.0, 37, 0.5, 400, 40),  # cut inside passes
+            (25.0, 1015, 0.05, 30, 60),
+        ],
+    )
+    def test_moments_are_the_full_walk(self, alpha, n_max, delta_n, count, runs):
+        state = coherent_state(CoherentParams(alpha, 0.3), n_max)
+        for seed in range(3):
+            trajectory = repeated_measurement(state, delta_n, count, seed, runs=runs)
+            assert_full_walk(trajectory, state)
+
+    @SUBNORMALS
+    @pytest.mark.parametrize("runs", [None, 7])
+    def test_subnormal_amplitudes_keep_the_full_walk(self, tiny, runs):
+        state = subnormal_state(tiny)
+        assert_full_walk(repeated_measurement(state, 1.0, 3, 3, runs=runs), state)
+
+    def test_walk_only_keeps_the_lift_in_the_window_tail(self):
+        # Outcomes far off the support: the last pass's weights are tiny, and
+        # only the lift keeps its final amplitudes' bits.
+        state = coherent_state(CoherentParams(3.0, 0.4))
+        block = np.array([[-7.79, 42.16], [-7.29, 42.66]])  # two runs of two passes
+        for outcomes in (np.array([-10.01]), np.array([45.12]), block):
+            walk = _sequential_posteriors(state, outcomes, 0.3, moments=False)
+            full = _sequential_posteriors(state, outcomes, 0.3)
+            assert walk[1:4] == (None, None, None)
+            assert same_bits(walk[0], full[0]) and same_bits(walk[4], full[4])
+
+    def test_one_walk_per_call_and_one_per_first_read(self, alpha3_state, monkeypatch):
+        walks = []
+
+        def recording(state, outcomes, delta_n, moments=True):
+            walks.append(moments)
+            return _sequential_posteriors(state, outcomes, delta_n, moments)
+
+        monkeypatch.setattr(measurement, "_sequential_posteriors", recording)
+        trajectory = repeated_measurement(alpha3_state, 0.5, 20, 4)
+        assert trajectory.final_state.n_max == alpha3_state.n_max
+        assert walks == [False]
+        mean_n = trajectory.mean_n
+        assert walks == [False, True]
+        assert trajectory.var_n is trajectory.var_n
+        assert trajectory.coherence_mag is trajectory.coherence_mag
+        assert trajectory.mean_n is mean_n
+        assert walks == [False, True]
+
+    def test_outcomes_are_read_only(self, alpha3_state):
+        # The moments are read from them later, so they cannot change first.
+        assert not repeated_measurement(alpha3_state, 0.5, 20, 4).outcomes.flags.writeable
+
+
+def assert_full_walk(trajectory, state):
+    """Every field of ``trajectory`` is the bits of one full walk on its outcomes."""
+    _, mean_n, var_n, coherence, final = _sequential_posteriors(
+        state, trajectory.outcomes.T, trajectory.delta_n
+    )
+    assert same_bits(trajectory.final_amplitudes, final)
+    assert same_bits(trajectory.mean_n, mean_n.T)
+    assert same_bits(trajectory.var_n, var_n.T)
+    assert same_bits(trajectory.coherence_mag, np.abs(coherence.T))
+
+
 def test_posterior_coherence_takes_the_phase_noise_of_each_pass():
     # After pass j the ensemble-averaged <a> is alpha exp(-j/(8 dn^2)), as if
     # each pass applied phase noise of variance 1/(4 dn^2), and it stays along
@@ -385,13 +489,10 @@ def test_posterior_coherence_takes_the_phase_noise_of_each_pass():
     assert np.abs(projected.imag).max() < 1e-14 * 3.0
 
 
-@pytest.mark.parametrize(
-    "tiny", [7.7e-315, 7.7e-315j, 5e-315 - 6e-315j], ids=["real", "imaginary", "complex"]
-)
+@SUBNORMALS
 def test_posteriors_take_subnormal_amplitudes(tiny):
     # Chained readouts leave such amplitudes on the levels far from the outcomes.
-    amps = np.array([tiny, 1.0, 0.5])
-    state = PureState(amps / np.linalg.norm(amps))
+    state = subnormal_state(tiny)
     trajectory = repeated_measurement(state, 1.0, 3, 3)
     current = state
     for n_m, mean_n, _, coherence_mag in passes(trajectory):
