@@ -15,7 +15,11 @@ periodic factor altogether gives the classical limit.
 
 The series keeps, at each resolution, the fewest harmonics whose dropped
 tail has a closed-form geometric bound below ``SERIES_TOL``
-(:func:`_series_lengths`).
+(:func:`_series_lengths`).  Below ``_DIRECT_BELOW`` = 0.1 that takes
+hundreds of harmonics, whose rounding adds up past ``SERIES_TOL``, so there
+the comb is summed directly over its Gaussians (:func:`_direct_combs`),
+which the Jacobi imaginary transformation makes the same function
+(DLMF 20.7(viii)).
 
 Error reports compare these closed forms with the exact kernel at the
 integer and half-integer outcomes nearest the mean intensity.  A report
@@ -51,6 +55,9 @@ _BOUNDARY_SIGMAS = 5.0
 
 # 2 pi^2, the rate of the comb's harmonics: exp(-2 pi^2 dn^2 k^2).
 _HARMONIC_RATE = 2.0 * math.pi**2
+
+# Widths below this sum the comb's Gaussians rather than its harmonics.
+_DIRECT_BELOW = 0.1
 
 
 def fringe_amplitude(delta_n: float) -> float:
@@ -88,7 +95,8 @@ def quantization_sum(n_m, delta_n: float):
     The half-integer comb is ``quantization_sum(n_m + 0.5, delta_n)``.  The
     series keeps the harmonics of :func:`_series_lengths`, so it agrees with
     the directly summed comb of Gaussians to the series truncation
-    tolerance.  Accepts scalar or array ``n_m``.
+    tolerance; below ``delta_n`` = 0.1 the comb is that direct sum.  Accepts
+    scalar or array ``n_m``.
     """
     delta_n = measurement._check_delta_n(delta_n)
     value = _quantization_sums(measurement._grid(n_m), _squares([delta_n]))[0]
@@ -98,11 +106,21 @@ def quantization_sum(n_m, delta_n: float):
 def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
     """:func:`quantization_sum` on ``grid``, one row per squared width ``var`` (:func:`_squares`).
 
-    Each row adds its harmonics k = 1..K (:func:`_series_lengths`) in
+    Rows of widths below ``_DIRECT_BELOW`` are direct sums (:func:`_direct_combs`).
+    Every other row adds its harmonics k = 1..K (:func:`_series_lengths`) in
     increasing k, with the coefficients exp(-2 pi^2 dn^2 k^2); a row's zero
     amplitudes beyond its K add 2 * 0 * cos = +-0, which leaves the sum's
-    bits as they are.
+    bits as they are, so a row has the same bits in any batch.
     """
+    # dn < 0.1 exactly when dn^2 < 0.1**2: squaring is monotone, and no float
+    # below 0.1 squares to 0.1**2.
+    direct = var < _DIRECT_BELOW**2
+    if direct.any():
+        value = np.empty((var.size, grid.size))
+        value[direct] = _direct_combs(grid, var[direct])
+        if not direct.all():
+            value[~direct] = _quantization_sums(grid, var[~direct])
+        return value
     counts = _series_lengths(var)
     harmonics = np.arange(1.0, counts.max() + 1.0)
     exponents = (-_HARMONIC_RATE * var)[:, None] * harmonics * harmonics
@@ -111,6 +129,20 @@ def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
     for k in range(1, harmonics.size + 1):
         value += 2.0 * amplitudes[:, k - 1, None] * np.cos(2.0 * math.pi * k * grid)
     return value
+
+
+def _direct_combs(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """The comb (2 pi dn^2)**-0.5 sum_n exp(-(x - n)^2 / (2 dn^2)) on ``grid``, one row per ``var``.
+
+    Sums the three integers nearest each x.  x less its nearest integer is
+    exact, in [-1/2, 1/2], and every other integer lies at least 1.5 from x:
+    at widths below ``_DIRECT_BELOW`` that is 15 widths, where the dropped
+    terms together stay below 1e-48 of the comb's peak (2 pi dn^2)**-0.5.
+    """
+    near = grid - np.round(grid)
+    offsets = near[:, None] - np.array([-1.0, 0.0, 1.0])
+    terms = np.exp((-0.5 / var)[:, None, None] * (offsets * offsets))
+    return np.add.reduce(terms, axis=-1) * np.power(2.0 * math.pi * var, -0.5)[:, None]
 
 
 def classical_probability(mean_intensity: float, n_m):

@@ -33,15 +33,18 @@ the narrow band is already the whole basis and the two are the same.  The
 cells it leaves out hold most of the float64 tail's slow work: products
 that come out subnormal (past 37.6 widths) and, in bands clipped at the
 basis edge, exponentials of arguments below -708, both of which take the
-CPU's slow path.  Posteriors and quadratures keep the 38.7-width band.
-Conditional states are the same band sum over the same bands: windows at
-outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at their
-mean, so one pass gives every step of a trajectory its posterior, and
-:func:`measure` is the one-outcome case.  That pass's constants and chunks
-depend only on the resolution, passes, runs and basis size, and are planned
-once per such shape (:func:`_posterior_plan`).  Profiles take one width per
-outcome in the same way (:func:`_band_profiles`), so a sweep's probes at
-many resolutions are one pass too.  Quadratures over outcomes use the
+CPU's slow path.  Posteriors and quadratures keep the 38.7-width band on
+every row they sum.  Conditional states are the same band sum over the same
+bands: windows at outcomes x_1..x_j multiply into one window of width
+delta_n / sqrt(j) at their mean, so one pass gives every step of a
+trajectory its posterior, and :func:`measure` is the one-outcome case.  That
+pass's constants and chunks depend only on the resolution, passes, runs and
+basis size, and are planned once per such shape (:func:`_posterior_plan`).
+A sampled trajectory that reads no moments sums the band of its last pass
+only, where the level its outcomes were drawn around vouches for every
+earlier pass's density by its own term (:func:`_certified`).  Profiles take
+one width per outcome in the same way (:func:`_band_profiles`), so a
+sweep's probes at many resolutions are one pass too.  Quadratures over outcomes use the
 trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
 unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), over
 every lattice point up to the config's grid's last point: the same points
@@ -110,6 +113,10 @@ _CERTIFIED = 2.0**60 * math.exp(-0.5 * _PROFILE_WIDTHS**2)
 # largest weight p_n e_n^2 falls below this are lifted first; above it only
 # terms below 1e-157 of the total can underflow.
 _LIFT_BELOW = 1e-150
+
+# The narrowest window whose passes _certified vouches for: past it the
+# rounding of a band's offsets could move a level's term by a factor of 2.
+_CERTIFIED_WIDTH = 2.0**-40
 
 # Kernel cells (outcome, level) evaluated at once.  Bounds each chunk's
 # temporaries to a few MB whatever the grid size, band width or basis size.
@@ -342,8 +349,12 @@ def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple
 
     The passes j = 1..count and exponent scales -j/(4 dn^2), as columns; the
     normalizations (2 pi w_j^2)**-0.5, w_j = dn / sqrt(j); the chunks (rows,
-    reach, width) of the walk over the count x runs rows; and the offsets 0,
-    1, ... across the widest band, as floats and as level indices.  Nothing
+    reach, width) of the walk over the count x runs rows; the offsets 0,
+    1, ... across the widest band, as floats and as level indices; and, for
+    a walk whose earlier passes :func:`_certified` may vouch for, the chunks
+    cut down to the rows of the last pass, with the first row that shares a
+    chunk with them (None and 0 for a one-chunk walk, which has nothing to
+    skip, or a last window narrower than ``_CERTIFIED_WIDTH``).  Nothing
     grows with ``runs``: the rows of a pass share its constants.
     """
     passes = np.arange(1.0, count + 1.0)
@@ -359,11 +370,66 @@ def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple
     arrays = (passes, exponent, norm, band_levels.astype(float), band_levels)
     for values in arrays:
         values.flags.writeable = False
-    return passes[:, None], exponent[:, None], norm, chunks, *arrays[3:]
+    last_chunks, shared = None, 0
+    if count > 1 and len(chunks) > 1 and widths[-1] >= _CERTIFIED_WIDTH:
+        last = (count - 1) * runs  # the first row of the last pass
+        last_chunks = tuple(
+            (slice(max(rows.start, last), rows.stop), reach, width)
+            for rows, reach, width in chunks
+            if rows.stop > last
+        )
+        shared = next(rows.start for rows, _, _ in chunks if rows.stop > last)
+    return passes[:, None], exponent[:, None], norm, chunks, *arrays[3:], last_chunks, shared
+
+
+def _certified(p, centers, levels, exponents, norms, shared: int) -> bool:
+    """Whether each record's hidden level alone clears the floor on every pass before its last.
+
+    ``centers`` holds the windows' means m_j, shape (count, runs), and
+    ``levels`` the level L each run's outcomes were drawn around, one integer
+    or shape (runs,).  A pass's density is norm_j times a float sum of the
+    nonnegative terms p_n e_j(n)^2 over its band, and rounding is monotone,
+    so that sum is at least each of its terms.  Every row before the last
+    pass is certified when L's term, from x = m_j - L, has
+    norm_j p_L e_j(L)^2 >= 2 ``DENSITY_FLOOR``; the walk's density there
+    then clears the floor, because:
+
+    - L lies in the row's band.  e_j(L)^2 = exp(-x^2 / (2 w_j^2)) is 0.0 in
+      float64 past 38.61 widths, so a term that clears the floor has
+      |x| < 38.7 w_j = reach_j - 1/2.  The chunk's reach r is at least
+      reach_j (widths never grow), and its band of int(2 r + 1) levels from
+      ceil(m_j - r) holds every integer within r of m_j, with a margin of 1/2
+      over the rounding of m_j - r; clipping the band to the basis keeps
+      every level of 0..n_max that it held.
+    - The walk's term at L is within a factor e^0.02 of this one.  The walk
+      takes x as (m_j - first) - (L - first), whose rounding differs from
+      that of m_j - L by at most u (271 w_j + 4), u = 2^-53: the band's
+      offsets reach at most 2 r + |x| < 194 w_j + 4 (r < 2 reach_j + 1
+      within a chunk).  That moves x^2 / (2 w_j^2) by at most
+      u (10 500 + 155 / w_j), below 0.02 for w_j >= ``_CERTIFIED_WIDTH`` =
+      2^-40.  The products, exp and the normalization add a few u, also in
+      subnormal terms, which the floor keeps above 4e-312 at such widths.
+
+    Rows from ``shared`` on share a chunk with the last pass and decide with
+    it whether the chunk is lifted; their terms must also clear
+    2 ``_LIFT_BELOW``, so that their largest weights clear ``_LIFT_BELOW``
+    and the last pass's rows are lifted as in the full walk.  A NaN outcome
+    certifies nothing.
+    """
+    x = centers[:-1] - levels
+    e = exponents[:-1] * x
+    e *= x
+    np.exp(e, out=e)
+    term = p[levels] * e
+    term *= e
+    density = norms[:-1, None] * term
+    if not np.minimum.reduce(density, axis=None) >= 2.0 * DENSITY_FLOOR:  # also refuses NaN
+        return False
+    return bool((term.ravel()[shared:] >= 2.0 * _LIFT_BELOW).all())
 
 
 def _sequential_posteriors(
-    state: PureState, outcomes: np.ndarray, delta_n: float, moments: bool = True
+    state: PureState, outcomes: np.ndarray, delta_n: float, moments: bool = True, levels=None
 ) -> tuple:
     """Posterior moments after each readout of a block of records, all at once.
 
@@ -390,7 +456,15 @@ def _sequential_posteriors(
     With ``moments`` False the walk checks every density and builds the
     final amplitudes, bit for bit as the full walk does, but takes no
     moments: the mean, variance and <a> are None, and a chunk that holds no
-    row of the last pass stops after its floor check.
+    row of the last pass stops after its floor check.  ``levels``, only
+    with ``moments`` False, are the hidden levels the records were drawn
+    around: one integer for one record, or shape (runs,).  Where the walk
+    has more than one chunk and each level's own term clears the floor on
+    every pass before the last (:func:`_certified`), those passes are not
+    band-summed: the walk covers only the last pass's rows, on their chunks'
+    bands, and builds the same final amplitudes.  Any other record takes the
+    walk above, so the same ``ZeroProbability`` is raised.  With ``levels``
+    the densities are None.
 
     Raises
     ------
@@ -402,9 +476,16 @@ def _sequential_posteriors(
     count = outcomes.shape[0]
     runs = outcomes.size // count
     plan = _posterior_plan(delta_n, count, runs, p.size)
-    passes, exponents, norms, chunks, band_offsets, band_levels = plan
+    passes, exponents, norms, chunks, band_offsets, band_levels, last_chunks, shared = plan
     centers = np.add.accumulate(outcomes).reshape(count, runs)
-    centers = np.divide(centers, passes, out=centers).ravel()
+    np.divide(centers, passes, out=centers)
+    if (
+        levels is not None
+        and last_chunks is not None
+        and _certified(p, centers, levels, exponents, norms, shared)
+    ):
+        chunks = last_chunks
+    centers = centers.ravel()
     density = np.empty(centers.size)
     mean = var = coherence = None
     if moments:
@@ -464,7 +545,7 @@ def _sequential_posteriors(
                 runs_ending = range(ending.start, ending.stop)
                 for run, start, row in zip(runs_ending, first[tail:].tolist(), amps):
                     final[run, start : start + width] = row
-    values = (density, mean, var, coherence)
+    values = (None if levels is not None else density, mean, var, coherence)
     if outcomes.ndim == 1:
         return (*values, final[0])
     return (*(v if v is None else v.reshape(outcomes.shape) for v in values), final)
@@ -677,11 +758,6 @@ def _adequate_lattices(delta_n: np.ndarray, n_max: int) -> _Lattices:
         raise InvalidParam("delta_n must be positive and finite")
     per_unit = 1.0 + np.ceil(_ALIAS_C / delta_n)
     return _Lattices(delta_n, np.full(delta_n.size, float(n_max)), per_unit)
-
-
-def trapezoid(values: np.ndarray, step: float):
-    """Composite trapezoid rule on a uniform grid."""
-    return step * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
 def _too_narrow(mass: float, delta_n: float) -> GridTooNarrow:

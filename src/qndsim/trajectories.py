@@ -52,17 +52,18 @@ def _draw_level(
     return state.level_cdf().searchsorted(gen.random(size), side="right")
 
 
-def _draw_outcomes(state: PureState, delta_n: float, gen, count: int, runs=None) -> np.ndarray:
-    """Readouts of ``count`` passes over one hidden level, shape (count,), or (runs, count).
+def _draw_outcomes(state: PureState, delta_n: float, gen, count: int, runs=None) -> tuple:
+    """Hidden levels, and readouts of ``count`` passes over each, shape (count,), or (runs, count).
 
     level + delta_n z, scaled and shifted in place: what ``gen.normal(level, delta_n)`` draws.
+    The levels are one integer, or shape (runs,).
     """
-    level_shape, shape = (None, (count,)) if runs is None else ((runs, 1), (runs, count))
+    level_shape, shape = (None, (count,)) if runs is None else (runs, (runs, count))
     level = _draw_level(state, gen, level_shape)
     outcomes = gen.standard_normal(shape)
     outcomes *= delta_n
-    outcomes += level
-    return outcomes
+    outcomes += level if runs is None else level[:, None]
+    return level, outcomes
 
 
 def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
@@ -73,7 +74,7 @@ def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
     """
     delta_n = measurement._check_delta_n(delta_n)
     gen, _ = _as_generator(rng)
-    n_m = float(_draw_outcomes(state, delta_n, gen, 1)[0])
+    n_m = float(_draw_outcomes(state, delta_n, gen, 1)[1][0])
     return measurement.measure(state, n_m, delta_n)
 
 
@@ -146,7 +147,10 @@ def repeated_measurement(
     windows multiply), so every pass's moments come from that window, as
     :func:`effective_post_state` builds it for the last pass.  The call
     checks every pass's density and builds the final amplitudes; the
-    per-pass moments wait for their first read (:class:`Trajectory`).
+    per-pass moments wait for their first read (:class:`Trajectory`).  The
+    densities before the last pass are checked by the drawn level's own
+    term where that suffices, and band-summed otherwise
+    (:func:`measurement._certified`).
 
     ``runs`` makes that many independent records in one pass over the level
     moments: ``runs`` levels are drawn first, then a (runs, count) block of
@@ -175,9 +179,12 @@ def repeated_measurement(
             raise InvalidParam("runs must be at least 1")
     delta_n = measurement._check_delta_n(delta_n)
     gen, seed = _as_generator(rng)
-    outcomes = _draw_outcomes(state, delta_n, gen, count, runs)
+    levels, outcomes = _draw_outcomes(state, delta_n, gen, count, runs)
     # The posterior pass takes a block as (count, runs): .T is a view both ways.
-    final = measurement._sequential_posteriors(state, outcomes.T, delta_n, moments=False)[4]
+    # The drawn levels vouch for the densities of every pass before the last.
+    final = measurement._sequential_posteriors(
+        state, outcomes.T, delta_n, moments=False, levels=levels
+    )[4]
     outcomes.setflags(write=False)
     final.setflags(write=False)
     return Trajectory(delta_n, seed, outcomes, final, state)
@@ -242,7 +249,7 @@ def phase_diffusion_equivalence(
     direction = a_initial / abs(a_initial)
 
     # Route one: outcome-sampled conditional coherence.
-    pointer = _draw_outcomes(state, delta_n, gen, 1, samples)[:, 0]
+    pointer = _draw_outcomes(state, delta_n, gen, 1, samples)[1][:, 0]
     conditional = measurement.coherence_after(state, pointer, delta_n)
     projections = np.real(conditional * np.conj(direction)) / abs(a_initial)
     mc_ratio = float(projections.mean())

@@ -19,9 +19,10 @@ from qndsim import (
     quantization_sum,
 )
 from qndsim import approx, figures, measurement
-from qndsim.approx import SERIES_TOL, _series_lengths, _squares
+from qndsim.approx import SERIES_TOL, _quantization_sums, _series_lengths, _squares
 from qndsim.errors import ZeroProbability
-from qndsim.measurement import trapezoid
+
+from helpers import trapezoid
 
 ALPHA3 = CoherentParams(3.0, 0.0)
 
@@ -43,6 +44,23 @@ def gaussian_comb(n_m, delta_n, offset=0.0):
     )
     value = (2.0 * math.pi * delta_n**2) ** -0.5 * total
     return value if np.ndim(n_m) else value[0]
+
+
+def comb_at_40_digits(n_m, delta_n):
+    """(2 pi delta_n^2)**-0.5 sum_n exp(-(n - n_m)^2 / (2 delta_n^2)) at 40 digits.
+
+    Sums every integer within 40 widths and 3 levels of ``n_m``; the rest is
+    below exp(-800) of the peak.
+    """
+    with mpmath.workdps(40):
+        x, dn = mpmath.mpf(n_m), mpmath.mpf(delta_n)
+        reach = 3 + int(40 * delta_n)
+        nearest = int(mpmath.nint(x))
+        total = mpmath.fsum(
+            mpmath.exp(-((x - n) ** 2) / (2 * dn**2))
+            for n in range(nearest - reach, nearest + reach + 1)
+        )
+        return total / mpmath.sqrt(2 * mpmath.pi * dn**2)
 
 
 def dropped_tail(delta_n, count):
@@ -74,15 +92,37 @@ class TestQuantizationSum:
                 series = quantization_sum(grid + offset, float(dn))
                 comb = gaussian_comb(grid, float(dn), offset)
                 assert np.max(np.abs(series - comb)) < 1e-10
-        # Small widths keep up to about 1 350 harmonics, which sum to a comb
-        # peak of about 0.4 / dn: the error is measured against that peak.
+        # Below dn 0.1 the comb is summed directly; its peak is about 0.4 / dn,
+        # and the error is measured against that peak.  dn 0.1 keeps the
+        # series, at the bound it had.
         for dn in (0.001, 0.00103, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1):
             near = np.concatenate([grid, 9.0 + dn * np.linspace(-4.0, 4.0, 81)])
             peak = gaussian_comb(0.0, dn)
+            bound = 1e-14 if dn < 0.1 else 1e-12
             for offset in (0.0, 0.5):
                 series = quantization_sum(near + offset, dn)
                 comb = gaussian_comb(near, dn, offset)
-                assert np.max(np.abs(series - comb)) < 1e-12 * peak, dn
+                assert np.max(np.abs(series - comb)) < bound * peak, dn
+
+    def test_small_widths_match_the_comb_at_40_digits(self):
+        # Where the series would keep hundreds of harmonics, the direct sum
+        # is within a few ulps of the comb's peak.
+        grid = np.concatenate([
+            np.arange(0.0, 20.0001, 0.25), 9.0 + np.linspace(-0.5, 0.5, 41), [1e-7, 1e5 + 0.5],
+        ])
+        for dn in (0.001, 0.00103, 0.002, 0.005, 0.01, 0.02, 0.05, 0.07, 0.099):
+            near = np.concatenate([grid, 9.0 + dn * np.linspace(-4.0, 4.0, 41)])
+            exact = [comb_at_40_digits(x, dn) for x in near]
+            peak = comb_at_40_digits(0.0, dn)
+            error = np.abs(quantization_sum(near, dn) - np.array(exact, dtype=float))
+            assert np.max(error) < 1e-15 * peak, dn
+
+    def test_small_widths_keep_their_bits_in_a_batch(self):
+        grid = np.linspace(0.0, 3.0, 31)
+        widths = [0.05, 0.3, 0.001, 0.8, 0.1]
+        batch = _quantization_sums(grid, _squares(widths))
+        for row, dn in zip(batch, widths):
+            assert row.tobytes() == _quantization_sums(grid, _squares([dn]))[0].tobytes()
 
     def test_classical_limit_is_flat(self):
         for n_m in (0.0, 0.25, 7.5, 13.0):

@@ -30,7 +30,9 @@ from qndsim import (
 from qndsim import correlations, figures, fock
 from qndsim.correlations import _apply_annihilation, _apply_parity
 from qndsim.fock import _scan_support as scan_support
-from qndsim.measurement import QUAD_TOL, _profiles, trapezoid
+from qndsim.measurement import QUAD_TOL, _profiles
+
+from helpers import trapezoid
 from test_kernel import grid_profiles, make_state
 
 ALPHA3 = CoherentParams(3.0, 0.0)

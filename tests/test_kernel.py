@@ -59,8 +59,9 @@ from qndsim.measurement import (
     _too_narrow,
     _window_constants,
     _windows,
-    trapezoid,
 )
+
+from helpers import trapezoid
 
 RTOL = 1e-12
 

@@ -30,8 +30,9 @@ from qndsim import (
     outcome_density,
     random_state,
 )
-from qndsim.measurement import DENSITY_FLOOR, trapezoid
+from qndsim.measurement import DENSITY_FLOOR
 
+from helpers import trapezoid
 from test_kernel import assert_measure_matches_dense, dense_profiles, grid_profiles
 
 

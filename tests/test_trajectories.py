@@ -29,9 +29,10 @@ from qndsim import (
     variance_n,
 )
 from qndsim import measurement
-from qndsim.measurement import _CHUNK_CELLS, _posterior_plan, _sequential_posteriors, trapezoid
+from qndsim.measurement import _CHUNK_CELLS, _posterior_plan, _sequential_posteriors
 from qndsim.trajectories import _draw_level
 
+from helpers import trapezoid
 from test_kernel import dense_condition
 
 ALPHA3 = CoherentParams(3.0, 0.0)
@@ -412,6 +413,13 @@ class TestMomentsOnFirstRead:
             (3.0, 37, 0.5, 400, 5),  # whole, then banded, cut at passes
             (3.0, 37, 0.5, 400, 40),  # cut inside passes
             (25.0, 1015, 0.05, 30, 60),
+            (3.0, 37, 0.02, 300, None),  # one narrow chunk
+            (3.0, 37, 5.0, 1000, None),  # whole, then banded
+            (10.0, 200, 0.3, 2000, None),
+            (25.0, 1015, 5.0, 500, None),
+            (25.0, 1015, 2.0, 200, 7),  # banded, ending in one chunk
+            (10.0, 200, 1.0, 100, 300),  # banded, cut inside passes
+            (3.0, 37, 0.2, 800, 3),
         ],
     )
     def test_moments_are_the_full_walk(self, alpha, n_max, delta_n, count, runs):
@@ -440,9 +448,9 @@ class TestMomentsOnFirstRead:
     def test_one_walk_per_call_and_one_per_first_read(self, alpha3_state, monkeypatch):
         walks = []
 
-        def recording(state, outcomes, delta_n, moments=True):
+        def recording(state, outcomes, delta_n, moments=True, levels=None):
             walks.append(moments)
-            return _sequential_posteriors(state, outcomes, delta_n, moments)
+            return _sequential_posteriors(state, outcomes, delta_n, moments, levels)
 
         monkeypatch.setattr(measurement, "_sequential_posteriors", recording)
         trajectory = repeated_measurement(alpha3_state, 0.5, 20, 4)
@@ -458,6 +466,103 @@ class TestMomentsOnFirstRead:
     def test_outcomes_are_read_only(self, alpha3_state):
         # The moments are read from them later, so they cannot change first.
         assert not repeated_measurement(alpha3_state, 0.5, 20, 4).outcomes.flags.writeable
+
+
+class TestCertifiedPasses:
+    """A record's hidden level vouches for the densities before its last pass."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The number of rows of each chunk the band walks visit, in order."""
+        rows = []
+        band_offsets = measurement._band_offsets
+
+        def recording(block, *args):
+            rows.append(block.size)
+            return band_offsets(block, *args)
+
+        monkeypatch.setattr(measurement, "_band_offsets", recording)
+        return rows
+
+    def test_a_long_collapse_walks_only_its_last_pass(self, walked):
+        state = coherent_state(CoherentParams(25.0, 0.3), 1015)
+        assert len(_posterior_plan(2.0, 200, 1, 1016)[3]) == 4
+        for seed in range(3):
+            walked.clear()
+            repeated_measurement(state, 2.0, 200, seed)
+            assert walked == [1]
+
+    def test_a_batch_walks_only_its_last_pass(self, walked):
+        state = coherent_state(CoherentParams(10.0, 0.3), 200)
+        repeated_measurement(state, 1.0, 100, 5, runs=300)
+        assert sum(walked) == 300
+
+    def test_a_one_chunk_walk_is_left_as_it_is(self, walked, alpha3_state):
+        assert len(_posterior_plan(1.0, 2, 1, alpha3_state.n_max + 1)[3]) == 1
+        repeated_measurement(alpha3_state, 1.0, 2, 4)
+        assert walked == [2]
+
+    def test_a_level_far_from_the_outcomes_takes_the_full_walk(self, walked):
+        state = coherent_state(CoherentParams(25.0, 0.3), 1015)
+        outcomes = repeated_measurement(state, 2.0, 200, 8).outcomes
+        expected = _sequential_posteriors(state, outcomes, 2.0, moments=False)
+        for level in (0, 1015, round(outcomes[0]) + 300):
+            walked.clear()
+            walk = _sequential_posteriors(state, outcomes, 2.0, moments=False, levels=level)
+            assert sum(walked) == 200
+            assert walk[:4] == (None, None, None, None)
+            assert same_bits(walk[4], expected[4])
+
+    def test_a_nan_outcome_takes_the_full_walk(self, walked, alpha3_state):
+        outcomes = np.full(500, 9.0)
+        outcomes[250] = math.nan
+        assert len(_posterior_plan(0.3, 500, 1, alpha3_state.n_max + 1)[3]) > 1
+        for levels in (None, 9):
+            walked.clear()
+            with pytest.raises(ZeroProbability, match="n_m = nan is not a number"):
+                _sequential_posteriors(alpha3_state, outcomes, 0.3, False, levels)
+            assert sum(walked) == 500
+
+    def test_a_vanished_pass_raises_as_before(self, walked):
+        # Levels 5 and 6; pass 1999's running mean is 5.5, where its window,
+        # of width 0.5 / sqrt(1999), reaches neither level, and pass 2000's
+        # is 5 again.
+        amps = np.zeros(10)
+        amps[5:7] = math.sqrt(0.5)
+        state = PureState(amps)
+        outcomes = np.full(2000, 5.0)
+        outcomes[1998], outcomes[1999] = 5.0 + 0.5 * 1999, 5.0 - 0.5 * 1999
+        message = f"window at n_m = 5.5 with delta_n = {0.5 / math.sqrt(1999):g} falls between levels"
+        raised = []
+        for levels in (None, 5):
+            walked.clear()
+            with pytest.raises(ZeroProbability, match=message) as error:
+                _sequential_posteriors(state, outcomes, 0.5, False, levels)
+            raised.append(str(error.value))
+            assert sum(walked) == 2000
+        assert raised[0] == raised[1]
+
+    def test_a_lifted_last_pass_keeps_its_bits(self, walked, alpha3_state):
+        # Every pass but the last sits on level 9; the last moves the mean to
+        # 9.5, 33 widths from both levels, where only the lift keeps the
+        # final amplitudes' digits.
+        outcomes = np.full(400, 9.0)
+        outcomes[-1] = 9.0 + 0.5 * 400
+        walk = _sequential_posteriors(alpha3_state, outcomes, 0.3, False, 9)
+        assert walked[-1:] == [1] and sum(walked) == 1
+        full = _sequential_posteriors(alpha3_state, outcomes, 0.3)
+        assert same_bits(walk[4], full[4])
+
+    def test_a_tiny_weight_beside_the_last_pass_takes_the_full_walk(self, walked, alpha3_state):
+        # Pass 399 shares the last pass's chunk and has its largest weight
+        # below the lift threshold, which decides the chunk's lift, so no
+        # row is certified.
+        outcomes = np.full(400, 9.0)
+        outcomes[-2], outcomes[-1] = 9.0 + 0.5 * 399, 9.0 - 0.5 * 399
+        walk = _sequential_posteriors(alpha3_state, outcomes, 0.3, False, 9)
+        assert sum(walked) == 400
+        full = _sequential_posteriors(alpha3_state, outcomes, 0.3)
+        assert same_bits(walk[4], full[4])
 
 
 def assert_full_walk(trajectory, state):
