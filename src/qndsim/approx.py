@@ -110,8 +110,11 @@ def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
     Every other row adds its harmonics k = 1..K (:func:`_series_lengths`) in
     increasing k, with the coefficients exp(-2 pi^2 dn^2 k^2); a row's zero
     amplitudes beyond its K add 2 * 0 * cos = +-0, which leaves the sum's
-    bits as they are, so a row has the same bits in any batch.
+    bits as they are, so a row has the same bits in any batch.  Both paths take
+    each point less its nearest integer (exact, in [-1/2, 1/2]): the comb is
+    1-periodic, and cos(2 pi k x) loses digits as x grows.
     """
+    grid = grid - np.round(grid)
     # dn < 0.1 exactly when dn^2 < 0.1**2: squaring is monotone, and no float
     # below 0.1 squares to 0.1**2.
     direct = var < _DIRECT_BELOW**2
@@ -134,13 +137,12 @@ def _quantization_sums(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
 def _direct_combs(grid: np.ndarray, var: np.ndarray) -> np.ndarray:
     """The comb (2 pi dn^2)**-0.5 sum_n exp(-(x - n)^2 / (2 dn^2)) on ``grid``, one row per ``var``.
 
-    Sums the three integers nearest each x.  x less its nearest integer is
-    exact, in [-1/2, 1/2], and every other integer lies at least 1.5 from x:
-    at widths below ``_DIRECT_BELOW`` that is 15 widths, where the dropped
-    terms together stay below 1e-48 of the comb's peak (2 pi dn^2)**-0.5.
+    Sums the integers -1, 0 and 1 at points x in [-1/2, 1/2], as
+    :func:`_quantization_sums` reduces them.  Every other integer lies at
+    least 1.5 from x: at widths below ``_DIRECT_BELOW`` that is 15 widths,
+    where the dropped terms stay below 1e-48 of the peak (2 pi dn^2)**-0.5.
     """
-    near = grid - np.round(grid)
-    offsets = near[:, None] - np.array([-1.0, 0.0, 1.0])
+    offsets = grid[:, None] - np.array([-1.0, 0.0, 1.0])
     terms = np.exp((-0.5 / var)[:, None, None] * (offsets * offsets))
     return np.add.reduce(terms, axis=-1) * np.power(2.0 * math.pi * var, -0.5)[:, None]
 

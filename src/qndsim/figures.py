@@ -197,6 +197,9 @@ def sweep_table(
     Columns: quadrature quantization average, normalized average-coherence
     factor, normalized covariance magnitude, and the two closed-form error
     measures of the fringe formulas at the brightest probes.
+    ``coh_err_truncation`` is relative to the full fringe at the half-integer
+    probe, which falls near 1e-136 by dn 0.02: below dn about 0.07 its huge
+    values say only that the fringe has vanished.
     """
     params = params or _default_params()
     columns, state = _resolution_sweep(params, dn_min, dn_max, dn_step)

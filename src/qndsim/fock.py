@@ -3,8 +3,8 @@
 States are complex amplitude vectors indexed by photon number n = 0..n_max.
 All operations are pure functions; nothing here mutates its inputs, so
 everything is safe to call concurrently.  A state keeps what it derives from
-its read-only amplitudes (level moments, support, sampling CDF) once
-computed; concurrent first calls compute the same values.
+its read-only amplitudes (level moments, sampling CDF) once computed;
+concurrent first calls compute the same values.
 :func:`coherent_state` hands every caller the same state for the same
 parameters and basis while any caller holds it, so that state is built and
 its moments derived once; concurrent first calls may build it twice, as
@@ -28,10 +28,6 @@ NORM_TOL = 1e-6
 # Bound on the Poisson probability mass a coherent state's basis may leave
 # beyond its cutoff.
 DEFAULT_TAIL_TOL = 1e-12
-
-# Probability a state's support (:meth:`PureState.support`) may leave beyond
-# each end; an outcome 8 widths past it is reported as far outside the support.
-SUPPORT_TAIL = 1e-16
 
 # Largest basis a state constructor builds, in levels (about |alpha| 3 150
 # for coherent_state); a larger one is refused before anything is allocated.
@@ -102,13 +98,14 @@ class PureState:
     downstream identities hold at machine precision.  Use
     :meth:`from_unnormalized` for arbitrary nonzero vectors.
 
-    The level moments, the support and the sampling CDF are derived once, on
-    first use, and kept with the state: the amplitudes are read-only, so they
-    never go stale, and a state can be shared (as :func:`coherent_state`
-    shares them, through weak references).
+    The level moments and the sampling CDF are derived once, on first use,
+    and kept with the state: the amplitudes are read-only, so they never go
+    stale, and a state can be shared (as :func:`coherent_state` shares them,
+    through weak references).  No support is derived or kept: a vanished
+    outcome is named from its nearest level's weight.
     """
 
-    __slots__ = ("amplitudes", "_moments", "_support", "_cdf", "__weakref__")
+    __slots__ = ("amplitudes", "_moments", "_cdf", "__weakref__")
 
     def __init__(self, amplitudes):
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -127,7 +124,7 @@ class PureState:
         """Take ``amps``, a finite unit-norm complex vector, as the amplitudes."""
         amps.setflags(write=False)
         self.amplitudes = amps
-        self._moments = self._support = self._cdf = None
+        self._moments = self._cdf = None
 
     @classmethod
     def _unit(cls, amplitudes: np.ndarray) -> "PureState":
@@ -188,24 +185,8 @@ class PureState:
             self._cdf = cdf
         return self._cdf
 
-    def support(self) -> tuple[int, int]:
-        """First and last levels that leave at most ``SUPPORT_TAIL`` of the mass beyond each end.
-
-        Scanned on the first call and kept with the state.
-        """
-        if self._support is None:
-            self._support = _scan_support(self.level_moments()[0])
-        return self._support
-
     def __repr__(self) -> str:
         return f"PureState(n_max={self.n_max}, <n>={expectation_n(self):.4g})"
-
-
-def _scan_support(p: np.ndarray) -> tuple[int, int]:
-    """:meth:`PureState.support` of the number distribution ``p``."""
-    below = np.searchsorted(np.cumsum(p), SUPPORT_TAIL, side="right")
-    above = np.searchsorted(np.cumsum(p[::-1]), SUPPORT_TAIL, side="right")
-    return int(below), p.size - 1 - int(above)
 
 
 def _check_levels(n_max: int) -> int:

@@ -159,7 +159,7 @@ def _reach(width: float, factor: float = _BAND_WIDTHS) -> float:
 
 
 def _band_schedule(widths: np.ndarray, levels: int, factor: float = _BAND_WIDTHS):
-    """The chunks (rows, reach, width) of :func:`_bands` for windows of ``widths``, one per outcome.
+    """The chunks (rows, reach, width) of the band walks for windows of ``widths``, one per outcome.
 
     The window of width w at outcome m reaches the levels with
     |n - m| <= factor * w + 1/2 (:func:`_reach`), clipped to the basis: a band
@@ -184,26 +184,13 @@ def _band_schedule(widths: np.ndarray, levels: int, factor: float = _BAND_WIDTHS
 
 
 def _band_offsets(block: np.ndarray, reach: float, levels: int, offsets: np.ndarray):
-    """First levels and offsets of :func:`_bands` at ``block``, band ``offsets`` 0.0, 1.0, ..."""
+    """First levels of the bands at ``block``, and offsets x = m - n to ``offsets`` 0.0, 1.0, ..."""
     if offsets.size == levels:
         return np.zeros(1, dtype=np.intp), block[:, None] - offsets
     # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
     edge = np.ceil(block - reach)
     np.fmin(np.fmax(edge, 0.0, out=edge), levels - offsets.size, out=edge)
     return edge.astype(np.intp), (block - edge)[:, None] - offsets
-
-
-def _bands(centers: np.ndarray, widths, levels: int, factor: float = _BAND_WIDTHS):
-    """Bands of levels the windows reach, in the chunks of :func:`_band_schedule`.
-
-    Each band reaches ``factor`` widths out (:func:`_reach`).  Yields the
-    chunk's slice of outcomes, each one's first level, and the offsets
-    x = m - n from the band's levels to its outcome.  A band that covers the
-    whole basis starts at level 0 for every outcome: its first level is one
-    entry shared by the chunk, and rows indexed by it broadcast.
-    """
-    for rows, reach, width in _band_schedule(widths, levels, factor):
-        yield (rows, *_band_offsets(centers[rows], reach, levels, np.arange(width, dtype=float)))
 
 
 def _windows(values: np.ndarray, width: int) -> np.ndarray:
@@ -278,7 +265,7 @@ def _band_profiles(
 
     The grid need not be sorted.  ``delta_n`` is a float, one width for every
     outcome, or an array of one width per outcome in any order: the outcomes
-    are then visited widest first, as :func:`_bands` needs, and the results
+    are then visited widest first, as :func:`_band_schedule` needs, and the results
     put back in the grid's order.  A float width and an array of widths take
     the same expression for 1/(4 dn^2) and N (:func:`_window_constants`), so
     a constant array gives the float call's values bit for bit.
@@ -314,20 +301,22 @@ def _band_profiles(
 
 
 def _band_sums(p, b, centers, widths, scale, factor: float):
-    """Sums sum_n p_n e(x)^2 and sum_n b_n e(x) e(x - 1) over the bands of :func:`_bands`.
+    """Sums sum_n p_n e(x)^2 and sum_n b_n e(x) e(x - 1) over the bands the windows reach.
 
     e(x) = exp(scale x^2), x = m - n, with the outcomes ``centers`` and their
     windows' ``widths`` (which must not grow), each band reaching ``factor``
-    widths out.  ``scale`` is one float for every outcome or a column of one
-    per outcome.
+    widths out (:func:`_reach`), in the chunks of :func:`_band_schedule`.
+    ``scale`` is one float for every outcome or a column of one per outcome.
+    A band as wide as the basis starts at level 0, one entry that rows broadcast.
     """
     density = np.empty(centers.size)
     coherence = np.empty(centers.size, dtype=np.complex128)
-    width = None
-    for rows, first, x in _bands(centers, widths, p.size, factor):
-        if x.shape[1] != width:
-            width = x.shape[1]
+    offsets = np.empty(0)
+    for rows, reach, width in _band_schedule(widths, p.size, factor):
+        if offsets.size != width:
+            offsets = np.arange(width, dtype=float)
             p_bands, b_bands = _windows(p, width), _windows(b, width)
+        first, x = _band_offsets(centers[rows], reach, p.size, offsets)
         # A float width keeps a scalar factor: a column broadcast is slower.
         e = np.exp((scale if np.ndim(scale) == 0 else scale[rows]) * x * x)
         density[rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
@@ -470,7 +459,8 @@ def _sequential_posteriors(
     ------
     ZeroProbability
         If a pass's density falls below ``DENSITY_FLOOR``: an outcome lies far
-        outside the support, or the pass's window (width dn / sqrt(j)) falls between levels.
+        from every level with weight, or the pass's window (width dn / sqrt(j))
+        falls between levels.
     """
     p, b = state.level_moments()
     count = outcomes.shape[0]
@@ -585,8 +575,8 @@ def measure(state: PureState, n_m: float, delta_n: float) -> OutcomeRecord:
     Raises
     ------
     ZeroProbability
-        If the outcome density underflows: ``n_m`` lies far outside the
-        state's support, or the window is too narrow to reach a level.
+        If the outcome density underflows: ``n_m`` lies far from every
+        level with weight, or the window is too narrow to reach a level.
     """
     delta_n = _check_delta_n(delta_n)
     density, _, _, coherence, post = _sequential_posteriors(state, _grid(n_m), delta_n)
@@ -619,16 +609,19 @@ def _underflow(
     """Why the densities at the outcomes ``vanished`` underflowed, or are NaN.
 
     A NaN outcome has a NaN density, which fails the floor test too, and the
-    message says so.  Within the state's support padded by ``_PAD_WIDTHS`` =
-    8 widths, only a window too narrow to reach a level underflows: at
-    half-integers, below about delta_n = 0.0135.  An outcome beyond gives
-    the message ``beyond``.
+    message says so.  The windows fell between levels when each outcome has
+    a nearest level k (at a half-integer, either neighbour) with
+    p_k (2 pi dn^2)**-0.5 >= ``DENSITY_FLOOR``: the density at the outcome k
+    wherever a window can fall between levels (below about delta_n =
+    0.0135, where g(1) is 0.0).  Any other outcome gives ``beyond``.
     """
     if np.isnan(vanished).any():
         return "outcome n_m = nan is not a number, so its density is NaN"
-    first, last = state.support()
-    pad = _PAD_WIDTHS * delta_n
-    if not np.all((first - pad <= vanished) & (vanished <= last + pad)):
+    p, _ = state.level_moments()
+    nearest = np.array([np.ceil(vanished - 0.5), np.floor(vanished + 0.5)])
+    on_basis = (nearest >= 0.0) & (nearest < p.size)
+    weight = p[np.where(on_basis, nearest, 0.0).astype(np.intp)] * on_basis
+    if not (np.maximum.reduce(weight) * _window_constants(delta_n)[1] >= DENSITY_FLOOR).all():
         return beyond
     return (
         f"the window at n_m = {vanished[0]:g} with delta_n = {delta_n:g} falls between "
@@ -650,23 +643,13 @@ def integer_half_integer_ratio(state: PureState, delta_n: float) -> float:
     return float(totals[0, 0, 0] / totals[0, 0, 1])
 
 
-def _lattice_floor(x: float, per_unit: int) -> int:
-    """Index j of the last lattice point j / per_unit at or below ``x``, compared as floats.
-
-    The last point at or above ``x`` is ``-_lattice_floor(-x, per_unit)``.
-    """
-    j = math.floor(x * per_unit)
-    if (j + 1) / per_unit <= x:
-        return j + 1
-    return j - 1 if j / per_unit > x else j
-
-
 def _lattice_floors(x: np.ndarray, per_unit: np.ndarray) -> np.ndarray:
-    """:func:`_lattice_floor` of every entry of ``x`` on the lattice of ``per_unit``, as floats.
+    """Index j of the last lattice point j / M at or below each ``x``, compared as floats.
 
-    The same float comparisons: (j + 1)/M and j/M are each one rounding of
-    exact integers, as Python's int division rounds them.  At most one of
-    the two corrections applies, so both test the first guess.
+    M is ``per_unit``, and j comes as a float.  The last point at or above
+    ``x`` is ``-_lattice_floors(-x, per_unit)``.  (j + 1)/M and j/M are each
+    one rounding of exact integers, as Python's int division rounds them.
+    At most one of the two corrections applies, so both test the first guess.
     """
     j = np.floor(x * per_unit)
     return j + ((j + 1.0) / per_unit <= x) - (j / per_unit > x)
@@ -721,8 +704,9 @@ class MeasurementConfig:
 
     def _indices(self) -> tuple[int, int]:
         """Indices j of the grid's first and last points j / M."""
-        pad, per_unit = _PAD_WIDTHS * self.delta_n, self.per_unit
-        return _lattice_floor(-pad, per_unit), -_lattice_floor(-(self.n_max + pad), per_unit)
+        pad = _PAD_WIDTHS * self.delta_n
+        first, last = _lattice_floors(np.array([-pad, -(self.n_max + pad)]), self.per_unit)
+        return int(first), -int(last)
 
     def grid(self) -> np.ndarray:
         first, last = self._indices()

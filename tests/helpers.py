@@ -2,6 +2,17 @@
 
 import numpy as np
 
+# Probability the support of :func:`support` may leave beyond each end.
+SUPPORT_TAIL = 1e-16
+
+
+def support(state):
+    """First and last levels of ``state`` that leave at most ``SUPPORT_TAIL`` beyond each end."""
+    p = state.probabilities()
+    below = np.searchsorted(np.cumsum(p), SUPPORT_TAIL, side="right")
+    above = np.searchsorted(np.cumsum(p[::-1]), SUPPORT_TAIL, side="right")
+    return int(below), p.size - 1 - int(above)
+
 
 def trapezoid(values: np.ndarray, step: float):
     """Composite trapezoid rule on a uniform grid."""

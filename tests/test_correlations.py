@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -27,12 +26,11 @@ from qndsim import (
     quantization_coherence_correlation,
     random_state,
 )
-from qndsim import correlations, figures, fock
+from qndsim import correlations
 from qndsim.correlations import _apply_annihilation, _apply_parity
-from qndsim.fock import _scan_support as scan_support
 from qndsim.measurement import QUAD_TOL, _profiles
 
-from helpers import trapezoid
+from helpers import support, trapezoid
 from test_kernel import grid_profiles, make_state
 
 ALPHA3 = CoherentParams(3.0, 0.0)
@@ -91,22 +89,13 @@ def test_aliasing_bounded_grid_matches_fine_grid(n_max, delta_n, kind, seed):
     assert all(abs(g - w) <= tol for g, w in zip(got, want))
 
 
-def test_support_leaves_at_most_1e_16_beyond_each_end():
-    state = coherent_state(CoherentParams(30.0), 1119)
-    p = state.probabilities()
-    n_min, n_max = state.support()
-    assert p[:n_min].sum() <= 1e-16 < p[: n_min + 1].sum()
-    assert n_max == 1119  # the cutoff's 1e-12 tail lies inside the support
-    assert number_state(7, 20).support() == (7, 7)
-
-
 def test_grid_profiles_trims_the_grid_to_the_support():
     # The benchmark's alpha=25 quadrature: 1 015 levels, support 431..841, so
     # 2 491 of the 6 120 points of the lattice j/6.
     state = coherent_state(CoherentParams(25.0, 0.4), 1015)
     config = MeasurementConfig.adequate(0.3, state.n_max)
     grid, density, coherence = grid_profiles(state, config)
-    first, last = state.support()
+    first, last = support(state)
     low, high = first - 8 * 0.3, last + 8 * 0.3
     assert low - config.grid_step < grid[0] <= low
     assert high <= grid[-1] < high + config.grid_step
@@ -370,22 +359,6 @@ class TestOrderingDemo:
 
 
 class TestArgmax:
-    def test_sweep_scans_no_support(self, monkeypatch):
-        scans = []
-
-        def counting(p):
-            scans.append(p.size)
-            return scan_support(p)
-
-        monkeypatch.setattr(fock, "_scan_support", counting)
-        # An empty table of held states: the sweep builds its own state,
-        # whatever else the session holds, and its quadratures sum the
-        # configs' lattices, so they never scan its support.
-        monkeypatch.setattr(fock, "_STATES", weakref.WeakValueDictionary())
-        columns, _ = figures._resolution_sweep(ALPHA3, 0.1, 1.0, 0.002)
-        assert len(columns["q_bar"]) == 451
-        assert not scans
-
     def test_builds_the_state_once(self, monkeypatch):
         built = []
 

@@ -146,7 +146,6 @@ class TestPureState:
             p[0] = 0.0
         assert np.array_equal(p, state.probabilities())
         assert complex(b.sum()) == expectation_a(state)
-        assert state.support() is state.support()
         cdf = state.level_cdf()
         assert state.level_cdf() is cdf
         assert not cdf.flags.writeable

@@ -49,10 +49,10 @@ from qndsim.measurement import (
     QUAD_TOL,
     _adequate_lattices,
     _band_profiles,
+    _band_schedule,
     _band_sums,
     _band_weights,
-    _bands,
-    _lattice_floor,
+    _lattice_floors,
     _profiles,
     _quadratures,
     _reach,
@@ -61,7 +61,7 @@ from qndsim.measurement import (
     _windows,
 )
 
-from helpers import trapezoid
+from helpers import support, trapezoid
 
 RTOL = 1e-12
 
@@ -233,10 +233,9 @@ FACTORS = pytest.mark.parametrize("factor", [_BAND_WIDTHS, _PROFILE_WIDTHS])
 def test_chunks_end_where_the_band_halves(passes, delta_n, factor):
     # Sequential posteriors narrow as dn / sqrt(j); 1 016 levels, as at alpha 25.
     widths = delta_n / np.sqrt(np.arange(1, passes + 1))
-    chunks = list(_bands(np.full(passes, 600.0), widths, 1016, factor))
+    chunks = list(_band_schedule(widths, 1016, factor))
     assert chunks[0][0].start == 0 and chunks[-1][0].stop == passes
-    for (rows, _, x), (after, _, _) in zip(chunks, chunks[1:] + [(None, None, None)]):
-        width = x.shape[1]
+    for (rows, _, width), (after, _, _) in zip(chunks, chunks[1:] + [(None, None, None)]):
         assert np.all(band_width(widths[rows], 1016, factor) >= width / 2)
         assert width * (rows.stop - rows.start) <= max(width, _CHUNK_CELLS)
         if after is not None:
@@ -247,9 +246,8 @@ def test_chunks_end_where_the_band_halves(passes, delta_n, factor):
 
 @FACTORS
 def test_constant_width_chunks_fill_the_cell_budget(factor):
-    grid = np.linspace(0.0, 1000.0, 20_000)
-    chunks = list(_bands(grid, np.full(grid.size, 0.3), 1016, factor))
-    width = chunks[0][2].shape[1]
+    chunks = list(_band_schedule(np.full(20_000, 0.3), 1016, factor))
+    width = chunks[0][2]
     assert width == int(band_width(0.3, 1016, factor))
     assert [rows.stop - rows.start for rows, _, _ in chunks[:-1]] == [_CHUNK_CELLS // width] * (
         len(chunks) - 1
@@ -273,7 +271,7 @@ TAIL_RESOLUTIONS = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 2.0]
 
 def tail_to_tail(state, delta_n, rng, points=1500):
     """Outcomes from 45 widths below the support to 45 widths above it, and lattice probes."""
-    first, last = state.support()
+    first, last = support(state)
     pad = 45.0 * delta_n + 1.0
     spread = np.linspace(first - pad, last + pad, points)
     levels = rng.integers(first, last + 1, size=50).astype(float)
@@ -437,8 +435,6 @@ def test_whole_basis_bands_skip_the_certificate(monkeypatch):
     ],
 )
 def test_coherence_after_names_a_vanished_outcome_as_before(alpha, n_m, delta_n, message):
-    # Built here, not at collection: a coherent state held for the whole run
-    # would keep its support scanned for other tests.
     state = number_state(5, 40) if alpha is None else coherent_state(CoherentParams(alpha))
     with pytest.raises(ZeroProbability) as raised:
         coherence_after(state, np.array([5.0, n_m]), delta_n)
@@ -538,8 +534,8 @@ def _run(config, support):
     per_unit, pad = config.per_unit, _PAD_WIDTHS * config.delta_n
     low, high = config._indices()
     first, last = support
-    start = min(max(_lattice_floor(first - pad, per_unit), low), high)
-    stop = max(min(-_lattice_floor(-(last + pad), per_unit), high), low)
+    start = min(max(int(_lattice_floors(first - pad, per_unit)), low), high)
+    stop = max(min(-int(_lattice_floors(-(last + pad), per_unit)), high), low)
     return start, stop
 
 
@@ -550,7 +546,8 @@ def _lattice_run(config):
     -(``_reach(dn)`` + 1) lies beyond every level's reach, so its profiles
     are 0.0 and the run may start at the last such point.
     """
-    return _lattice_floor(-_reach(config.delta_n) - 1.0, config.per_unit), config._indices()[1]
+    first = int(_lattice_floors(-_reach(config.delta_n) - 1.0, config.per_unit))
+    return first, config._indices()[1]
 
 
 def grid_profiles(state, config, run=None):
@@ -572,7 +569,7 @@ def grid_profiles(state, config, run=None):
     ``GridTooNarrow`` if the run's mass falls short of ``1 - QUAD_TOL``.
     """
     per_unit, delta_n = config.per_unit, config.delta_n
-    start, stop = run or _run(config, state.support())
+    start, stop = run or _run(config, support(state))
     reach = int(_reach(delta_n))
     scale, norm = _window_constants(delta_n)
     weights = _band_weights(per_unit, np.array([scale]), reach)[..., 0]

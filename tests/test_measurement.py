@@ -14,6 +14,7 @@ from qndsim import (
     GridTooNarrow,
     InvalidParam,
     MeasurementConfig,
+    PureState,
     ToleranceWarning,
     ZeroProbability,
     average_coherence,
@@ -255,6 +256,37 @@ def test_vanished_density_names_its_cause(readout):
         readout(state, 9.5, 0.012)
     with pytest.raises(ZeroProbability, match="^an outcome lies far outside the state's support$"):
         readout(state, 60.0, 0.012)
+
+
+@pytest.mark.parametrize("readout", [measure, coherence_after])
+@pytest.mark.parametrize(
+    "build, n_m, delta_n",
+    [
+        # Level 5 holds all the mass a quarter level from the outcome.
+        (lambda: number_state(5, 40), 5.25, 0.005),
+        # A half-integer has two nearest levels; here the odd one holds the mass.
+        (lambda: number_state(5, 40), 5.5, 0.005),
+        # Level 43 has weight 2.2e-16, past the state's 1e-16 tail.
+        (lambda: coherent_state(ALPHA3, 60), 43.5, 0.01),
+    ],
+    ids=["number-state-5.25", "number-state-5.5", "alpha3-n60-43.5"],
+)
+def test_an_outcome_beside_a_weighted_level_falls_between_levels(readout, build, n_m, delta_n):
+    with pytest.raises(ZeroProbability) as raised:
+        readout(build(), n_m, delta_n)
+    assert str(raised.value) == (
+        f"the window at n_m = {n_m:g} with delta_n = {delta_n:g} falls between levels and its "
+        "density underflowed (below about delta_n 0.0135 at half-integers)"
+    )
+
+
+@pytest.mark.parametrize("readout", [measure, coherence_after])
+def test_an_outcome_in_an_empty_gap_lies_outside(readout):
+    # Levels 3 and 9 hold the mass: 6 lies 60 widths from both.
+    amps = np.zeros(21)
+    amps[[3, 9]] = math.sqrt(0.5)
+    with pytest.raises(ZeroProbability, match="^an outcome lies far outside the state's support$"):
+        readout(PureState(amps), 6.0, 0.05)
 
 
 @pytest.mark.parametrize("n_m", [math.nan, np.array([9.0, math.nan])])
