@@ -215,15 +215,21 @@ def sample_table(
     count: int,
     seed: int,
 ) -> Table:
-    """Sequential readout shots on a fresh coherent state, one row per draw."""
+    """Sequential readout shots on a fresh coherent state, one row per draw.
+
+    The draws of :func:`trajectories.repeated_measurement`, with every row's
+    moments from one walk over the passes.
+    """
     params = params or _default_params()
     state = coherent_state(params)
-    trajectory = trajectories.repeated_measurement(state, delta_n, count, seed)
+    seed, outcomes, (_, mean_n, var_n, coherence, _) = trajectories._sampled_walk(
+        state, delta_n, count, seed, None, moments=True
+    )
     columns = {
         "step": np.arange(count),
-        "n_m": trajectory.outcomes,
-        "post_mean_n": trajectory.mean_n,
-        "post_var_n": trajectory.var_n,
-        "a_f_abs": trajectory.coherence_mag,
+        "n_m": outcomes,
+        "post_mean_n": mean_n,
+        "post_var_n": var_n,
+        "a_f_abs": np.abs(coherence),
     }
-    return _table(params, columns, delta_n=delta_n, count=count, seed=trajectory.seed)
+    return _table(params, columns, delta_n=delta_n, count=count, seed=seed)

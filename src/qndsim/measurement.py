@@ -25,40 +25,45 @@ beyond 38.6 widths, so the kernel visits only the levels within
 ``_CHUNK_CELLS`` = 65 536 (outcome, level) cells: work grows with grid size
 times band width, not basis size, and temporary memory stays at a few MB.
 Profiles (:func:`_band_profiles`) sum over a narrower certified band of
-``_PROFILE_WIDTHS`` R = 26 widths first.  The cells beyond it hold at most
+``_PROFILE_WIDTHS`` R = 13 widths first: the smallest whole number of
+widths whose floor 2^60 exp(-R^2 / 2), 2.3e-19, lies below float64's
+epsilon 2^-52 of the unit mass.  The cells beyond it hold at most
 exp(-R^2 / 2) of the unit mass, so a row whose sums clear 2^60 times that
 is within 2^-60 of its full-band value; every other row (far tails, NaN
 outcomes, cancelling coherences) is summed again over the full band, unless
 the narrow band is already the whole basis and the two are the same.  The
-cells it leaves out hold most of the float64 tail's slow work: products
-that come out subnormal (past 37.6 widths) and, in bands clipped at the
-basis edge, exponentials of arguments below -708, both of which take the
-CPU's slow path.  Posteriors and quadratures keep the 38.7-width band on
-every row they sum.  Conditional states are the same band sum over the same
-bands: windows at outcomes x_1..x_j multiply into one window of width
-delta_n / sqrt(j) at their mean, so one pass gives every step of a
-trajectory its posterior, and :func:`measure` is the one-outcome case.  That
-pass's constants and chunks depend only on the resolution, passes, runs and
-basis size, and are planned once per such shape (:func:`_posterior_plan`).
-A sampled trajectory that reads no moments sums the band of its last pass
-only, where the level its outcomes were drawn around vouches for every
-earlier pass's density by its own term (:func:`_certified`).  Profiles take
-one width per outcome in the same way (:func:`_band_profiles`), so a
-sweep's probes at many resolutions are one pass too.  Quadratures over outcomes use the
-trapezoid rule on lattices j/M whose step 1/M bounds its aliasing of the
-unit-period fringes by 1e-16 (:meth:`MeasurementConfig.adequate`), over
-every lattice point up to the config's grid's last point: the same points
-for every state.  On a lattice the offset from a level to an outcome
-depends only on the outcome's residue r = j mod M and the level's distance
-from the integer anchor j // M, and so does every quadrature weight: a
-quadrature is a sum over M residues of M x W exponentials against the
-window's column sums over the anchors (:func:`_residue_totals`), and its
-cost does not grow with the basis.  A resolution sweep is one pass over
-arrays of configs (:func:`_quadratures`), never a Python loop per config,
-and a config's sums are the same bits alone or in any batch.  Per-width
-constants are numpy array expressions, and a float width takes the same
-expression as an array of widths, so a sweep's row and its one-resolution
-call share their bits.
+cells it leaves out are two thirds of the band and all of the float64
+tail's slow work: products that come out subnormal (past 37.6 widths) and,
+in bands clipped at the basis edge, exponentials of arguments below -708,
+both of which take the CPU's slow path.  A band this narrow is a few
+levels (9 at dn 0.3), so profile chunks are laid out offset-major, one row
+per band offset and one column per outcome: every numpy loop runs along a
+chunk's outcomes, and each outcome still sums its band in level order.
+Posteriors and quadratures keep the 38.7-width band on every row they sum.
+Conditional states are the same band sum over the same bands: windows at
+outcomes x_1..x_j multiply into one window of width delta_n / sqrt(j) at
+their mean, so one pass gives every step of a trajectory its posterior, and
+:func:`measure` is the one-outcome case.  That pass's constants and chunks
+depend only on the resolution, passes, runs and basis size, and are planned
+once per such shape (:func:`_posterior_plan`).  A sampled trajectory that
+reads no moments sums the band of its last pass only, where the level its
+outcomes were drawn around vouches for every earlier pass's density by its
+own term (:func:`_certified`).  Profiles take one width per outcome in the
+same way (:func:`_band_profiles`), so a sweep's probes at many resolutions
+are one pass too.  Quadratures over outcomes use the trapezoid rule on
+lattices j/M whose step 1/M bounds its aliasing of the unit-period fringes
+by 1e-16 (:meth:`MeasurementConfig.adequate`), over every lattice point up
+to the config's grid's last point: the same points for every state.  On a
+lattice the offset from a level to an outcome depends only on the outcome's
+residue r = j mod M and the level's distance from the integer anchor
+j // M, and so does every quadrature weight: a quadrature is a sum over M
+residues of M x W exponentials against the window's column sums over the
+anchors (:func:`_residue_totals`), and its cost does not grow with the
+basis.  A resolution sweep is one pass over arrays of configs
+(:func:`_quadratures`), never a Python loop per config, and a config's sums
+are the same bits alone or in any batch.  Per-width constants are numpy
+array expressions, and a float width takes the same expression as an array
+of widths, so a sweep's row and its one-resolution call share their bits.
 
 Everything is a pure function of its inputs; sweeps over outcome grids are
 vectorized internally and safe to parallelize externally.
@@ -104,8 +109,9 @@ QUAD_TOL = 1e-8
 _BAND_WIDTHS = 38.7
 
 # The certified band of profiles, R widths, and the floor 2^60 exp(-R^2 / 2)
-# that a row's sums must clear to be kept (see _band_profiles).
-_PROFILE_WIDTHS = 26.0
+# that a row's sums must clear to be kept (see _band_profiles): R = 13 is the
+# smallest whole R whose floor lies below float64's epsilon 2^-52.
+_PROFILE_WIDTHS = 13.0
 _CERTIFIED = 2.0**60 * math.exp(-0.5 * _PROFILE_WIDTHS**2)
 
 # Far out in a window's tail the products e_n e_{n+1} of a posterior's <a>
@@ -151,7 +157,7 @@ def _reach(width: float, factor: float = _BAND_WIDTHS) -> float:
     """Distance from an outcome to the farthest level its window of ``width`` reaches.
 
     The band runs ``factor`` widths out: by default ``_BAND_WIDTHS`` = 38.7,
-    past where g underflows (38.61 widths), and ``_PROFILE_WIDTHS`` = 26 for
+    past where g underflows (38.61 widths), and ``_PROFILE_WIDTHS`` = 13 for
     the certified bands of :func:`_band_profiles`.  The coherence's Gaussians
     sit half a level off the levels, hence the 1/2.
     """
@@ -183,31 +189,19 @@ def _band_schedule(widths: np.ndarray, levels: int, factor: float = _BAND_WIDTHS
         start = stop
 
 
-def _band_offsets(block: np.ndarray, reach: float, levels: int, offsets: np.ndarray):
-    """First levels of the bands at ``block``, and offsets x = m - n to ``offsets`` 0.0, 1.0, ..."""
-    if offsets.size == levels:
-        return np.zeros(1, dtype=np.intp), block[:, None] - offsets
+def _band_offsets(block: np.ndarray, reach: float, levels: int, width: int):
+    """First levels of the bands of ``width`` levels at the outcomes ``block``, and m - first.
+
+    The outcome m lies x = (m - first) - k from the k-th level of its band.
+    A band as wide as the basis starts at level 0, one entry that rows
+    broadcast, and m - first is the outcome itself.
+    """
+    if width == levels:
+        return np.zeros(1, dtype=np.intp), block
     # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
     edge = np.ceil(block - reach)
-    np.fmin(np.fmax(edge, 0.0, out=edge), levels - offsets.size, out=edge)
-    return edge.astype(np.intp), (block - edge)[:, None] - offsets
-
-
-def _windows(values: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view of every run of ``width`` consecutive entries along the last axis.
-
-    ``_windows(v, width)[..., i, k]`` is ``v[..., i + k]``; ``values`` must be
-    C-contiguous.  Built from the strides by hand: ``sliding_window_view``
-    gives the same view at several times the cost of this small a call.
-    """
-    *lead, size = values.shape
-    step = values.strides[-1]
-    view = np.ndarray(
-        (*lead, size - width + 1, width), values.dtype, values,
-        strides=(*values.strides[:-1], step, step),
-    )
-    view.flags.writeable = False
-    return view
+    np.fmin(np.fmax(edge, 0.0, out=edge), levels - width, out=edge)
+    return edge.astype(np.intp), block - edge
 
 
 def _window_constants(delta_n):
@@ -249,19 +243,22 @@ def _band_profiles(
     Both Gaussians come from one exponential per cell, e(x) = exp(-x^2/(4 dn^2)):
     g(x) = N e(x)^2 and exp(-1/(8 dn^2)) g(x - 1/2) = N e(x) e(x - 1), with
     N = (2 pi dn^2)**-0.5 and x = n_m - n (:func:`_band_sums`).  Each outcome
-    is first summed over the certified band of ``_PROFILE_WIDTHS`` = 26
-    widths.  Every cell it drops lies more than 26 widths out, so its e(x)^2
-    and e(x) e(x - 1) are below eps = exp(-26^2 / 2); the p_n sum to one, so
-    the dropped cells change sum p e^2 by at most eps and sum b e e' by at
-    most eps sum |b_n|.  A row is kept when sum p e^2 >= 2^60 eps and
-    |sum b e e'| >= 2^60 eps sum |b_n|: both sums are then within 2^-60
+    is first summed over the certified band of ``_PROFILE_WIDTHS`` = 13
+    widths.  Every cell it drops lies more than 13 widths out, so its e(x)^2
+    and e(x) e(x - 1) are below t = exp(-13^2 / 2); the p_n sum to one, so
+    the dropped cells change sum p e^2 by at most t and sum b e e' by at
+    most t sum |b_n|.  A row is kept when sum p e^2 >= 2^60 t and
+    |sum b e e'| >= 2^60 t sum |b_n|: both sums are then within 2^-60
     relative of their full-band values, far below float64's rounding
-    (2^-53), and on tail-to-tail grids they come out the same bits.  Every
-    other row (far-tail and NaN outcomes, cancelling coherences) is summed
-    again over the full ``_BAND_WIDTHS`` = 38.7-width band, so it has the
-    full walk's bits, and a vanished density still reads as one.  Where the
-    narrowest window's 26-width band already covers the whole basis, both
-    bands are the same cells, and no row is certified or summed again.
+    (2^-53), and on tail-to-tail grids they come out the same bits.  R = 13
+    is the smallest whole R with 2^60 t below 2^-52, the spacing of floats
+    at the unit mass: only sums below 2.3e-19 of it (of sum |b_n|, for
+    <a>) are summed again.  Those rows (far-tail and NaN outcomes,
+    cancelling coherences) take the full ``_BAND_WIDTHS`` = 38.7-width
+    band, so they have the full walk's bits, and a vanished density still
+    reads as one.  Where the narrowest window's 13-width band already covers
+    the whole basis, both bands are the same cells, and no row is certified
+    or summed again.
 
     The grid need not be sorted.  ``delta_n`` is a float, one width for every
     outcome, or an array of one width per outcome in any order: the outcomes
@@ -278,7 +275,6 @@ def _band_profiles(
         order = np.argsort(-delta_n, kind="stable")
         centers, widths = n_m[order], delta_n[order]
         scale, norm = _window_constants(widths)
-        scale = scale[:, None]
     density, coherence = _band_sums(p, b, centers, widths, scale, _PROFILE_WIDTHS)
     # When even the narrowest band is the whole basis, a refill would sum the same cells.
     if widths.size and 2.0 * _reach(float(widths[-1]), _PROFILE_WIDTHS) + 1.0 < p.size:
@@ -306,22 +302,27 @@ def _band_sums(p, b, centers, widths, scale, factor: float):
     e(x) = exp(scale x^2), x = m - n, with the outcomes ``centers`` and their
     windows' ``widths`` (which must not grow), each band reaching ``factor``
     widths out (:func:`_reach`), in the chunks of :func:`_band_schedule`.
-    ``scale`` is one float for every outcome or a column of one per outcome.
-    A band as wide as the basis starts at level 0, one entry that rows broadcast.
+    ``scale`` is one float for every outcome or an array of one per outcome.
+    A chunk's cells are laid out (band offset k, outcome), with the band's
+    levels gathered as ``p[first + k]``: the bands are a few levels wide and
+    a chunk holds thousands of outcomes, so each numpy loop runs along the
+    outcomes, and each outcome's sums still add its cells in order of k.
     """
     density = np.empty(centers.size)
     coherence = np.empty(centers.size, dtype=np.complex128)
     offsets = np.empty(0)
     for rows, reach, width in _band_schedule(widths, p.size, factor):
         if offsets.size != width:
-            offsets = np.arange(width, dtype=float)
-            p_bands, b_bands = _windows(p, width), _windows(b, width)
-        first, x = _band_offsets(centers[rows], reach, p.size, offsets)
-        # A float width keeps a scalar factor: a column broadcast is slower.
+            offsets = np.arange(width, dtype=float)[:, None]
+            levels = np.arange(width)[:, None]
+        first, start = _band_offsets(centers[rows], reach, p.size, width)
+        x = start - offsets
+        # A float width keeps a scalar factor: a row broadcast is slower.
         e = np.exp((scale if np.ndim(scale) == 0 else scale[rows]) * x * x)
-        density[rows] = np.einsum("ij,ij,ij->i", p_bands[first], e, e)
-        pair = e[:, :-1] * e[:, 1:]
-        coherence[rows] = np.einsum("ij,ij->i", b_bands[first][:, :-1], pair)
+        n = first + levels
+        density[rows] = np.einsum("ki,ki,ki->i", p[n], e, e)
+        pair = e[:-1] * e[1:]
+        coherence[rows] = np.einsum("ki,ki->i", b[n[:-1]], pair)
     return density, coherence
 
 
@@ -485,7 +486,8 @@ def _sequential_posteriors(
     last = centers.size - runs  # the first row of the last pass
     for rows, reach, width in chunks:
         offsets = band_offsets[:width]
-        first, x = _band_offsets(centers[rows], reach, p.size, offsets)
+        first, start = _band_offsets(centers[rows], reach, p.size, width)
+        x = start[:, None] - offsets
         # A band that is the whole basis is one row of levels, shared by the chunk.
         whole = width == p.size
         if whole:

@@ -170,6 +170,23 @@ def repeated_measurement(
     ZeroProbability
         If a pass's density underflows (:func:`measurement._sequential_posteriors`).
     """
+    seed, outcomes, walk = _sampled_walk(state, delta_n, count, rng, runs, moments=False)
+    final = walk[4]
+    outcomes.setflags(write=False)
+    final.setflags(write=False)
+    return Trajectory(delta_n, seed, outcomes, final, state)
+
+
+def _sampled_walk(state: PureState, delta_n, count, rng, runs, moments: bool) -> tuple:
+    """The checked inputs, draw and posterior walk of :func:`repeated_measurement`.
+
+    Returns the integer seed (None for a live generator), the outcomes and
+    what :func:`measurement._sequential_posteriors` returns for them: the
+    densities, means, variances, <a> and final amplitudes.  Without
+    ``moments`` the drawn levels vouch for the densities of every pass
+    before the last, and only the final amplitudes are not None; with them
+    every pass is band-summed, as a :class:`Trajectory`'s first read does.
+    """
     count = _integer(count, "count")
     if count < 1:
         raise InvalidParam("count must be at least 1")
@@ -181,13 +198,10 @@ def repeated_measurement(
     gen, seed = _as_generator(rng)
     levels, outcomes = _draw_outcomes(state, delta_n, gen, count, runs)
     # The posterior pass takes a block as (count, runs): .T is a view both ways.
-    # The drawn levels vouch for the densities of every pass before the last.
-    final = measurement._sequential_posteriors(
-        state, outcomes.T, delta_n, moments=False, levels=levels
-    )[4]
-    outcomes.setflags(write=False)
-    final.setflags(write=False)
-    return Trajectory(delta_n, seed, outcomes, final, state)
+    walk = measurement._sequential_posteriors(
+        state, outcomes.T, delta_n, moments=moments, levels=None if moments else levels
+    )
+    return seed, outcomes, walk
 
 
 def effective_post_state(

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qndsim import CoherentParams, MeasurementConfig, classical_coherence, coherent_state
-from qndsim import __version__, approx, cli, correlations, figures
+from qndsim import __version__, approx, cli, correlations, figures, measurement
+from qndsim.trajectories import repeated_measurement
 from qndsim.errors import InvalidParam
 from test_fock import run_limited
 
@@ -147,6 +148,26 @@ class TestSampleTable:
         with pytest.raises(InvalidParam, match="seed must be an integer"):
             figures.sample_table(None, 0.3, 5, 2.5)
         assert figures.sample_table(None, 0.3, 5, np.int64(2)).config["seed"] == 2
+
+    def test_one_walk_per_table(self, monkeypatch):
+        # The rows are the moments a Trajectory reads on first access, from one
+        # walk over the passes rather than a call-time walk and a second one.
+        trajectory = repeated_measurement(coherent_state(CoherentParams(3.0)), 0.3, 2000, 5)
+        walks = []
+        walk = measurement._sequential_posteriors
+
+        def recording(*args, **kwargs):
+            walks.append(kwargs.get("moments", True))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, "_sequential_posteriors", recording)
+        table = figures.sample_table(None, 0.3, 2000, 5)
+        assert walks == [True]
+        columns = dict(zip(table.columns, np.array(table.rows).T))
+        assert np.array_equal(columns["n_m"], trajectory.outcomes)
+        assert np.array_equal(columns["post_mean_n"], trajectory.mean_n)
+        assert np.array_equal(columns["post_var_n"], trajectory.var_n)
+        assert np.array_equal(columns["a_f_abs"], trajectory.coherence_mag)
 
 
 class TestCliFiles:

@@ -38,7 +38,7 @@ from qndsim import (
     outcome_density,
     random_state,
 )
-from qndsim import measurement
+from qndsim import figures, measurement
 from qndsim.measurement import (
     _BAND_WIDTHS,
     _CERTIFIED,
@@ -58,10 +58,10 @@ from qndsim.measurement import (
     _reach,
     _too_narrow,
     _window_constants,
-    _windows,
 )
+from qndsim.trajectories import _draw_outcomes
 
-from helpers import support, trapezoid
+from helpers import support, trapezoid, windows_view
 
 RTOL = 1e-12
 
@@ -214,11 +214,11 @@ def test_one_width_per_outcome_matches_per_width_calls(order):
 
 def test_windows_are_the_sliding_window_view_read_only():
     values = np.arange(36.0).reshape(3, 12)
-    windows = _windows(values, 5)
+    windows = windows_view(values, 5)
     assert np.array_equal(windows, sliding_window_view(values, 5, axis=1))
     assert not windows.flags.writeable
     complex_values = values[0] * (1 + 2j)
-    assert np.array_equal(_windows(complex_values, 4), sliding_window_view(complex_values, 4))
+    assert np.array_equal(windows_view(complex_values, 4), sliding_window_view(complex_values, 4))
 
 
 def band_width(w, levels, factor=_BAND_WIDTHS):
@@ -336,14 +336,14 @@ def test_far_tail_outcomes_take_the_full_band(monkeypatch):
 
 
 def test_rows_under_the_margin_take_the_full_band(monkeypatch):
-    # Levels 5 and 7 at equal weight (b = 0), outcomes 49 to 54 levels above
-    # level 7 at dn 2: level 5 leaves the certified band (52.5 levels) first,
-    # while level 7 alone still sums to more than exp(-26^2 / 2).  Rows whose
+    # Levels 5 and 7 at equal weight (b = 0), outcomes 24.5 to 27 levels above
+    # level 7 at dn 2: level 5 leaves the certified band (26.5 levels) first,
+    # while level 7 alone still sums to more than exp(-13^2 / 2).  Rows whose
     # sums lie between that and 2^60 times it are off in their last digits.
     amplitudes = np.zeros(120, dtype=complex)
     amplitudes[[5, 7]] = 1.0
     state = PureState.from_unnormalized(amplitudes)
-    grid = 7.0 + np.arange(49.0, 54.01, 0.125)
+    grid = 7.0 + np.arange(24.5, 27.01, 0.0625)
     kept, density, _ = certified_rows(state, grid, 2.0)
     want = full_band_profiles(state, grid, 2.0)
     norm = (2.0 * math.pi * 4.0) ** -0.5
@@ -373,6 +373,7 @@ def test_cancelling_coherences_take_the_full_band(monkeypatch):
     # Random phases on levels 15, 16 and 63, 64 with c_63 = c_15 and
     # c_64 = -c_16 / 2: b_63 = -b_15 exactly (sqrt(16) = 4, sqrt(64) = 8), and
     # at n_m = 39.5 their Gaussians are mirror images, so <a> P sums to 0.
+    # At dn 4 their levels lie 6 widths from it, inside the 13-width band.
     rng = np.random.default_rng(8)
     amplitudes = np.zeros(201, dtype=complex)
     amplitudes[[15, 16]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -381,12 +382,12 @@ def test_cancelling_coherences_take_the_full_band(monkeypatch):
     p, b = state.level_moments()
     assert b[63] == -b[15] and np.count_nonzero(b) == 2
     grid = np.array([20.0, 39.5, 39.75, 50.0])
-    kept, density, coherence = certified_rows(state, grid, 2.0)
+    kept, density, coherence = certified_rows(state, grid, 4.0)
     assert coherence[1] == 0.0 and density[1] >= _CERTIFIED
     assert np.array_equal(kept, [True, False, True, True])
-    got, refilled = refilled_outcomes(monkeypatch, state, grid, 2.0)
+    got, refilled = refilled_outcomes(monkeypatch, state, grid, 4.0)
     assert np.array_equal(refilled, [39.5])
-    assert_same_bits(got, full_band_profiles(state, grid, 2.0))
+    assert_same_bits(got, full_band_profiles(state, grid, 4.0))
     # Random phases over the whole basis cancel in part, never to 2^-60.
     state = random_state(200, rng)
     grid = tail_to_tail(state, 2.0, rng, 600)
@@ -397,18 +398,18 @@ def test_cancelling_coherences_take_the_full_band(monkeypatch):
 
 
 def test_whole_basis_bands_skip_the_certificate(monkeypatch):
-    # On the 38-level alpha-3 basis the 26-width band is the whole basis from
-    # dn = 36 / 52 = 0.692 up: both bands are the same cells, so far-tail and
+    # On the 38-level alpha-3 basis the 13-width band is the whole basis from
+    # dn = 36 / 26 = 1.385 up: both bands are the same cells, so far-tail and
     # NaN outcomes keep their one sum, and it is the full band's.
     state = coherent_state(CoherentParams(3.0, 0.4))
     assert state.n_max + 1 == 38
     grid = np.array([9.0, 60.0, math.nan])
-    for delta_n in (0.7, 1.0, np.array([2.0, 0.7, 1.0])):
+    for delta_n in (1.4, 2.0, np.array([4.0, 1.4, 2.0])):
         got, refilled = refilled_outcomes(monkeypatch, state, grid, delta_n)
         assert refilled.size == 0
         assert_same_bits(got, full_band_profiles(state, grid, delta_n))
     # Just below, the narrow band misses a level and the tail rows are summed again.
-    _, refilled = refilled_outcomes(monkeypatch, state, grid, 0.69)
+    _, refilled = refilled_outcomes(monkeypatch, state, grid, 1.38)
     assert refilled.size == 2
     # A one-outcome coherence_after: one band sum.
     calls = []
@@ -418,8 +419,40 @@ def test_whole_basis_bands_skip_the_certificate(monkeypatch):
         return _band_sums(*args)
 
     monkeypatch.setattr(measurement, "_band_sums", counting)
-    coherence_after(state, 9.0, 0.75)
+    coherence_after(state, 9.0, 1.5)
     assert len(calls) == 1
+
+
+def test_the_certified_floor_is_below_float64_epsilon():
+    # R is the smallest integer width whose floor 2^60 exp(-R^2 / 2) lies
+    # below eps = 2^-52 of the unit mass.
+    assert _CERTIFIED < 2.0**-52
+    assert 2.0**60 * math.exp(-0.5 * (_PROFILE_WIDTHS - 1.0) ** 2) >= 2.0**-52
+
+
+def workload_grids():
+    """(state, outcomes, delta_n) of the profiles that the tables and Monte Carlo checks sum."""
+    dim = coherent_state(CoherentParams(3.0, 0.4))
+    figure_grid = figures._steps(0.0, 20.0, 0.02)
+    for delta_n in figures.PROFILE_RESOLUTIONS.values():
+        yield dim, figure_grid, delta_n
+    for alpha, n_max in ((10.0, 280), (25.0, 1015), (100.0, 11_440)):
+        state = coherent_state(CoherentParams(alpha, 0.4), n_max)
+        grid = np.linspace(alpha**2 - 3.0 * alpha, alpha**2 + 3.0 * alpha, 500)
+        for delta_n in (0.2, 0.3, 0.7):
+            yield state, grid, delta_n
+    # Route one of phase_diffusion_equivalence: outcomes drawn from the density.
+    sampled = _draw_outcomes(dim, 0.3, np.random.default_rng(5), 1, 100_000)[1][:, 0]
+    yield dim, sampled, 0.3
+
+
+def test_workload_grids_refill_no_row(monkeypatch):
+    # Every outcome of these grids clears the certificate, so the 13-width
+    # band alone gives the full band's bits without a second walk.
+    for state, grid, delta_n in workload_grids():
+        got, refilled = refilled_outcomes(monkeypatch, state, grid, delta_n)
+        assert refilled.size == 0
+        assert_same_bits(got, full_band_profiles(state, grid, delta_n))
 
 
 @pytest.mark.parametrize(
@@ -585,7 +618,7 @@ def grid_profiles(state, config, run=None):
     inside = slice(max(base, 0), min(q_last + reach + 2, p.size))
     into = slice(inside.start - base, inside.stop - base)
     levels[0, into], levels[1, into], levels[2, into] = p[inside], b.real[inside], b.imag[inside]
-    windows = _windows(levels, width)
+    windows = windows_view(levels, width)
 
     anchors = q_last - q_first + 1
     density = np.empty((anchors, per_unit))
