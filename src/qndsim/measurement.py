@@ -133,12 +133,16 @@ _CHUNK_CELLS = 65536
 # allocator keeps for the next chunk rather than faulting it in afresh.
 _RESIDUE_CELLS = _CHUNK_CELLS // 4
 
+# The start of every band that is the whole basis (see _band_offsets).
+_WHOLE_START = np.zeros(1, dtype=np.intp)
+_WHOLE_START.flags.writeable = False
+
 
 def _check_delta_n(delta_n: float, allow_inf: bool = False) -> float:
     delta_n = float(delta_n)
-    if math.isnan(delta_n) or delta_n <= 0.0:
+    if not delta_n > 0.0:  # also NaN
         raise InvalidParam("delta_n must be positive")
-    if math.isinf(delta_n) and not allow_inf:
+    if delta_n == math.inf and not allow_inf:
         raise InvalidParam("delta_n must be finite")
     return delta_n
 
@@ -197,7 +201,7 @@ def _band_offsets(block: np.ndarray, reach: float, levels: int, width: int):
     broadcast, and m - first is the outcome itself.
     """
     if width == levels:
-        return np.zeros(1, dtype=np.intp), block
+        return _WHOLE_START, block
     # fmax/fmin give a NaN outcome a valid band start; its values stay NaN.
     edge = np.ceil(block - reach)
     np.fmin(np.fmax(edge, 0.0, out=edge), levels - width, out=edge)
@@ -344,8 +348,10 @@ def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple
     a walk whose earlier passes :func:`_certified` may vouch for, the chunks
     cut down to the rows of the last pass, with the first row that shares a
     chunk with them (None and 0 for a one-chunk walk, which has nothing to
-    skip, or a last window narrower than ``_CERTIFIED_WIDTH``).  Nothing
-    grows with ``runs``: the rows of a pass share its constants.
+    skip, or a last window narrower than ``_CERTIFIED_WIDTH``); and the
+    lift screen, 2 ``_LIFT_BELOW`` (1 + 2^-50) times the largest
+    normalization (see :func:`_sequential_posteriors`).  Nothing grows with
+    ``runs``: the rows of a pass share its constants.
     """
     passes = np.arange(1.0, count + 1.0)
     root = np.sqrt(passes)
@@ -369,7 +375,10 @@ def _posterior_plan(delta_n: float, count: int, runs: int, levels: int) -> tuple
             if rows.stop > last
         )
         shared = next(rows.start for rows, _, _ in chunks if rows.stop > last)
-    return passes[:, None], exponent[:, None], norm, chunks, *arrays[3:], last_chunks, shared
+    screen = 2.0 * _LIFT_BELOW * (1.0 + 2.0**-50) * float(norm[-1])
+    return (
+        passes[:, None], exponent[:, None], norm, chunks, *arrays[3:], last_chunks, shared, screen
+    )
 
 
 def _certified(p, centers, levels, exponents, norms, shared: int) -> bool:
@@ -456,6 +465,22 @@ def _sequential_posteriors(
     walk above, so the same ``ZeroProbability`` is raised.  With ``levels``
     the densities are None.
 
+    A walk of one chunk, such as the two passes of a record at dn 1 on the
+    38-level alpha-3 basis, checks every pass's density against the floor,
+    decides the lift over all its rows, and builds the final amplitudes from
+    the last pass's e.  Without moments the lift reads only each row's
+    largest weight, and the walk forms none where every density of the
+    chunk clears width times the plan's screen 2 ``_LIFT_BELOW`` (1 + 2^-50)
+    max_j norm_j: each density rounds norm_j T_j once, so each total T_j is
+    then at least 2 width ``_LIFT_BELOW``, and T_j, a float sum of the
+    row's width nonnegative terms, each within a few ulps (or a subnormal
+    step) of a weight the lift reads, stays below that unless one of those
+    weights clears ``_LIFT_BELOW``.  Every row's largest weight then clears
+    it, so the lift, which fires when one falls below it, is not taken in
+    this walk or the full one.  One record whose last band is the whole
+    basis is normalized as a vector, the same pairwise sum as a row of the
+    (runs, levels) block.
+
     Raises
     ------
     ZeroProbability
@@ -467,9 +492,9 @@ def _sequential_posteriors(
     count = outcomes.shape[0]
     runs = outcomes.size // count
     plan = _posterior_plan(delta_n, count, runs, p.size)
-    passes, exponents, norms, chunks, band_offsets, band_levels, last_chunks, shared = plan
+    passes, exponents, norms, chunks, band_offsets, band_levels, last_chunks, shared, screen = plan
     centers = np.add.accumulate(outcomes).reshape(count, runs)
-    np.divide(centers, passes, out=centers)
+    centers /= passes
     if (
         levels is not None
         and last_chunks is not None
@@ -477,12 +502,16 @@ def _sequential_posteriors(
     ):
         chunks = last_chunks
     centers = centers.ravel()
-    density = np.empty(centers.size)
+    # With levels the densities are only checked, never returned.
+    density = None if levels is not None else np.empty(centers.size)
     mean = var = coherence = None
     if moments:
         mean, var = np.empty(centers.size), np.empty(centers.size)
         coherence = np.empty(centers.size, dtype=np.complex128)
-    final = np.zeros((runs, p.size), dtype=np.complex128)
+    # One record whose last band is the whole basis has one final vector, built as it is.
+    vector = runs == 1 and chunks[-1][2] == p.size
+    if not vector:
+        final = np.zeros((runs, p.size), dtype=np.complex128)
     last = centers.size - runs  # the first row of the last pass
     for rows, reach, width in chunks:
         offsets = band_offsets[:width]
@@ -500,22 +529,27 @@ def _sequential_posteriors(
         e *= x
         np.exp(e, out=e)
         total = np.einsum("ij,ij,ij->i", p_band, e, e)
-        band_density = np.multiply(norms[at], total, out=density[rows])
-        if not np.minimum.reduce(band_density) >= DENSITY_FLOOR:  # also catches NaN
+        out = None if density is None else density[rows]
+        band_density = np.multiply(norms[at], total, out=out)
+        low = np.minimum.reduce(band_density)
+        if not low >= DENSITY_FLOOR:  # also catches NaN
             j = rows.start + int(np.argmin(band_density >= DENSITY_FLOOR))
             width_j = delta_n / math.sqrt(j // runs + 1)
             raise ZeroProbability(_underflow(state, centers[j : j + 1], width_j))
         if not moments and rows.stop <= last:
             continue  # nothing is read from this chunk but its densities
-        weight = p_band * e
-        weight *= e
-        peak = np.maximum.reduce(weight, axis=1, keepdims=True)
-        if np.minimum.reduce(peak, axis=None) < _LIFT_BELOW:
-            # Lift each pass's e by the power of two >= 1 that brings its largest
-            # weight near one: every term and the total scale exactly.
-            lift = np.ldexp(1.0, -(np.frexp(peak)[1] // 2))
-            e *= lift
-            total = total * lift[:, 0] ** 2
+        # Without moments only the lift reads the weights, and densities this
+        # large prove that it does not fire (see the docstring).
+        if moments or low < width * screen:
+            weight = p_band * e
+            weight *= e
+            peak = np.maximum.reduce(weight, axis=1, keepdims=True)
+            if np.minimum.reduce(peak, axis=None) < _LIFT_BELOW:
+                # Lift each pass's e by the power of two >= 1 that brings its largest
+                # weight near one: every term and the total scale exactly.
+                lift = np.ldexp(1.0, -(np.frexp(peak)[1] // 2))
+                e *= lift
+                total = total * lift[:, 0] ** 2
         if moments:
             weight /= peak
             scale = np.add.reduce(weight, axis=1)
@@ -526,7 +560,12 @@ def _sequential_posteriors(
             b_band = b[None, :-1] if whole else b[n[:, :-1]]
             pair = e[:, :-1] * e[:, 1:]
             np.divide(np.einsum("ij,ij->i", b_band, pair), total, out=coherence[rows])
-        if rows.stop > last:
+        if vector and rows.stop > last:
+            # The same pairwise sum of squared parts as a row of _unit_rows.
+            final = state.amplitudes * e[-1]
+            parts = final.view(np.float64)
+            final /= math.sqrt(np.add.reduce(parts * parts))
+        elif rows.stop > last:
             # Rows of the last pass: the amplitudes c_n e(n), scaled to unit norm.
             tail = max(last - rows.start, 0)
             ending = slice(rows.start + tail - last, rows.stop - last)
@@ -537,9 +576,10 @@ def _sequential_posteriors(
                 runs_ending = range(ending.start, ending.stop)
                 for run, start, row in zip(runs_ending, first[tail:].tolist(), amps):
                     final[run, start : start + width] = row
-    values = (None if levels is not None else density, mean, var, coherence)
     if outcomes.ndim == 1:
-        return (*values, final[0])
+        return density, mean, var, coherence, final if vector else final[0]
+    values = (density, mean, var, coherence)
+    final = final[None] if vector else final
     return (*(v if v is None else v.reshape(outcomes.shape) for v in values), final)
 
 

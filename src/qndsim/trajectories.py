@@ -58,11 +58,10 @@ def _draw_outcomes(state: PureState, delta_n: float, gen, count: int, runs=None)
     level + delta_n z, scaled and shifted in place: what ``gen.normal(level, delta_n)`` draws.
     The levels are one integer, or shape (runs,).
     """
-    level_shape, shape = (None, (count,)) if runs is None else (runs, (runs, count))
-    level = _draw_level(state, gen, level_shape)
-    outcomes = gen.standard_normal(shape)
+    level = _draw_level(state, gen, runs)
+    outcomes = gen.standard_normal(count if runs is None else (runs, count))
     outcomes *= delta_n
-    outcomes += level if runs is None else level[:, None]
+    outcomes += float(level) if runs is None else level[:, None]
     return level, outcomes
 
 
@@ -82,19 +81,21 @@ def sample_outcome(state: PureState, delta_n: float, rng) -> OutcomeRecord:
 class Trajectory:
     """Sequential readout records at fixed resolution, one array entry per pass.
 
-    ``outcomes`` holds the read-only readout values; ``mean_n``, ``var_n``
-    and ``coherence_mag`` the mean photon number, its variance and |<a>| of
-    the conditional state after each pass.  ``final_amplitudes`` holds the
-    read-only, unit-norm conditional amplitudes after the last pass.  One
-    record has arrays of shape (count,) and (levels,); a batch of ``runs``
-    records puts a leading runs axis on each.  ``seed`` is the integer seed
-    when one was supplied (None when the caller passed a live generator).
+    ``outcomes`` holds the read-only readout values; ``mean_n``, ``var_n``,
+    ``coherence`` and ``coherence_mag`` the mean photon number, its
+    variance, the complex <a> and its magnitude |<a>| of the conditional
+    state after each pass.  ``final_amplitudes`` holds the read-only,
+    unit-norm conditional amplitudes after the last pass.  One record has
+    arrays of shape (count,) and (levels,); a batch of ``runs`` records puts
+    a leading runs axis on each.  ``seed`` is the integer seed when one was
+    supplied (None when the caller passed a live generator).
 
-    The three moment arrays are computed on first read, all three by one
-    second walk over the passes (:func:`measurement._sequential_posteriors`),
-    and every later read returns the same arrays.  Callers that read only
-    the outcomes and the final state never pay for them; for that the record
-    keeps its input state alive.
+    The moment arrays are computed on first read, all of them by one second
+    walk over the passes (:func:`measurement._sequential_posteriors`), and
+    every later read returns the same arrays; ``coherence_mag`` is
+    ``np.abs(coherence)``.  Callers that read only the outcomes and the
+    final state never pay for them; for that the record keeps its input
+    state alive.
     """
 
     delta_n: float
@@ -104,12 +105,12 @@ class Trajectory:
     _state: PureState = field(repr=False)
 
     @functools.cached_property
-    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _moments(self) -> tuple[np.ndarray, ...]:
         # The block walk takes (count, runs): .T is a view both ways.
         _, mean_n, var_n, coherence, _ = measurement._sequential_posteriors(
             self._state, self.outcomes.T, self.delta_n
         )
-        return mean_n.T, var_n.T, np.abs(coherence.T)
+        return mean_n.T, var_n.T, coherence.T, np.abs(coherence.T)
 
     @property
     def mean_n(self) -> np.ndarray:
@@ -120,8 +121,12 @@ class Trajectory:
         return self._moments[1]
 
     @property
-    def coherence_mag(self) -> np.ndarray:
+    def coherence(self) -> np.ndarray:
         return self._moments[2]
+
+    @property
+    def coherence_mag(self) -> np.ndarray:
+        return self._moments[3]
 
     @property
     def final_state(self) -> PureState:

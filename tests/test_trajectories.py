@@ -424,7 +424,9 @@ class TestMomentsOnFirstRead:
     )
     def test_moments_are_the_full_walk(self, alpha, n_max, delta_n, count, runs):
         state = coherent_state(CoherentParams(alpha, 0.3), n_max)
-        for seed in range(3):
+        # The martingale op's record, two passes in one whole-basis chunk, takes many seeds.
+        seeds = 200 if (n_max, delta_n, count, runs) == (37, 1.0, 2, None) else 3
+        for seed in range(seeds):
             trajectory = repeated_measurement(state, delta_n, count, seed, runs=runs)
             assert_full_walk(trajectory, state)
 
@@ -445,6 +447,45 @@ class TestMomentsOnFirstRead:
             assert walk[1:4] == (None, None, None)
             assert same_bits(walk[0], full[0]) and same_bits(walk[4], full[4])
 
+    @pytest.mark.parametrize(
+        "outcomes, lifted",
+        [
+            ([-21.0, -21.0], True),  # the last pass's largest weight is 3.7e-196
+            ([-20.5, -21.3], True),
+            ([9.2, 8.6], False),
+        ],
+    )
+    def test_a_whole_basis_record_lifts_as_the_full_walk(self, outcomes, lifted, monkeypatch):
+        # Two passes at dn 1 on the 38-level basis are one whole-basis chunk;
+        # running means near -21 put the last pass 30 widths below level 0.
+        state = coherent_state(CoherentParams(3.0, 0.4))
+        chunks = _posterior_plan(1.0, 2, 1, state.n_max + 1)[3]
+        assert len(chunks) == 1 and chunks[0][2] == state.n_max + 1
+        outcomes = np.array(outcomes)
+        means = np.cumsum(outcomes) / [1.0, 2.0]
+        n = np.arange(state.n_max + 1.0)
+        weights = state.probabilities() * np.exp(-(n - means[:, None]) ** 2 * [[0.5], [1.0]])
+        assert bool(weights.max(axis=1).min() < measurement._LIFT_BELOW) == lifted
+        full = _sequential_posteriors(state, outcomes, 1.0)
+        for levels in (None, 0):
+            walk = _sequential_posteriors(state, outcomes, 1.0, False, levels)
+            assert walk[1:4] == (None, None, None)
+            assert same_bits(walk[4], full[4])
+        # The lift is what keeps those bits: without it the far levels' amplitudes move.
+        monkeypatch.setattr(measurement, "_LIFT_BELOW", 0.0)
+        unlifted = _sequential_posteriors(state, outcomes, 1.0, moments=False)[4]
+        assert same_bits(unlifted, full[4]) != lifted
+
+    def test_the_lift_screen_skips_no_lift(self):
+        # Last-pass means across the lift threshold (largest weight 1e-150 near
+        # -18.3) and the screen's (densities of about 4e-148): each record keeps
+        # the full walk's final amplitudes, lifted or not.
+        state = coherent_state(CoherentParams(3.0, 0.4))
+        for mean in np.linspace(-19.5, -17.0, 251):
+            outcomes = np.array([mean + 0.25, mean - 0.25])
+            walk = _sequential_posteriors(state, outcomes, 1.0, moments=False)
+            assert same_bits(walk[4], _sequential_posteriors(state, outcomes, 1.0)[4])
+
     def test_one_walk_per_call_and_one_per_first_read(self, alpha3_state, monkeypatch):
         walks = []
 
@@ -460,6 +501,7 @@ class TestMomentsOnFirstRead:
         assert walks == [False, True]
         assert trajectory.var_n is trajectory.var_n
         assert trajectory.coherence_mag is trajectory.coherence_mag
+        assert trajectory.coherence is trajectory.coherence
         assert trajectory.mean_n is mean_n
         assert walks == [False, True]
 
@@ -573,7 +615,8 @@ def assert_full_walk(trajectory, state):
     assert same_bits(trajectory.final_amplitudes, final)
     assert same_bits(trajectory.mean_n, mean_n.T)
     assert same_bits(trajectory.var_n, var_n.T)
-    assert same_bits(trajectory.coherence_mag, np.abs(coherence.T))
+    assert same_bits(trajectory.coherence, coherence.T)
+    assert same_bits(trajectory.coherence_mag, np.abs(trajectory.coherence))
 
 
 def test_posterior_coherence_takes_the_phase_noise_of_each_pass():
