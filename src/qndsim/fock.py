@@ -8,11 +8,16 @@ concurrent first calls compute the same values.
 :func:`coherent_state` hands every caller the same state for the same
 parameters and basis while any caller holds it, so that state is built and
 its moments derived once; concurrent first calls may build it twice, as
-value-equal states.
+value-equal states.  What a coherent state does not owe to its phase is
+computed once and kept in small bounded caches: the certified cutoff once
+per (|alpha|^2, tail tolerance), and the window start and Poisson roots
+once per (|alpha|^2, n_max); a state at a new phase pays only for its
+phase factors and its normalization.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 
@@ -48,6 +53,10 @@ _TAIL_CHUNK = 1 << 16
 # below this bound weigh exactly 0.0.  The margin of 55 is far beyond the
 # gammaln form's cancellation error (below 1e-8 up to MAX_LEVELS).
 _LOG_UNDERFLOW = -800.0
+
+# Means |alpha|^2 whose phase-independent parts each cache keeps: cutoffs per
+# (mean, tail tolerance), and Poisson roots per (mean, n_max).
+_CACHED_MEANS = 16
 
 # The coherent states some caller holds, by (magnitude, phase, sign of the
 # phase, n_max); an entry leaves when its last holder drops it.
@@ -160,9 +169,15 @@ class PureState:
         """
         if self._moments is None:
             c = self.amplitudes
-            p = self.probabilities()
-            b = np.zeros(c.size, dtype=np.complex128)
-            b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
+            # |c_n|^2 and conj(c_n) c_{n+1} sqrt(n + 1), in the order of
+            # np.abs(c)**2 and np.conj(c[:-1]) * c[1:] * sqrt, in place.
+            p = np.abs(c)
+            p *= p
+            b = np.empty(c.size, dtype=np.complex128)
+            np.conjugate(c[:-1], out=b[:-1])
+            b[:-1] *= c[1:]
+            b[:-1] *= _level_roots(c.size)
+            b[-1] = 0.0
             p.setflags(write=False)
             b.setflags(write=False)
             self._moments = (p, b)
@@ -187,6 +202,24 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(n_max={self.n_max}, <n>={expectation_n(self):.4g})"
+
+
+_ROOTS = np.empty(0)
+
+
+def _level_roots(levels: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(levels - 1), read-only.
+
+    A prefix of one array kept for the largest basis whose moments were
+    taken: at most 8 bytes a level of that basis (80 MB at ``MAX_LEVELS``).
+    """
+    global _ROOTS
+    roots = _ROOTS
+    if roots.size < levels - 1:
+        roots = np.sqrt(np.arange(1, levels))
+        roots.setflags(write=False)
+        _ROOTS = roots
+    return roots[: levels - 1]
 
 
 def _check_levels(n_max: int) -> int:
@@ -217,6 +250,14 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
     below it weighs exactly 0.0 (level 0 already reaches it when
     |alpha|^2 <= 800).  After truncation the state is renormalized.
 
+    Only the phase factors exp(-1j phase n) and the normalization depend on
+    the phase.  The window start and the Poisson roots are built once per
+    (|alpha|^2, n_max) (:func:`_poisson_part`), and the certified cutoff
+    once per (|alpha|^2, tail tolerance) (:func:`choose_truncation`), so a
+    state at a new phase costs its phase factors, two norms and two scalings.
+    The amplitudes are the bits of sqrt(weights) * exp(-1j phase n) divided
+    twice by the norm, as one vector over every level gives them.
+
     While any caller holds the state for the same magnitude, phase and
     ``n_max`` (given or defaulted), the same object is returned; the
     arguments are checked on every call.
@@ -237,7 +278,7 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
         raise InvalidParam("n_max must be non-negative")
     if explicit:
         lam, top = _pass_start(params, DEFAULT_TAIL_TOL)
-        if n_max < top and n_max < (certified := _summed_cutoff(lam, DEFAULT_TAIL_TOL, top)):
+        if n_max < top and n_max < (certified := _certified_cutoff(lam, DEFAULT_TAIL_TOL)):
             raise TruncationTooSmall(
                 f"n_max={n_max} lies below {certified}, "
                 f"the cutoff certified to {DEFAULT_TAIL_TOL:g}"
@@ -248,7 +289,48 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
     if state is not None:
         return state
 
-    lam = params.mean_photon_number
+    lo, roots, zeros = _poisson_part(params.mean_photon_number, n_max)
+    amps = np.empty(n_max + 1, dtype=np.complex128)
+    amps[:lo] = 0.0
+    window = amps[lo:]
+    np.multiply(-1j * params.phase, np.arange(lo, n_max + 1), out=window)
+    np.exp(window, out=window)
+    # Roots first, as in sqrt(weights) * exp(...): where a part of a product
+    # underflows, numpy's complex product gives a zero whose sign depends on
+    # the operand order.
+    np.multiply(roots, window[: roots.size], out=window[: roots.size])
+    if zeros:
+        window[roots.size :] *= 0.0
+        # numpy's complex division by a real c takes (re + im 0) (1/c) and
+        # (im - re 0) (1/c): the scalings below by 1/c on the float parts,
+        # except that it leaves the real part of a zero product +0.0.  The
+        # products are zero exactly where the roots are, so that is set here.
+        real = amps.real
+        for span in zeros:
+            real[span] = 0.0
+    # Both norms over the whole vector: the same sums, in the same order, as
+    # a vector evaluated at every level.
+    parts = amps.view(np.float64)
+    parts *= 1.0 / float(np.linalg.norm(amps))
+    # The constructor's rescaling, without its scans: the weights are finite.
+    parts *= 1.0 / float(np.linalg.norm(amps))
+    state = _STATES[key] = PureState._unit(amps)
+    return state
+
+
+@functools.lru_cache(maxsize=_CACHED_MEANS)
+def _poisson_part(lam: float, n_max: int) -> tuple[int, np.ndarray, tuple[slice, ...]]:
+    """The phase-independent part of :func:`coherent_state` on levels 0..n_max.
+
+    Returns the window start ``lo`` (:func:`_window_start`), the read-only
+    roots sqrt(exp(-lam + n log lam - gammaln(n + 1))) of the levels from
+    ``lo`` up to the last one whose weight is not 0.0, and the spans of
+    levels from ``lo`` on whose root is 0.0, those past the last root
+    included.  The roots run from log-weight -800 below the mean to -745.2
+    above it, about 80 sqrt(lam) levels for a large mean (180 at most for a
+    mean below 1): at most about 2 MB an entry, for a mean near
+    ``MAX_LEVELS``, and 32 MB for the ``_CACHED_MEANS`` entries kept.
+    """
     lo = _window_start(lam)
     n = np.arange(lo, n_max + 1)
     if lam == 0.0:
@@ -256,16 +338,13 @@ def coherent_state(params: CoherentParams, n_max: int | None = None) -> PureStat
         weights[0] = 1.0
     else:
         weights = np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
-
-    amps = np.empty(n_max + 1, dtype=np.complex128)
-    amps[:lo] = 0.0
-    np.multiply(np.sqrt(weights), np.exp(-1j * params.phase * n), out=amps[lo:])
-    # Both norms over the whole vector: the same sums, in the same order, as
-    # a vector evaluated at every level.
-    amps /= np.linalg.norm(amps)
-    # The constructor's rescaling, without its scans: the weights are finite.
-    state = _STATES[key] = PureState._unit(amps / float(np.linalg.norm(amps)))
-    return state
+    roots = np.sqrt(weights)
+    edges = np.flatnonzero(np.diff(roots == 0.0, prepend=False, append=False)).tolist()
+    zeros = tuple(slice(lo + start, lo + stop) for start, stop in zip(edges[::2], edges[1::2]))
+    if zeros and zeros[-1].stop == n_max + 1:
+        roots = roots[: zeros[-1].start - lo].copy()
+    roots.setflags(write=False)
+    return lo, roots, zeros
 
 
 def _window_start(lam: float) -> int:
@@ -297,9 +376,12 @@ def choose_truncation(params: CoherentParams, tail_tol: float) -> int:
     :func:`_log_poisson`, and stops at the first tail that reaches
     ``tail_tol``.  (SciPy's Poisson survival function reads these tails up to
     0.7% low at bright fields.)  Means above ``_MAX_SUMMED_MEAN`` are refused.
+    The start level and the cutoff are kept per (|alpha|^2, ``tail_tol``),
+    for the last ``_CACHED_MEANS`` pairs each; the tolerance is checked on
+    every call.
     """
-    lam, top = _pass_start(params, tail_tol)
-    return _summed_cutoff(lam, tail_tol, top)
+    lam, _ = _pass_start(params, tail_tol)
+    return _certified_cutoff(lam, tail_tol)
 
 
 def _pass_start(params: CoherentParams, tail_tol: float) -> tuple[float, int]:
@@ -316,8 +398,14 @@ def _pass_start(params: CoherentParams, tail_tol: float) -> tuple[float, int]:
             f"tail_tol below {_MIN_CERTIFIABLE_TAIL:g} cannot be certified in double precision"
         )
     lam = params.mean_photon_number
+    return lam, _start_level(lam, tail_tol)
+
+
+@functools.lru_cache(maxsize=_CACHED_MEANS)
+def _start_level(lam: float, tail_tol: float) -> int:
+    """The ``top`` of :func:`_pass_start`, for a ``tail_tol`` it has checked."""
     if -math.expm1(-lam) < tail_tol:
-        return lam, 0
+        return 0
     if lam > _MAX_SUMMED_MEAN:
         raise InvalidParam(
             f"|alpha|^2 = {lam:g} lies above {_MAX_SUMMED_MEAN:g}, "
@@ -331,7 +419,13 @@ def _pass_start(params: CoherentParams, tail_tol: float) -> tuple[float, int]:
     top, step = math.floor(lam + 10.0 * math.sqrt(lam)) + 1, math.isqrt(math.floor(lam)) + 1
     while _log_poisson(top + 1, lam) - math.log1p(-lam / (top + 2)) > log_left_off:
         top += step
-    return lam, top
+    return top
+
+
+@functools.lru_cache(maxsize=_CACHED_MEANS)
+def _certified_cutoff(lam: float, tail_tol: float) -> int:
+    """:func:`choose_truncation`'s cutoff, for a ``tail_tol`` :func:`_pass_start` has checked."""
+    return _summed_cutoff(lam, tail_tol, _start_level(lam, tail_tol))
 
 
 def _summed_cutoff(lam: float, tail_tol: float, top: int) -> int:

@@ -221,20 +221,20 @@ def _window_constants(delta_n):
 
 
 def _profiles(
-    state: PureState, n_m: np.ndarray, delta_n: float
-) -> tuple[np.ndarray, np.ndarray]:
+    state: PureState, n_m: np.ndarray, delta_n: float, coherence: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Density P(n_m) and coherence-weighted density <a>_f(n_m) P(n_m) at one resolution.
 
     The one-width case of :func:`_band_profiles`.  The benchmark's tracer
     (``bench/tracing.py``) counts kernel cells from this entry point's float
     ``delta_n``, so batches of widths call :func:`_band_profiles` directly.
     """
-    return _band_profiles(state, n_m, delta_n)
+    return _band_profiles(state, n_m, delta_n, coherence)
 
 
 def _band_profiles(
-    state: PureState, n_m: np.ndarray, delta_n
-) -> tuple[np.ndarray, np.ndarray]:
+    state: PureState, n_m: np.ndarray, delta_n, coherence: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Density P(n_m) and coherence-weighted density <a>_f(n_m) P(n_m) on a grid.
 
     By the window factorization these are the band sums
@@ -270,8 +270,15 @@ def _band_profiles(
     put back in the grid's order.  A float width and an array of widths take
     the same expression for 1/(4 dn^2) and N (:func:`_window_constants`), so
     a constant array gives the float call's values bit for bit.
+
+    With ``coherence`` False only the density is summed and certified, and
+    None stands for the coherence: every row kept with the coherence keeps
+    its bits, and a row that only a cancelling coherence sent to the full
+    band keeps its 13-width density, within 2^-60 of the full band's.
     """
     p, b = state.level_moments()
+    if not coherence:
+        b = None
     if np.ndim(delta_n) == 0:
         order, centers, widths = None, n_m, np.full(n_m.size, delta_n)
         scale, norm = _window_constants(delta_n)
@@ -279,25 +286,30 @@ def _band_profiles(
         order = np.argsort(-delta_n, kind="stable")
         centers, widths = n_m[order], delta_n[order]
         scale, norm = _window_constants(widths)
-    density, coherence = _band_sums(p, b, centers, widths, scale, _PROFILE_WIDTHS)
+    density, field = _band_sums(p, b, centers, widths, scale, _PROFILE_WIDTHS)
     # When even the narrowest band is the whole basis, a refill would sum the same cells.
     if widths.size and 2.0 * _reach(float(widths[-1]), _PROFILE_WIDTHS) + 1.0 < p.size:
         kept = density >= _CERTIFIED  # also refuses NaN
-        field = np.abs(coherence)
-        # sum |b_n| <= sqrt(n_max) sum p_n: rows above that need no pass over the basis.
-        if (kept & (field < _CERTIFIED * math.sqrt(p.size))).any():
-            kept &= field >= _CERTIFIED * np.add.reduce(np.abs(b))
+        if b is not None:
+            size = np.abs(field)
+            # sum |b_n| <= sqrt(n_max) sum p_n: rows above that need no pass over the basis.
+            if (kept & (size < _CERTIFIED * math.sqrt(p.size))).any():
+                kept &= size >= _CERTIFIED * np.add.reduce(np.abs(b))
         if not kept.all():
             # The refilled rows keep their order, so their widths still do not grow.
             redo = np.flatnonzero(~kept)
             scales = scale if order is None else scale[redo]
             full = _band_sums(p, b, centers[redo], widths[redo], scales, _BAND_WIDTHS)
-            density[redo], coherence[redo] = full
-    density, coherence = norm * density, norm * coherence
+            density[redo] = full[0]
+            if b is not None:
+                field[redo] = full[1]
+    density = norm * density
+    if b is not None:
+        field = norm * field
     if order is None:
-        return density, coherence
+        return density, field
     back = np.argsort(order)
-    return density[back], coherence[back]
+    return density[back], None if b is None else field[back]
 
 
 def _band_sums(p, b, centers, widths, scale, factor: float):
@@ -311,9 +323,10 @@ def _band_sums(p, b, centers, widths, scale, factor: float):
     levels gathered as ``p[first + k]``: the bands are a few levels wide and
     a chunk holds thousands of outcomes, so each numpy loop runs along the
     outcomes, and each outcome's sums still add its cells in order of k.
+    With ``b`` None no coherence is summed, and None is returned for it.
     """
     density = np.empty(centers.size)
-    coherence = np.empty(centers.size, dtype=np.complex128)
+    coherence = None if b is None else np.empty(centers.size, dtype=np.complex128)
     offsets = np.empty(0)
     for rows, reach, width in _band_schedule(widths, p.size, factor):
         if offsets.size != width:
@@ -325,8 +338,9 @@ def _band_sums(p, b, centers, widths, scale, factor: float):
         e = np.exp((scale if np.ndim(scale) == 0 else scale[rows]) * x * x)
         n = first + levels
         density[rows] = np.einsum("ki,ki,ki->i", p[n], e, e)
-        pair = e[:-1] * e[1:]
-        coherence[rows] = np.einsum("ki,ki->i", b[n[:-1]], pair)
+        if b is not None:
+            pair = e[:-1] * e[1:]
+            coherence[rows] = np.einsum("ki,ki->i", b[n[:-1]], pair)
     return density, coherence
 
 
@@ -587,10 +601,11 @@ def outcome_density(state: PureState, n_m, delta_n: float):
     """Probability density of reading ``n_m``; accepts a scalar or an array.
 
     Equals (2 pi delta_n^2)**-0.5 sum_n |c_n|^2 exp(-(n - n_m)^2 / (2 delta_n^2)),
-    the squared norm of the windowed amplitudes.
+    the squared norm of the windowed amplitudes.  No coherence is summed: the
+    band sums are certified on the density alone (:func:`_band_profiles`).
     """
     delta_n = _check_delta_n(delta_n)
-    density, _ = _profiles(state, _grid(n_m), delta_n)
+    density, _ = _profiles(state, _grid(n_m), delta_n, coherence=False)
     return _scalar_or_array(n_m, density)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -155,9 +156,13 @@ class TestSampleTable:
         trajectory = repeated_measurement(coherent_state(CoherentParams(3.0)), 0.3, 2000, 5)
         walks = []
         walk = measurement._sequential_posteriors
+        signature = inspect.signature(walk)
 
         def recording(*args, **kwargs):
-            walks.append(kwargs.get("moments", True))
+            # The flag as the walk binds it, given by keyword, by position or defaulted.
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            walks.append(bound.arguments["moments"])
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(measurement, "_sequential_posteriors", recording)

@@ -58,6 +58,13 @@ def run_limited(*argv):
     )
 
 
+@pytest.fixture
+def empty_cutoff_caches():
+    """Start from no kept cutoffs, so a test that counts passes does not depend on test order."""
+    fock._start_level.cache_clear()
+    fock._certified_cutoff.cache_clear()
+
+
 def poisson_weight(lam, n):
     # independent oracle: exact integer factorial
     return math.exp(-lam) * lam**n / math.factorial(n)
@@ -206,9 +213,7 @@ class TestCoherentState:
             with pytest.raises(TruncationTooSmall, match=short):
                 coherent_state(params, certified - 1)
 
-    def test_cutoff_past_the_pass_start_skips_the_pass(self, monkeypatch):
-        from qndsim import fock
-
+    def test_cutoff_past_the_pass_start_skips_the_pass(self, monkeypatch, empty_cutoff_caches):
         params = CoherentParams(10.0)
         _, top = fock._pass_start(params, 1e-12)
         passes = []
@@ -223,6 +228,9 @@ class TestCoherentState:
         coherent_state(params, 280)
         assert passes == []
         coherent_state(params, top - 1)
+        assert len(passes) == 1
+        # The certified cutoff is kept per (|alpha|^2, tail_tol): no second pass.
+        coherent_state(CoherentParams(10.0, 1.3), top - 1)
         assert len(passes) == 1
 
     def test_refuses_before_allocating_the_basis(self):
@@ -304,6 +312,126 @@ class TestMassWindow:
         assert fock._window_start(0.0) == 0
         assert fock._window_start(800.0) == 0
         assert fock._window_start(801.0) > 0
+
+
+def window_amplitudes(params, n_max):
+    """Amplitudes built whole at every call, from the window start, with numpy's complex division."""
+    lam = params.mean_photon_number
+    lo = fock._window_start(lam)
+    n = np.arange(lo, n_max + 1)
+    if lam == 0.0:
+        weights = np.zeros(n_max + 1)
+        weights[0] = 1.0
+    else:
+        weights = np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
+    amps = np.empty(n_max + 1, dtype=np.complex128)
+    amps[:lo] = 0.0
+    np.multiply(np.sqrt(weights), np.exp(-1j * params.phase * n), out=amps[lo:])
+    amps /= np.linalg.norm(amps)
+    return amps / float(np.linalg.norm(amps))
+
+
+def moments_reference(amplitudes):
+    """The level moments and level CDF, each from whole-array temporaries."""
+    c = amplitudes
+    p = np.abs(c) ** 2
+    b = np.zeros(c.size, dtype=np.complex128)
+    b[:-1] = np.conj(c[:-1]) * c[1:] * np.sqrt(np.arange(1, c.size))
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return p, b, cdf
+
+
+class TestPhaseIndependentParts:
+    """A state at a new phase reuses its |alpha|'s Poisson part, with the same bits."""
+
+    @pytest.mark.parametrize("phase", [0.0, -0.0, 0.7, -2.1, math.pi])
+    @pytest.mark.parametrize("magnitude, n_max", [
+        (0.0, None), (0.5, None), (3.0, None), (25.0, None), (100.0, 10_711),
+        (100.0, 11_440), (300.0, None),
+    ])
+    def test_states_keep_their_bits(self, magnitude, n_max, phase):
+        params = CoherentParams(magnitude, phase)
+        state = coherent_state(params, n_max)
+        assert np.array_equal(state.amplitudes, gammaln_amplitudes(params, state.n_max))
+        # Zero signs included, and past a basis whose top weights are 0.0.
+        for cutoff in (state.n_max, state.n_max + 400):
+            want = window_amplitudes(params, cutoff)
+            got = coherent_state(params, cutoff)
+            assert got.amplitudes.tobytes() == want.tobytes()
+            for got_part, want_part in zip((*got.level_moments(), got.level_cdf()),
+                                           moments_reference(got.amplitudes)):
+                assert got_part.tobytes() == want_part.tobytes()
+
+    def test_tiny_phases_keep_underflowed_zero_signs(self):
+        # exp(-1e-300j n) times roots below 1e-23 has imaginary parts that
+        # underflow; their zero signs follow the order of the product.
+        for magnitude in (1e-160, 0.001, 0.5):
+            params = CoherentParams(magnitude, 1e-300)
+            for n_max in (16, 216):
+                want = window_amplitudes(params, n_max)
+                assert coherent_state(params, n_max).amplitudes.tobytes() == want.tobytes()
+
+    def test_two_phases_share_one_poisson_part(self):
+        fock._poisson_part.cache_clear()
+        coherent_state(CoherentParams(25.0, 0.3), 1015)
+        coherent_state(CoherentParams(25.0, -1.9), 1015)
+        info = fock._poisson_part.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        lo, roots, zeros = fock._poisson_part(625.0, 1015)
+        assert not roots.flags.writeable
+        assert lo == 0 and zeros == () and roots.size == 1016
+
+    def test_roots_stop_at_the_last_nonzero_weight(self):
+        # alpha 100 on 11 441 levels: the window starts where the log-weight
+        # reaches -800, and exp rounds the first levels of it to 0.0.
+        lo, roots, zeros = fock._poisson_part(1e4, 11_440)
+        assert lo == fock._window_start(1e4)
+        assert zeros == (slice(lo, lo + np.flatnonzero(roots)[0]),)
+        assert roots[-1] > 0.0 and roots.size == 11_441 - lo
+        # The vacuum on 17 levels keeps one root; levels 1..16 are zeros.
+        assert fock._poisson_part(0.0, 16)[1:] == (pytest.approx([1.0]), (slice(1, 17),))
+        lo, roots, zeros = fock._poisson_part(9.0, 400)
+        assert zeros == (slice(roots.size, 401),) and roots[-1] > 0.0
+
+    def test_level_roots_are_a_read_only_prefix(self):
+        small = fock._level_roots(5)
+        large = fock._level_roots(9000)
+        assert not small.flags.writeable and not large.flags.writeable
+        assert large.tobytes() == np.sqrt(np.arange(1, 9000)).tobytes()
+        assert fock._level_roots(5).tobytes() == np.sqrt(np.arange(1, 5)).tobytes()
+        assert fock._level_roots(1).size == 0
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+    def test_kept_cutoffs_equal_the_summed_pass(self, tol):
+        for mag in (0.5, 1.0, 3.0, 10.0, 25.0, 27.3, 28.0, 100.0, 300.0, 1000.0):
+            params = CoherentParams(mag)
+            lam = params.mean_photon_number
+            top = fock._start_level.__wrapped__(lam, tol)
+            want = fock._summed_cutoff(lam, tol, top)
+            for _ in range(2):  # from the pass, then from the cache
+                assert fock._pass_start(params, tol) == (lam, top)
+                assert choose_truncation(params, tol) == want
+                if tol == 1e-12:
+                    assert default_cutoff(params) == max(want, 16)
+
+    def test_refusals_keep_their_messages(self):
+        for _ in range(2):  # a refusal is not kept: the second call refuses alike
+            with pytest.raises(InvalidParam, match=r"^tail_tol must lie in \(0, 1\)$"):
+                choose_truncation(CoherentParams(3.0), 0.0)
+            with pytest.raises(
+                InvalidParam, match="^tail_tol below 1e-15 cannot be certified in double precision$"
+            ):
+                choose_truncation(CoherentParams(3.0), 1e-16)
+            with pytest.raises(
+                InvalidParam,
+                match=r"^\|alpha\|\^2 = 1e\+14 lies above 1e\+12, the largest mean whose cutoff is summed$",
+            ):
+                choose_truncation(CoherentParams(1e7), 1e-12)
+            with pytest.raises(
+                TruncationTooSmall, match="^n_max=36 lies below 37, the cutoff certified to 1e-12$"
+            ):
+                coherent_state(CoherentParams(3.0, 0.2), 36)
 
 
 class TestStateTable:

@@ -397,6 +397,38 @@ def test_cancelling_coherences_take_the_full_band(monkeypatch):
     assert_same_bits(got, full_band_profiles(state, grid, 2.0))
 
 
+def test_densities_alone_sum_no_coherence(monkeypatch):
+    # outcome_density certifies on the density alone: a row refilled only
+    # because its coherence cancels keeps its 13-width density.
+    rng = np.random.default_rng(8)
+    amplitudes = np.zeros(201, dtype=complex)
+    amplitudes[[15, 16]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    amplitudes[[63, 64]] = amplitudes[15], -amplitudes[16] / 2
+    state = PureState.from_unnormalized(amplitudes)
+    grid = np.array([20.0, 39.5, 39.75, 50.0])
+    calls = []
+
+    def recording(p, b, centers, widths, scale, factor):
+        calls.append((b, factor))
+        return _band_sums(p, b, centers, widths, scale, factor)
+
+    monkeypatch.setattr(measurement, "_band_sums", recording)
+    density = outcome_density(state, grid, 4.0)
+    assert calls == [(None, _PROFILE_WIDTHS)]
+    monkeypatch.undo()
+    both = _profiles(state, grid, 4.0)
+    assert np.array_equal(density[[0, 2, 3]], both[0][[0, 2, 3]])
+    assert abs(density[1] - both[0][1]) <= 2.0**-60 * both[0][1]
+    # Elsewhere every density is the one summed with its coherence, bit for bit.
+    for alpha in (0.5, 3.0, 25.0, 100.0):
+        state = coherent_state(CoherentParams(alpha, 0.4))
+        for delta_n in (0.05, 0.2, 0.3, 0.7, 2.0):
+            grid = tail_to_tail(state, delta_n, rng, 500)
+            want = _profiles(state, grid, delta_n)[0]
+            assert np.array_equal(outcome_density(state, grid, delta_n), want, equal_nan=True)
+            assert _profiles(state, grid, delta_n, coherence=False)[1] is None
+
+
 def test_whole_basis_bands_skip_the_certificate(monkeypatch):
     # On the 38-level alpha-3 basis the 13-width band is the whole basis from
     # dn = 36 / 26 = 1.385 up: both bands are the same cells, so far-tail and
